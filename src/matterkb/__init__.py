@@ -14,7 +14,6 @@ from .dsl import ParseDiagnostic, ParseResult, Scenario, load, parse, parse_byte
 from .events import (
     CreatedEntry,
     EventRec,
-    RoleBinding,
     apply_creation,
     apply_transfer,
     event_log,
@@ -70,7 +69,6 @@ __all__ = [
     "ProvenanceEdge",
     "QuantityInst",
     "Report",
-    "RoleBinding",
     "Scenario",
     "SubQuantityAssertion",
     "Violation",

@@ -17,7 +17,7 @@ import re
 from typing import Any
 
 from .errors import DocumentError
-from .events import CREATION, CreatedEntry, EventRec, GRANULE_TRANSFER, RoleBinding
+from .events import CREATION, CreatedEntry, EventRec, GRANULE_TRANSFER
 from .model import (
     AdjacencyInterval,
     KindDecl,
@@ -123,8 +123,6 @@ def doc_to_kb(doc: Any) -> KnowledgeBase:
     _read_adjacency(kb, _array(doc, "adjacency"))
     _read_subquantities(kb, _array(doc, "subquantities"))
     _read_events(kb, _array(doc, "events"))
-    _rebuild_role_bindings(kb)
-    kb._bump()
     return kb
 
 
@@ -248,22 +246,6 @@ def _read_events(kb: KnowledgeBase, items: list) -> None:
                 tuple(sorted(created, key=lambda e: e.id)),
                 frozenset(_id_list(rec["discarded"], f"{path}.discarded")),
             )
-        )
-
-
-def _rebuild_role_bindings(kb: KnowledgeBase) -> None:
-    # Role bindings are derived, not serialized; recompute them leniently.
-    for ev in kb.events:
-        if ev.kind != GRANULE_TRANSFER:
-            continue
-        donor_granules: frozenset[str] = frozenset()
-        for did in ev.donors:
-            donor = kb.quantities.get(did)
-            if donor is not None:
-                donor_granules |= donor.granules
-        donated = frozenset().union(*(e.granules & donor_granules for e in ev.created))
-        kb.role_bindings[ev.id] = RoleBinding(
-            ev.id, ev.donors, frozenset(e.id for e in ev.created), donated
         )
 
 

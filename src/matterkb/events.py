@@ -19,15 +19,12 @@ from .errors import (
     NonMonotonicTime,
     ReplayError,
     TooFewGranules,
-    UnknownObject,
     UnknownKind,
 )
-from .model import KnowledgeBase, OBJECT_KIND, QUANTITY_KIND, QuantityInst
+from .model import MIN_GRANULES, KnowledgeBase, OBJECT_KIND, QUANTITY_KIND, QuantityInst
 
 CREATION = "creation"
 GRANULE_TRANSFER = "granuleTransfer"
-
-MIN_GRANULES = 2
 
 
 @dataclass(frozen=True)
@@ -55,16 +52,6 @@ class EventRec:
     discarded: frozenset[str]
 
 
-@dataclass(frozen=True)
-class RoleBinding:
-    """Role instantiations of one transfer: donors, inheritors, moved granules."""
-
-    event: str
-    donor_roles: frozenset[str]
-    inheritor_roles: frozenset[str]
-    donated_granules: frozenset[str]
-
-
 def apply_creation(
     kb: KnowledgeBase,
     entry: CreatedEntry,
@@ -77,13 +64,7 @@ def apply_creation(
     if event_id is None:
         event_id = f"create-{entry.id}"
     kb._check_fresh(event_id)
-    kb._check_fresh(entry.id)
-    _check_quantity_kind(kb, entry.kind)
-    _check_granules_exist(kb, entry.granules, at)
-    if len(entry.granules) < MIN_GRANULES:
-        raise TooFewGranules(
-            f"quantity '{entry.id}' needs at least {MIN_GRANULES} granules, got {len(entry.granules)}"
-        )
+    _check_entry(kb, entry, at)
     for g in sorted(entry.granules):
         holder = _same_kind_holder(kb, g, entry.kind, at, exclude=frozenset())
         if holder is not None:
@@ -94,7 +75,6 @@ def apply_creation(
     event = EventRec(event_id, at, CREATION, frozenset(), (entry,), frozenset())
     kb.events.append(event)
     kb.quantities[entry.id] = QuantityInst(entry.id, entry.kind, at, entry.granules, event_id)
-    kb._bump()
     return event
 
 
@@ -138,13 +118,7 @@ def apply_transfer(
         if entry.id in seen_ids:
             raise DuplicateGranuleAssignment(f"quantity '{entry.id}' created twice in one event")
         seen_ids.add(entry.id)
-        kb._check_fresh(entry.id)
-        _check_quantity_kind(kb, entry.kind)
-        _check_granules_exist(kb, entry.granules, at)
-        if len(entry.granules) < MIN_GRANULES:
-            raise TooFewGranules(
-                f"quantity '{entry.id}' needs at least {MIN_GRANULES} granules, got {len(entry.granules)}"
-            )
+        _check_entry(kb, entry, at)
         if not (entry.granules & donor_granules):
             raise GranuleProvenanceViolation(
                 f"created quantity '{entry.id}' inherits no granule from any donor; "
@@ -184,11 +158,6 @@ def apply_transfer(
         d.terminated_at = at
     for entry in created:
         kb.quantities[entry.id] = QuantityInst(entry.id, entry.kind, at, entry.granules, event_id)
-    donated = frozenset().union(*(entry.granules & donor_granules for entry in created))
-    kb.role_bindings[event_id] = RoleBinding(
-        event_id, donors, frozenset(e.id for e in created), donated
-    )
-    kb._bump()
     return event
 
 
@@ -245,19 +214,18 @@ def _check_monotonic(kb: KnowledgeBase, at: int) -> None:
         )
 
 
-def _check_quantity_kind(kb: KnowledgeBase, kind: str) -> None:
-    decl = kb.kinds.get(kind)
+def _check_entry(kb: KnowledgeBase, entry: CreatedEntry, at: int) -> None:
+    """The checks every created quantity passes, in a creation or a transfer."""
+    kb._check_fresh(entry.id)
+    decl = kb.kinds.get(entry.kind)
     if decl is None or decl.meta != QUANTITY_KIND:
-        raise UnknownKind(f"'{kind}' is not a declared quantity kind")
-
-
-def _check_granules_exist(kb: KnowledgeBase, granules: frozenset[str], at: int) -> None:
-    for g in sorted(granules):
-        obj = kb.objects.get(g)
-        if obj is None:
-            raise UnknownObject(f"unknown object '{g}'")
-        if obj.created_at > at:
-            raise UnknownObject(f"object '{g}' does not exist at t{at}")
+        raise UnknownKind(f"'{entry.kind}' is not a declared quantity kind")
+    for g in sorted(entry.granules):
+        kb._object_at(g, at)
+    if len(entry.granules) < MIN_GRANULES:
+        raise TooFewGranules(
+            f"quantity '{entry.id}' needs at least {MIN_GRANULES} granules, got {len(entry.granules)}"
+        )
 
 
 def _same_kind_holder(

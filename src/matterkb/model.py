@@ -27,7 +27,8 @@ from .errors import (
 )
 
 if TYPE_CHECKING:
-    from .events import EventRec, RoleBinding
+    from .events import EventRec
+    from .provenance import _Index
 
 QUANTITY_KIND = "quantityKind"
 OBJECT_KIND = "objectKind"
@@ -35,6 +36,8 @@ OBJECT_KIND = "objectKind"
 STATUS_LIVE = "live"
 STATUS_TERMINATED = "terminated"
 STATUS_NOT_YET_CREATED = "not-yet-created"
+
+MIN_GRANULES = 2
 
 
 @dataclass(frozen=True)
@@ -81,6 +84,11 @@ class QuantityInst:
         if self.terminated_at is not None and t >= self.terminated_at:
             return STATUS_TERMINATED
         return STATUS_LIVE
+
+    def overlaps(self, other: "QuantityInst") -> bool:
+        """Whether the two lifetimes share at least one tick."""
+        ends = [q.terminated_at for q in (self, other) if q.terminated_at is not None]
+        return max(self.created_at, other.created_at) < min(ends, default=float("inf"))
 
 
 @dataclass
@@ -157,8 +165,7 @@ class KnowledgeBase:
     adjacency: list[AdjacencyInterval] = field(default_factory=list)
     subquantities: set[SubQuantityAssertion] = field(default_factory=set)
     events: list["EventRec"] = field(default_factory=list)
-    role_bindings: dict[str, "RoleBinding"] = field(default_factory=dict)
-    _version: int = 0
+    provenance_index: "_Index | None" = field(default=None, init=False, repr=False, compare=False)
 
     # -- declarations ------------------------------------------------------
 
@@ -177,7 +184,6 @@ class KnowledgeBase:
                     f"kind '{decl.name}' requires '{req}', which is not a declared object kind"
                 )
         self.kinds[decl.name] = decl
-        self._bump()
         return decl
 
     def declare_object_kind(self, name: str) -> KindDecl:
@@ -195,7 +201,6 @@ class KnowledgeBase:
             raise UnknownKind(f"'{kind}' is not a declared object kind")
         obj = ObjectInst(object_id, kind, at)
         self.objects[object_id] = obj
-        self._bump()
         return obj
 
     # -- adjacency ---------------------------------------------------------
@@ -206,11 +211,7 @@ class KnowledgeBase:
         if a == b:
             raise SelfAdjacency(f"object '{a}' cannot be adjacent to itself")
         for oid in (a, b):
-            obj = self.objects.get(oid)
-            if obj is None:
-                raise UnknownObject(f"unknown object '{oid}'")
-            if obj.created_at > start:
-                raise UnknownObject(f"object '{oid}' does not exist at t{start}")
+            self._object_at(oid, start)
         a, b = sorted((a, b))
         for iv in self.adjacency:
             # a new interval is open-ended, so it overlaps anything not closed by start
@@ -220,19 +221,16 @@ class KnowledgeBase:
                     f"starting at t{iv.start}"
                 )
         self.adjacency.append(AdjacencyInterval(a, b, start))
-        self._bump()
 
     def retract_adjacency(self, a: str, b: str, end: int) -> None:
         """Close the open adjacency interval for the pair at ``end``."""
         self._check_time(end)
         for oid in (a, b):
-            if oid not in self.objects:
-                raise UnknownObject(f"unknown object '{oid}'")
+            self._object(oid)
         a, b = sorted((a, b))
         for iv in self.adjacency:
             if (iv.a, iv.b) == (a, b) and iv.end is None and iv.start < end:
                 iv.end = end
-                self._bump()
                 return
         raise UnknownAdjacency(f"no open adjacency {a}-{b} active before t{end}")
 
@@ -254,12 +252,9 @@ class KnowledgeBase:
             raise SameKindSubQuantity(
                 f"sub-quantity requires distinct kinds; '{part}' and '{whole}' are both '{p.kind}'"
             )
-        p_end = p.terminated_at if p.terminated_at is not None else float("inf")
-        w_end = w.terminated_at if w.terminated_at is not None else float("inf")
-        if max(p.created_at, w.created_at) >= min(p_end, w_end):
+        if not p.overlaps(w):
             raise NoLifetimeOverlap(f"lifetimes of '{part}' and '{whole}' do not overlap")
         self.subquantities.add(SubQuantityAssertion(part, whole))
-        self._bump()
 
     # -- reads ---------------------------------------------------------------
 
@@ -344,6 +339,12 @@ class KnowledgeBase:
             raise UnknownObject(f"unknown object '{object_id}'")
         return o
 
+    def _object_at(self, object_id: str, t: int) -> ObjectInst:
+        o = self._object(object_id)
+        if o.created_at > t:
+            raise UnknownObject(f"object '{object_id}' does not exist at t{t}")
+        return o
+
     def _check_fresh(self, entity_id: str) -> None:
         if entity_id in self.objects or entity_id in self.quantities or any(
             ev.id == entity_id for ev in self.events
@@ -354,6 +355,3 @@ class KnowledgeBase:
     def _check_time(t: int) -> None:
         if not isinstance(t, int) or isinstance(t, bool) or t < 0:
             raise ValueError(f"time points are non-negative integers, got {t!r}")
-
-    def _bump(self) -> None:
-        self._version += 1

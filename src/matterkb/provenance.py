@@ -61,9 +61,16 @@ class ConstitutionView:
 
 
 class _Index:
-    """Adjacency lists over the derived edge set, memoized per KB version."""
+    """Adjacency lists over the derived edge set of one knowledge base.
+
+    Invalidation rule: edges depend only on the event log and on the granule
+    sets of the quantities the log names. The log is append-only and, once
+    a knowledge base is built or imported, only events add quantities, so
+    the index is current exactly while ``length`` equals ``len(kb.events)``.
+    """
 
     def __init__(self, kb: KnowledgeBase):
+        self.length = len(kb.events)
         self.edges = _derive(kb)
         self.parents: dict[str, set[str]] = {}
         self.children: dict[str, set[str]] = {}
@@ -105,11 +112,9 @@ def _derive(kb: KnowledgeBase) -> tuple[ProvenanceEdge, ...]:
 
 
 def _index(kb: KnowledgeBase) -> _Index:
-    cached = getattr(kb, "_provenance_cache", None)
-    if cached is not None and cached[0] == kb._version:
-        return cached[1]
-    idx = _Index(kb)
-    kb._provenance_cache = (kb._version, idx)
+    idx = kb.provenance_index
+    if idx is None or idx.length != len(kb.events):
+        idx = kb.provenance_index = _Index(kb)
     return idx
 
 
@@ -130,40 +135,32 @@ def derive_edges(kb: KnowledgeBase) -> tuple[ProvenanceEdge, ...]:
     return _index(kb).edges
 
 
+def _related(kb: KnowledgeBase, quantity_id: str, transitive: bool, relation: str) -> frozenset[str]:
+    kb._quantity(quantity_id)
+    neighbors = getattr(_index(kb), relation)
+    if transitive:
+        return _reach(quantity_id, neighbors)
+    return frozenset(neighbors.get(quantity_id, ()))
+
+
 def inherited_from(kb: KnowledgeBase, quantity_id: str, transitive: bool = False) -> frozenset[str]:
     """Donors the quantity inherited granules from, direct or as a full closure."""
-    kb._quantity(quantity_id)
-    idx = _index(kb)
-    if transitive:
-        return _reach(quantity_id, idx.parents)
-    return frozenset(idx.parents.get(quantity_id, ()))
+    return _related(kb, quantity_id, transitive, "parents")
 
 
 def donated_to(kb: KnowledgeBase, quantity_id: str, transitive: bool = False) -> frozenset[str]:
     """Inverse of inherited_from: quantities this one donated granules to."""
-    kb._quantity(quantity_id)
-    idx = _index(kb)
-    if transitive:
-        return _reach(quantity_id, idx.children)
-    return frozenset(idx.children.get(quantity_id, ()))
+    return _related(kb, quantity_id, transitive, "children")
 
 
 def sub_portions_of(kb: KnowledgeBase, quantity_id: str, transitive: bool = False) -> frozenset[str]:
     """Same-kind inheritors whose granules are subsets of this quantity's."""
-    kb._quantity(quantity_id)
-    idx = _index(kb)
-    if transitive:
-        return _reach(quantity_id, idx.sub_children)
-    return frozenset(idx.sub_children.get(quantity_id, ()))
+    return _related(kb, quantity_id, transitive, "sub_children")
 
 
 def sub_portion_parents(kb: KnowledgeBase, quantity_id: str, transitive: bool = False) -> frozenset[str]:
     """Quantities this one is a sub-portion of."""
-    kb._quantity(quantity_id)
-    idx = _index(kb)
-    if transitive:
-        return _reach(quantity_id, idx.sub_parents)
-    return frozenset(idx.sub_parents.get(quantity_id, ()))
+    return _related(kb, quantity_id, transitive, "sub_parents")
 
 
 def classify_origin(kb: KnowledgeBase, quantity_id: str) -> str:

@@ -10,10 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .model import (
+    MIN_GRANULES,
     KnowledgeBase,
     OBJECT_KIND,
     QUANTITY_KIND,
-    QuantityInst,
     connected_components,
 )
 
@@ -28,8 +28,6 @@ RULES = (
     "SUPPLEMENTATION_MIN2",
     "SUBQ_KIND_DISTINCT",
 )
-
-MIN_GRANULES = 2
 
 
 @dataclass(frozen=True)
@@ -136,7 +134,7 @@ def check_subquantity_inclusion(kb: KnowledgeBase) -> list[Violation]:
         whole = kb.quantities.get(s.whole)
         if part is None or whole is None:
             continue  # typing owns unresolved endpoints
-        if not _lifetimes_overlap(part, whole):
+        if not part.overlaps(whole):
             continue
         for g in sorted(part.granules - whole.granules):
             out.append(
@@ -157,8 +155,7 @@ def check_ggd(kb: KnowledgeBase) -> list[Violation]:
         decl = kb.kinds.get(q.kind)
         if decl is None or not decl.requires:
             continue
-        present = {kb.objects[g].kind for g in q.granules if g in kb.objects}
-        for req in sorted(decl.requires - present):
+        for req in sorted(decl.requires - kb.granule_types(qid)):
             out.append(
                 Violation(
                     "AA1_GGD",
@@ -330,9 +327,3 @@ def validate_all(kb: KnowledgeBase, at: int | None = None) -> Report:
         violations += check_maximality(kb, t)
     ordered = sorted(violations, key=lambda v: (v.rule, v.subjects, v.at if v.at is not None else -1))
     return Report(tuple(ordered), tuple(worlds))
-
-
-def _lifetimes_overlap(a: QuantityInst, b: QuantityInst) -> bool:
-    a_end = a.terminated_at if a.terminated_at is not None else float("inf")
-    b_end = b.terminated_at if b.terminated_at is not None else float("inf")
-    return max(a.created_at, b.created_at) < min(a_end, b_end)

@@ -1,11 +1,14 @@
 """Command-line behaviour: exit codes, determinism, output shapes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import matterkb
 from matterkb import case_study_path
 from matterkb.cli import main
 
@@ -205,11 +208,20 @@ class TestExportAndReplay:
         assert code == 1 and "FAILED" in out
 
 
+def _child_env() -> dict[str, str]:
+    # The child must import the same matterkb as this process.
+    package_root = str(Path(matterkb.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "matterkb", "validate", str(case_study_path())],
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout == "0 violations\n"
@@ -220,5 +232,6 @@ def test_usage_error_exits_2():
         [sys.executable, "-m", "matterkb", "frobnicate"],
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
     assert proc.returncode == 2

@@ -110,10 +110,9 @@ class TestTransfer:
         assert kb.quantities["r1"].terminated_at == 1
         assert kb.quantities["r2"].created_at == 1
         assert ev.created[0].id == "r2"  # created entries sorted by id
-        binding = kb.role_bindings["split"]
-        assert binding.donor_roles == frozenset({"r1"})
-        assert binding.inheritor_roles == frozenset({"r2", "r3"})
-        assert binding.donated_granules == frozenset({"g1", "g2", "g3", "g4"})
+        assert ev.donors == frozenset({"r1"})
+        assert {e.id for e in ev.created} == {"r2", "r3"}
+        assert frozenset().union(*(e.granules for e in ev.created)) == {"g1", "g2", "g3", "g4"}
 
     def test_mix_two_donors(self, kb):
         rock(kb, "r1", ["g1", "g2"], 0)

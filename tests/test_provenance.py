@@ -13,7 +13,9 @@ from matterkb import (
     constitution_view,
     derive_edges,
     donated_to,
+    export_document,
     granule_history,
+    import_document,
     inherited_from,
     sub_portion_parents,
     sub_portions_of,
@@ -280,3 +282,30 @@ def test_memoization_invalidated_on_append(kb):
     assert derive_edges(kb) == ()
     apply_transfer(kb, ["r1"], [CreatedEntry.of("r2", "Rock", ["g1", "g2"])], 1)
     assert len(derive_edges(kb)) == 1
+
+
+def test_index_rebuilt_only_when_log_grows(kb):
+    apply_creation(kb, CreatedEntry.of("r1", "Rock", ["g1", "g2", "g3"]), 0)
+    apply_creation(kb, CreatedEntry.of("s1", "Sand", ["g1", "g2"]), 1)
+    assert inherited_from(kb, "r1") == frozenset()
+    index = kb.provenance_index
+    for edit in (
+        lambda: kb.assert_adjacency("g1", "g2", 1),
+        lambda: kb.retract_adjacency("g1", "g2", 2),
+        lambda: kb.assert_subquantity("s1", "r1"),
+    ):
+        edit()
+        assert inherited_from(kb, "r1") == frozenset()
+        assert kb.provenance_index is index
+    apply_transfer(kb, ["r1"], [CreatedEntry.of("r2", "Rock", ["g1", "g2"])], 3)
+    assert inherited_from(kb, "r2") == {"r1"}
+    assert kb.provenance_index is not index
+
+
+def test_imported_kb_answers_provenance(case_kb):
+    doc = export_document(case_kb)
+    kb, twin = import_document(doc), import_document(doc)
+    assert kb.provenance_index is None
+    assert inherited_from(kb, "rock5", transitive=True) == {"rock1", "rock3"}
+    assert derive_edges(kb) == derive_edges(case_kb)
+    assert kb == twin  # the index takes no part in equality
