@@ -57,7 +57,7 @@ def load_kb(path_str: str) -> KnowledgeBase:
 
 def parse_time(text: str) -> int:
     raw = text[1:] if text.startswith("t") else text
-    if raw.isdigit():
+    if raw.isascii() and raw.isdigit():  # str.isdigit alone admits '²' and '١'
         return int(raw)
     raise _CliError(f"'{text}' is not a time point; write tN with N a non-negative integer")
 

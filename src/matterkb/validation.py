@@ -14,6 +14,7 @@ from .model import (
     KnowledgeBase,
     OBJECT_KIND,
     QUANTITY_KIND,
+    QuantityInst,
     connected_components,
 )
 
@@ -167,6 +168,18 @@ def check_ggd(kb: KnowledgeBase) -> list[Violation]:
     return out
 
 
+def _live_holders(
+    kb: KnowledgeBase, t: int
+) -> tuple[list[QuantityInst], dict[str, list[QuantityInst]]]:
+    """The quantities live at ``t`` in id order, and each granule's live holders in that order."""
+    live = kb.live_quantities_at(t)
+    holders: dict[str, list[QuantityInst]] = {}
+    for q in live:
+        for g in q.granules:
+            holders.setdefault(g, []).append(q)
+    return live, holders
+
+
 def check_connectivity(kb: KnowledgeBase, t: int) -> list[Violation]:
     """Each live quantity's granule graph is one piece at ``t``.
 
@@ -175,13 +188,22 @@ def check_connectivity(kb: KnowledgeBase, t: int) -> list[Violation]:
     components are reported as CONNECTIVITY. Quantities with unresolved or
     sub-minimum granule sets are skipped here: typing and supplementation own
     those defects.
+
+    Each active edge goes, through the granule → live-holders index, to the
+    live quantities that hold both its ends, so one world costs
+    O(A_t + Σ|granules of live quantities|) for A_t active edges.
     """
     out = []
-    active = set(kb.adjacency_at(t))
-    for q in kb.live_quantities_at(t):
+    live, holders = _live_holders(kb, t)
+    edges_of: dict[str, list[tuple[str, str]]] = {}
+    for a, b in kb.adjacency_at(t):
+        for q in holders.get(a, ()):
+            if b in q.granules:
+                edges_of.setdefault(q.id, []).append((a, b))
+    for q in live:
         if len(q.granules) < MIN_GRANULES or any(g not in kb.objects for g in q.granules):
             continue
-        edges = [(a, b) for a, b in active if a in q.granules and b in q.granules]
+        edges = edges_of.get(q.id, [])
         touched = {x for e in edges for x in e}
         for g in sorted(q.granules - touched):
             out.append(
@@ -207,43 +229,38 @@ def check_connectivity(kb: KnowledgeBase, t: int) -> list[Violation]:
 
 
 def check_maximality(kb: KnowledgeBase, t: int) -> list[Violation]:
-    """No two live quantities of one kind share or touch granules at ``t``."""
+    """No two live quantities of one kind share or touch granules at ``t``.
+
+    Candidate pairs come from the granule → live-holders index: the holders
+    of one granule share it, and the holders of the two ends of an active edge
+    touch. One world costs O(A_t + Σ|granules of live quantities| + violations)
+    for A_t active edges, with no scan over all pairs of quantities, as long as
+    a granule has few live holders of other kinds (an engine-built store gives
+    it at most one per kind).
+    """
+    _, holders = _live_holders(kb, t)
+    shared: dict[tuple[str, str], list[str]] = {}
+    for g, on_g in holders.items():
+        for i, q1 in enumerate(on_g):
+            for q2 in on_g[i + 1:]:
+                if q1.kind == q2.kind:
+                    shared.setdefault((q1.id, q2.id), []).append(g)
+    touching: dict[tuple[str, str], tuple[str, str]] = {}
+    for a, b in kb.adjacency_at(t):  # sorted, so the first edge kept per pair is its least
+        for q1 in holders.get(a, ()):
+            for q2 in holders.get(b, ()):
+                if q1 is not q2 and q1.kind == q2.kind:
+                    pair = (q1.id, q2.id) if q1.id < q2.id else (q2.id, q1.id)
+                    touching.setdefault(pair, (a, b))
     out = []
-    active = set(kb.adjacency_at(t))
-    live = kb.live_quantities_at(t)
-    for i, q1 in enumerate(live):
-        for q2 in live[i + 1:]:
-            if q1.kind != q2.kind:
-                continue
-            shared = q1.granules & q2.granules
-            if shared:
-                out.append(
-                    Violation(
-                        "MAXIMALITY_SAME_KIND",
-                        (q1.id, q2.id),
-                        t,
-                        f"same-kind quantities '{q1.id}' and '{q2.id}' share granule(s) "
-                        f"{', '.join(sorted(shared))} at t{t}",
-                    )
-                )
-                continue
-            touching = sorted(
-                (a, b)
-                for a, b in active
-                if (a in q1.granules and b in q2.granules)
-                or (a in q2.granules and b in q1.granules)
-            )
-            if touching:
-                a, b = touching[0]
-                out.append(
-                    Violation(
-                        "MAXIMALITY_SAME_KIND",
-                        (q1.id, q2.id),
-                        t,
-                        f"same-kind quantities '{q1.id}' and '{q2.id}' are adjacent "
-                        f"({a}-{b}) at t{t}; they should be one quantity",
-                    )
-                )
+    for pair in sorted(shared.keys() | touching.keys()):
+        if pair in shared:
+            detail = f"share granule(s) {', '.join(sorted(shared[pair]))} at t{t}"
+        else:
+            a, b = touching[pair]
+            detail = f"are adjacent ({a}-{b}) at t{t}; they should be one quantity"
+        message = f"same-kind quantities '{pair[0]}' and '{pair[1]}' {detail}"
+        out.append(Violation("MAXIMALITY_SAME_KIND", pair, t, message))
     return out
 
 

@@ -14,7 +14,16 @@ from matterkb import (
     kb_to_doc,
 )
 from matterkb.canonical import doc_to_kb
-from matterkb.model import OBJECT_KIND, QUANTITY_KIND, ObjectInst, QuantityInst
+from matterkb.model import (
+    MIN_GRANULES,
+    OBJECT_KIND,
+    QUANTITY_KIND,
+    AdjacencyInterval,
+    ObjectInst,
+    QuantityInst,
+    connected_components,
+)
+from matterkb.validation import Violation
 
 TOP_KINDS = ("RockA", "RockB", "Mud")
 SUB_KIND = "Brine"
@@ -223,6 +232,79 @@ def oracle_maximality(
     return q2 in bfs_component(q1, _adjacency_map(merged))
 
 
+def reference_connectivity(kb: KnowledgeBase, t: int) -> list[Violation]:
+    """Brute-force CONNECTIVITY/EXTERNAL_CONNECTION: every active edge per quantity."""
+    out = []
+    active = set(kb.adjacency_at(t))
+    for q in kb.live_quantities_at(t):
+        if len(q.granules) < MIN_GRANULES or any(g not in kb.objects for g in q.granules):
+            continue
+        edges = [(a, b) for a, b in active if a in q.granules and b in q.granules]
+        touched = {x for e in edges for x in e}
+        for g in sorted(q.granules - touched):
+            out.append(
+                Violation(
+                    "EXTERNAL_CONNECTION",
+                    (g, q.id),
+                    t,
+                    f"granule '{g}' of quantity '{q.id}' is externally connected to no co-granule at t{t}",
+                )
+            )
+        parts = connected_components(touched, edges)
+        if len(parts) > 1:
+            out.append(
+                Violation(
+                    "CONNECTIVITY",
+                    (q.id,),
+                    t,
+                    f"granules of quantity '{q.id}' fall apart into {len(parts)} "
+                    f"disconnected clusters at t{t}",
+                )
+            )
+    return out
+
+
+def reference_maximality(kb: KnowledgeBase, t: int) -> list[Violation]:
+    """Brute-force MAXIMALITY_SAME_KIND: every pair of live quantities, every active edge."""
+    out = []
+    active = set(kb.adjacency_at(t))
+    live = kb.live_quantities_at(t)
+    for i, q1 in enumerate(live):
+        for q2 in live[i + 1:]:
+            if q1.kind != q2.kind:
+                continue
+            shared = q1.granules & q2.granules
+            if shared:
+                out.append(
+                    Violation(
+                        "MAXIMALITY_SAME_KIND",
+                        (q1.id, q2.id),
+                        t,
+                        f"same-kind quantities '{q1.id}' and '{q2.id}' share granule(s) "
+                        f"{', '.join(sorted(shared))} at t{t}",
+                    )
+                )
+                continue
+            touching = sorted(
+                (a, b)
+                for a, b in active
+                if (a in q1.granules and b in q2.granules)
+                or (a in q2.granules and b in q1.granules)
+            )
+            if touching:
+                a, b = touching[0]
+                out.append(
+                    Violation(
+                        "MAXIMALITY_SAME_KIND",
+                        (q1.id, q2.id),
+                        t,
+                        f"same-kind quantities '{q1.id}' and '{q2.id}' are adjacent "
+                        f"({a}-{b}) at t{t}; they should be one quantity",
+                    )
+                )
+    return out
+
+
 def oracle_ancestors(parents: dict[str, set[str]], start: str) -> set[str]:
     """Closure by brute-force enumeration of all simple paths."""
     found: set[str] = set()
@@ -428,4 +510,57 @@ def two_quantity_graph_kb(
     )
     for a, b in edges:
         kb.assert_adjacency(a, b, 0)
+    return kb
+
+
+def messy_world_kb(seed: int, n_quantities: int = 30, n_objects: int = 40) -> KnowledgeBase:
+    """A store written field by field rather than through the engine.
+
+    It holds what only imported documents can: same-kind quantities sharing
+    granules, granule and edge endpoints that name no object, quantities of one
+    granule, and duplicate, overlapping and closed adjacency intervals.
+    """
+    rng = random.Random(seed)
+    kb = KnowledgeBase()
+    kb.kinds["Grain"] = KindDecl("Grain", OBJECT_KIND)
+    for kind in TOP_KINDS:
+        kb.kinds[kind] = KindDecl(kind, QUANTITY_KIND, frozenset())
+    oids = [f"o{i}" for i in range(n_objects)]
+    for oid in oids:
+        kb.objects[oid] = ObjectInst(oid, "Grain", rng.randint(0, 3))
+    ghosts = ["x0", "x1"]
+    for i in range(n_quantities):
+        pool = oids + ghosts if rng.random() < 0.15 else oids
+        granules = frozenset(rng.sample(pool, rng.randint(1, 5)))
+        start = rng.randint(0, 8)
+        end = rng.choice([None, start + rng.randint(1, 4)])
+        kb.quantities[f"q{i}"] = QuantityInst(
+            f"q{i}", rng.choice(TOP_KINDS), start, granules, f"e{i}", end
+        )
+    for _ in range(3 * n_objects):
+        a, b = sorted(rng.sample(oids + ghosts if rng.random() < 0.05 else oids, 2))
+        start = rng.randint(0, 10)
+        end = rng.choice([None, start + rng.randint(1, 3)])
+        kb.adjacency.append(AdjacencyInterval(a, b, start, end))
+    for iv in rng.sample(kb.adjacency, n_objects // 4):
+        kb.adjacency.append(AdjacencyInterval(iv.a, iv.b, iv.start, iv.end))
+        kb.adjacency.append(AdjacencyInterval(iv.a, iv.b, iv.start + 1))
+    return kb
+
+
+def moved_chains_kb(n: int) -> KnowledgeBase:
+    """n same-kind quantities of 4 chained granules, each created and then
+    moved once by a one-donor transfer: 2n events and 2n change points."""
+    kb = KnowledgeBase()
+    kb.declare_object_kind("Grain")
+    kb.declare_quantity_kind("Rock", [])
+    chains = [[f"g{i}_{k}" for k in range(4)] for i in range(n)]
+    for i, chain in enumerate(chains):
+        for g in chain:
+            kb.create_object(g, "Grain", i)
+        for a, b in zip(chain, chain[1:]):
+            kb.assert_adjacency(a, b, i)
+        apply_creation(kb, CreatedEntry.of(f"q{i}", "Rock", chain), i)
+    for i, chain in enumerate(chains):
+        apply_transfer(kb, [f"q{i}"], [CreatedEntry.of(f"m{i}", "Rock", chain)], n + i)
     return kb

@@ -167,6 +167,17 @@ class TestQuery:
         assert first == second
 
 
+@pytest.mark.parametrize("when", ["t\u00b2", "t\u0661"])
+@pytest.mark.parametrize(
+    "command", [("validate", "--at", "{when}", "{file}"), ("query", "{file}", "world", "{when}")]
+)
+def test_non_ascii_digits_are_not_time_points(capsys, case_file, command, when):
+    argv = [arg.format(when=when, file=case_file) for arg in command]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"'{when}' is not a time point" in err
+
+
 class TestExportAndReplay:
     def test_export_import_export_identical(self, capsys, tmp_path, case_file):
         out1 = tmp_path / "one.mpkb"

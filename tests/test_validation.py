@@ -1,6 +1,7 @@
 """Axiom checks: per-rule behaviour, seeded faults, and oracle agreement."""
 
 import random
+import time
 
 import pytest
 
@@ -19,8 +20,12 @@ from matterkb.validation import (
 from helpers import (
     FAULT_FIXTURES,
     build_random_kb,
+    messy_world_kb,
+    moved_chains_kb,
     oracle_connectivity,
     oracle_maximality,
+    reference_connectivity,
+    reference_maximality,
     single_quantity_graph_kb,
     two_quantity_graph_kb,
 )
@@ -198,6 +203,32 @@ class TestMaximality:
             got = bool(check_maximality(kb, 0))
             want = oracle_maximality("qx", set(g1), "qy", set(g2), edges)
             assert got == want
+
+
+def test_world_rules_match_brute_force_references_exactly():
+    """Every Violation field, at every change point of messy stores."""
+    seen = set()
+    for seed in range(200):
+        kb = messy_world_kb(seed)
+        for t in kb.change_points():
+            maximality = check_maximality(kb, t)
+            connectivity = check_connectivity(kb, t)
+            assert maximality == reference_maximality(kb, t), (seed, t)
+            assert connectivity == reference_connectivity(kb, t), (seed, t)
+            seen.update(v.rule for v in connectivity)
+            seen.update("share" if "share" in v.message else "touch" for v in maximality)
+    assert seen == {"CONNECTIVITY", "EXTERNAL_CONNECTION", "share", "touch"}
+
+
+def test_full_validate_scales_past_pairwise_cost():
+    """200 moved chains, 400 worlds: the pairwise rules took about six minutes."""
+    kb = moved_chains_kb(200)
+    start = time.perf_counter()
+    report = validate_all(kb)
+    elapsed = time.perf_counter() - start
+    assert report.ok
+    assert len(report.worlds_checked) == 400
+    assert elapsed < 10.0
 
 
 class TestHistory:
