@@ -233,7 +233,7 @@ def _same_kind_holder(
 ) -> QuantityInst | None:
     # Cross-kind sharing is allowed (a sub-quantity holds granules of its
     # whole); only a live same-kind holder makes a granule unavailable.
-    for q in kb.live_quantities_at(at):
-        if q.id not in exclude and q.kind == kind and granule in q.granules:
+    for q in kb.holders_of(granule, at):
+        if q.id not in exclude and q.kind == kind:
             return q
     return None

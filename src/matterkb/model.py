@@ -9,6 +9,7 @@ in the store with historical status and keep answering queries about the past.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import (
@@ -152,6 +153,38 @@ def connected_components(nodes: Iterable[str], edges: Iterable[tuple[str, str]])
 
 
 @dataclass
+class StoreIndex:
+    """Lookups for the engine's writes: every event id, granule → ids of every
+    quantity that ever held it, and stored pair → its intervals in list order.
+
+    Invalidation rule: the store only grows. Events, quantities and intervals
+    are appended, never replaced or removed; only ``terminated_at`` and ``end``
+    change, in place, and lookups read them afresh. So the index is current
+    exactly while ``counts`` equals the lengths of ``kb.events``,
+    ``kb.quantities`` and ``kb.adjacency``; otherwise ``catch_up`` indexes the
+    unseen tails only.
+    """
+
+    event_ids: set[str] = field(default_factory=set)
+    holders: dict[str, list[str]] = field(default_factory=dict)
+    intervals: dict[tuple[str, str], list[AdjacencyInterval]] = field(default_factory=dict)
+    counts: tuple[int, int, int] = (0, 0, 0)
+
+    def catch_up(self, kb: "KnowledgeBase") -> "StoreIndex":
+        lengths = (len(kb.events), len(kb.quantities), len(kb.adjacency))
+        if lengths != self.counts:
+            n_events, n_quantities, n_intervals = self.counts
+            self.event_ids.update(ev.id for ev in kb.events[n_events:])
+            for qid in islice(reversed(kb.quantities), lengths[1] - n_quantities):
+                for g in kb.quantities[qid].granules:
+                    self.holders.setdefault(g, []).append(qid)
+            for iv in kb.adjacency[n_intervals:]:
+                self.intervals.setdefault((iv.a, iv.b), []).append(iv)
+            self.counts = lengths
+        return self
+
+
+@dataclass
 class KnowledgeBase:
     """Typed entity store plus the append-only event log.
 
@@ -166,6 +199,7 @@ class KnowledgeBase:
     subquantities: set[SubQuantityAssertion] = field(default_factory=set)
     events: list["EventRec"] = field(default_factory=list)
     provenance_index: "_Index | None" = field(default=None, init=False, repr=False, compare=False)
+    store_index: StoreIndex = field(default_factory=StoreIndex, init=False, repr=False, compare=False)
 
     # -- declarations ------------------------------------------------------
 
@@ -213,9 +247,9 @@ class KnowledgeBase:
         for oid in (a, b):
             self._object_at(oid, start)
         a, b = sorted((a, b))
-        for iv in self.adjacency:
+        for iv in self._intervals(a, b):
             # a new interval is open-ended, so it overlaps anything not closed by start
-            if (iv.a, iv.b) == (a, b) and (iv.end is None or iv.end > start):
+            if iv.end is None or iv.end > start:
                 raise OverlappingInterval(
                     f"adjacency {a}-{b} from t{start} would overlap the interval "
                     f"starting at t{iv.start}"
@@ -228,15 +262,15 @@ class KnowledgeBase:
         for oid in (a, b):
             self._object(oid)
         a, b = sorted((a, b))
-        for iv in self.adjacency:
-            if (iv.a, iv.b) == (a, b) and iv.end is None and iv.start < end:
+        for iv in self._intervals(a, b):
+            if iv.end is None and iv.start < end:
                 iv.end = end
                 return
         raise UnknownAdjacency(f"no open adjacency {a}-{b} active before t{end}")
 
     def adjacent_at(self, a: str, b: str, t: int) -> bool:
         a, b = sorted((a, b))
-        return any((iv.a, iv.b) == (a, b) and iv.active_at(t) for iv in self.adjacency)
+        return any(iv.active_at(t) for iv in self._intervals(a, b))
 
     def adjacency_at(self, t: int) -> list[tuple[str, str]]:
         """Normalized pairs active at ``t``, sorted and deduplicated."""
@@ -275,8 +309,9 @@ class KnowledgeBase:
         return [q for _, q in sorted(self.quantities.items()) if q.live_at(t)]
 
     def holders_of(self, object_id: str, t: int) -> list[QuantityInst]:
-        """Quantities live at ``t`` that have the object as a granule."""
-        return [q for q in self.live_quantities_at(t) if object_id in q.granules]
+        """Quantities live at ``t`` that have the object as a granule, in id order."""
+        held = sorted(self.store_index.catch_up(self).holders.get(object_id, ()))
+        return [self.quantities[qid] for qid in held if self.quantities[qid].live_at(t)]
 
     def world_at(self, t: int) -> WorldView:
         """Deterministic snapshot of the world at ``t``; pure."""
@@ -345,9 +380,12 @@ class KnowledgeBase:
             raise UnknownObject(f"object '{object_id}' does not exist at t{t}")
         return o
 
+    def _intervals(self, a: str, b: str) -> list[AdjacencyInterval]:
+        return self.store_index.catch_up(self).intervals.get((a, b), [])
+
     def _check_fresh(self, entity_id: str) -> None:
-        if entity_id in self.objects or entity_id in self.quantities or any(
-            ev.id == entity_id for ev in self.events
+        if entity_id in self.objects or entity_id in self.quantities or (
+            entity_id in self.store_index.catch_up(self).event_ids
         ):
             raise DuplicateId(f"id '{entity_id}' is already in use")
 

@@ -168,19 +168,21 @@ def check_ggd(kb: KnowledgeBase) -> list[Violation]:
     return out
 
 
-def _live_holders(
-    kb: KnowledgeBase, t: int
-) -> tuple[list[QuantityInst], dict[str, list[QuantityInst]]]:
-    """The quantities live at ``t`` in id order, and each granule's live holders in that order."""
+_World = tuple[list[QuantityInst], dict[str, list[QuantityInst]], list[tuple[str, str]]]
+
+
+def _world(kb: KnowledgeBase, t: int) -> _World:
+    """What the two world rules read at ``t``: the live quantities in id order,
+    each granule's live holders in that order, and the sorted active edges."""
     live = kb.live_quantities_at(t)
     holders: dict[str, list[QuantityInst]] = {}
     for q in live:
         for g in q.granules:
             holders.setdefault(g, []).append(q)
-    return live, holders
+    return live, holders, kb.adjacency_at(t)
 
 
-def check_connectivity(kb: KnowledgeBase, t: int) -> list[Violation]:
+def check_connectivity(kb: KnowledgeBase, t: int, world: _World | None = None) -> list[Violation]:
     """Each live quantity's granule graph is one piece at ``t``.
 
     Granules with no adjacent co-granule are reported as EXTERNAL_CONNECTION;
@@ -191,12 +193,13 @@ def check_connectivity(kb: KnowledgeBase, t: int) -> list[Violation]:
 
     Each active edge goes, through the granule → live-holders index, to the
     live quantities that hold both its ends, so one world costs
-    O(A_t + Σ|granules of live quantities|) for A_t active edges.
+    O(A_t + Σ|granules of live quantities|) for A_t active edges. ``world``
+    is ``_world(kb, t)``, passed when the caller has already built it.
     """
     out = []
-    live, holders = _live_holders(kb, t)
+    live, holders, active = world or _world(kb, t)
     edges_of: dict[str, list[tuple[str, str]]] = {}
-    for a, b in kb.adjacency_at(t):
+    for a, b in active:
         for q in holders.get(a, ()):
             if b in q.granules:
                 edges_of.setdefault(q.id, []).append((a, b))
@@ -228,7 +231,7 @@ def check_connectivity(kb: KnowledgeBase, t: int) -> list[Violation]:
     return out
 
 
-def check_maximality(kb: KnowledgeBase, t: int) -> list[Violation]:
+def check_maximality(kb: KnowledgeBase, t: int, world: _World | None = None) -> list[Violation]:
     """No two live quantities of one kind share or touch granules at ``t``.
 
     Candidate pairs come from the granule → live-holders index: the holders
@@ -236,9 +239,9 @@ def check_maximality(kb: KnowledgeBase, t: int) -> list[Violation]:
     touch. One world costs O(A_t + Σ|granules of live quantities| + violations)
     for A_t active edges, with no scan over all pairs of quantities, as long as
     a granule has few live holders of other kinds (an engine-built store gives
-    it at most one per kind).
+    it at most one per kind). ``world`` is as for ``check_connectivity``.
     """
-    _, holders = _live_holders(kb, t)
+    _, holders, active = world or _world(kb, t)
     shared: dict[tuple[str, str], list[str]] = {}
     for g, on_g in holders.items():
         for i, q1 in enumerate(on_g):
@@ -246,7 +249,7 @@ def check_maximality(kb: KnowledgeBase, t: int) -> list[Violation]:
                 if q1.kind == q2.kind:
                     shared.setdefault((q1.id, q2.id), []).append(g)
     touching: dict[tuple[str, str], tuple[str, str]] = {}
-    for a, b in kb.adjacency_at(t):  # sorted, so the first edge kept per pair is its least
+    for a, b in active:  # sorted, so the first edge kept per pair is its least
         for q1 in holders.get(a, ()):
             for q2 in holders.get(b, ()):
                 if q1 is not q2 and q1.kind == q2.kind:
@@ -340,7 +343,8 @@ def validate_all(kb: KnowledgeBase, at: int | None = None) -> Report:
     violations += check_history(kb)
     worlds = [at] if at is not None else kb.change_points()
     for t in worlds:
-        violations += check_connectivity(kb, t)
-        violations += check_maximality(kb, t)
+        world = _world(kb, t)
+        violations += check_connectivity(kb, t, world)
+        violations += check_maximality(kb, t, world)
     ordered = sorted(violations, key=lambda v: (v.rule, v.subjects, v.at if v.at is not None else -1))
     return Report(tuple(ordered), tuple(worlds))

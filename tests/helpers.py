@@ -14,6 +14,7 @@ from matterkb import (
     kb_to_doc,
 )
 from matterkb.canonical import doc_to_kb
+from matterkb.errors import DuplicateId, OverlappingInterval, SelfAdjacency, UnknownAdjacency
 from matterkb.model import (
     MIN_GRANULES,
     OBJECT_KIND,
@@ -303,6 +304,63 @@ def reference_maximality(kb: KnowledgeBase, t: int) -> list[Violation]:
                     )
                 )
     return out
+
+
+# -- brute-force references for the store index -----------------------------------
+# The scans that `KnowledgeBase.store_index` replaced, kept as differential checks.
+
+
+def reference_check_fresh(kb: KnowledgeBase, entity_id: str) -> None:
+    if entity_id in kb.objects or entity_id in kb.quantities or any(
+        ev.id == entity_id for ev in kb.events
+    ):
+        raise DuplicateId(f"id '{entity_id}' is already in use")
+
+
+def reference_holders_of(kb: KnowledgeBase, object_id: str, t: int) -> list[QuantityInst]:
+    return [q for q in kb.live_quantities_at(t) if object_id in q.granules]
+
+
+def reference_same_kind_holder(
+    kb: KnowledgeBase, granule: str, kind: str, at: int, exclude: frozenset[str]
+) -> QuantityInst | None:
+    for q in kb.live_quantities_at(at):
+        if q.id not in exclude and q.kind == kind and granule in q.granules:
+            return q
+    return None
+
+
+def reference_assert_adjacency(kb: KnowledgeBase, a: str, b: str, start: int) -> None:
+    kb._check_time(start)
+    if a == b:
+        raise SelfAdjacency(f"object '{a}' cannot be adjacent to itself")
+    for oid in (a, b):
+        kb._object_at(oid, start)
+    a, b = sorted((a, b))
+    for iv in kb.adjacency:
+        if (iv.a, iv.b) == (a, b) and (iv.end is None or iv.end > start):
+            raise OverlappingInterval(
+                f"adjacency {a}-{b} from t{start} would overlap the interval "
+                f"starting at t{iv.start}"
+            )
+    kb.adjacency.append(AdjacencyInterval(a, b, start))
+
+
+def reference_retract_adjacency(kb: KnowledgeBase, a: str, b: str, end: int) -> None:
+    kb._check_time(end)
+    for oid in (a, b):
+        kb._object(oid)
+    a, b = sorted((a, b))
+    for iv in kb.adjacency:
+        if (iv.a, iv.b) == (a, b) and iv.end is None and iv.start < end:
+            iv.end = end
+            return
+    raise UnknownAdjacency(f"no open adjacency {a}-{b} active before t{end}")
+
+
+def reference_adjacent_at(kb: KnowledgeBase, a: str, b: str, t: int) -> bool:
+    a, b = sorted((a, b))
+    return any((iv.a, iv.b) == (a, b) and iv.active_at(t) for iv in kb.adjacency)
 
 
 def oracle_ancestors(parents: dict[str, set[str]], start: str) -> set[str]:

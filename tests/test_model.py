@@ -1,11 +1,25 @@
 """Kernel store: kinds, objects, adjacency, sub-quantities, world views."""
 
+import random
+import time
+
 import pytest
 
-from matterkb import CreatedEntry, KindDecl, KnowledgeBase, apply_creation, apply_transfer
+from matterkb import (
+    CreatedEntry,
+    KindDecl,
+    KnowledgeBase,
+    apply_creation,
+    apply_transfer,
+    events,
+    export_document,
+    import_document,
+    replay,
+)
 from matterkb.errors import (
     DuplicateId,
     DuplicateKind,
+    GranuleProvenanceViolation,
     NoLifetimeOverlap,
     NotLiveAt,
     OverlappingInterval,
@@ -17,7 +31,25 @@ from matterkb.errors import (
     UnknownObject,
     UnknownQuantity,
 )
-from matterkb.model import STATUS_LIVE, STATUS_NOT_YET_CREATED, STATUS_TERMINATED
+from matterkb.model import (
+    QUANTITY_KIND,
+    STATUS_LIVE,
+    STATUS_NOT_YET_CREATED,
+    STATUS_TERMINATED,
+    AdjacencyInterval,
+    QuantityInst,
+)
+
+from helpers import (
+    build_random_kb,
+    moved_chains_kb,
+    reference_adjacent_at,
+    reference_assert_adjacency,
+    reference_check_fresh,
+    reference_holders_of,
+    reference_retract_adjacency,
+    reference_same_kind_holder,
+)
 
 
 @pytest.fixture()
@@ -280,3 +312,145 @@ class TestChangePoints:
         kb.assert_adjacency("m1", "m2", 2)
         kb.retract_adjacency("m1", "m2", 6)
         assert kb.change_points() == [0, 2, 6]
+
+
+class TestStoreIndex:
+    REFERENCES = [
+        (KnowledgeBase, "_check_fresh", reference_check_fresh),
+        (KnowledgeBase, "holders_of", reference_holders_of),
+        (KnowledgeBase, "assert_adjacency", reference_assert_adjacency),
+        (KnowledgeBase, "retract_adjacency", reference_retract_adjacency),
+        (KnowledgeBase, "adjacent_at", reference_adjacent_at),
+        (events, "_same_kind_holder", reference_same_kind_holder),
+    ]
+
+    @staticmethod
+    def outcome(fn, *args):
+        try:
+            return ("ok", fn(*args))
+        except Exception as exc:  # compared by type and message below
+            return ("raised", type(exc).__name__, str(exc))
+
+    def random_writes(self, kb, rng, n):
+        """n seeded engine calls and field appends on ``kb``, valid or not, with outcomes."""
+        out = []
+        kinds = sorted(k for k, d in kb.kinds.items() if d.meta == QUANTITY_KIND)
+        for step in range(n):
+            objects = sorted(kb.objects) + ["ghost"]
+            used = objects + sorted(kb.quantities) + [ev.id for ev in kb.events]
+
+            def new_id():
+                return f"n{step}" if rng.random() < 0.5 else rng.choice(used)
+
+            last = kb.events[-1].at if kb.events else 0
+            t = rng.randint(0, last + 3)
+            a, b = rng.choice(objects), rng.choice(objects)
+            granules = rng.sample(objects, min(len(objects), rng.randint(2, 4)))
+            op = rng.choice(["assert", "retract", "object", "create", "transfer", "append",
+                             "adjacent", "holders", "holder"])
+            if op == "assert":
+                result = self.outcome(kb.assert_adjacency, a, b, t)
+            elif op == "retract":
+                if kb.adjacency and rng.random() < 0.7:
+                    iv = rng.choice(kb.adjacency)
+                    a, b = iv.b, iv.a
+                result = self.outcome(kb.retract_adjacency, a, b, t)
+            elif op == "object":
+                result = self.outcome(kb.create_object, new_id(), rng.choice(sorted(kb.kinds)), t)
+            elif op == "create":
+                entry = CreatedEntry.of(new_id(), rng.choice(kinds), granules)
+                event_id = rng.choice([None, new_id()])
+                result = self.outcome(apply_creation, kb, entry, last + rng.randint(0, 2), event_id)
+            elif op == "transfer":
+                live = sorted(q.id for q in kb.quantities.values() if q.terminated_at is None)
+                donors = rng.sample(live, min(len(live), rng.randint(1, 2)))
+                pool = sorted(g for d in donors for g in kb.quantities[d].granules) + granules
+                entry = CreatedEntry.of(new_id(), rng.choice(kinds), rng.sample(pool, min(len(pool), 3)))
+                event_id = rng.choice([None, new_id()])
+                result = self.outcome(apply_transfer, kb, donors, [entry], last + 1, (), event_id)
+            elif op == "append":  # as an importer or a hand-built store writes
+                kb.adjacency.append(AdjacencyInterval(*sorted((a, b)), t, rng.choice([None, t + 2])))
+                qid = f"hand{step}"
+                kb.quantities[qid] = QuantityInst(qid, rng.choice(kinds), t, frozenset(granules), "e")
+                result = ("ok", None)
+            elif op == "adjacent":
+                result = self.outcome(kb.adjacent_at, a, b, t)
+            elif op == "holders":
+                result = self.outcome(kb.holders_of, a, t)
+            else:
+                exclude = frozenset(rng.sample(sorted(kb.quantities), min(len(kb.quantities), 1)))
+                result = self.outcome(events._same_kind_holder, kb, a, rng.choice(kinds), t, exclude)
+            out.append((op, *result))
+        return out
+
+    def runs(self, seeds):
+        """Engine-built, imported and moved-chain stores, each written at random afterwards."""
+        out = []
+        for seed in seeds:
+            rng = random.Random(seed)
+            for make in (
+                lambda: build_random_kb(seed),
+                lambda: import_document(export_document(build_random_kb(seed))),
+                lambda: moved_chains_kb(1 + seed % 8),
+            ):
+                kb = make()
+                out.append((self.random_writes(kb, rng, 40), kb))
+        return out
+
+    def test_matches_brute_force_scans(self, monkeypatch):
+        """Same results, same error types and messages, same final store."""
+        seeds = range(80)
+        indexed = self.runs(seeds)
+        with monkeypatch.context() as m:
+            for owner, name, reference in self.REFERENCES:
+                m.setattr(owner, name, reference)
+            referenced = self.runs(seeds)
+        assert all(kb.store_index.counts == (0, 0, 0) for _, kb in referenced)
+        assert indexed == referenced
+        seen = {(op, rec[1] if rec[0] == "raised" else "ok")
+                for outcomes, _ in indexed for op, *rec in outcomes}
+        found = {op for outcomes, _ in indexed for op, *rec in outcomes if rec[0] == "ok" and rec[1]}
+        assert {"adjacent", "holders", "holder"} <= found
+        for op in ("assert", "retract", "object", "create", "transfer"):
+            assert (op, "ok") in seen, op
+        for op, error in [("assert", "OverlappingInterval"), ("retract", "UnknownAdjacency"),
+                          ("object", "DuplicateId"), ("create", "DuplicateId"),
+                          ("create", "GranuleNotFree"), ("transfer", "DuplicateId"),
+                          ("transfer", "GranuleProvenanceViolation")]:
+            assert (op, error) in seen, (op, error)
+
+    def test_imported_store_is_indexed_on_first_use(self, case_kb):
+        kb = import_document(export_document(case_kb))
+        assert kb.store_index.counts == (0, 0, 0)  # nothing is indexed on load
+        with pytest.raises(OverlappingInterval) as err:
+            kb.assert_adjacency("grain2", "grain1", 5)
+        assert str(err.value) == (
+            "adjacency grain1-grain2 from t5 would overlap the interval starting at t0"
+        )
+        with pytest.raises(DuplicateId, match="id 'transfer2' is already in use"):
+            kb.create_object("transfer2", "SedimentaryGrain", 3)
+        rock6 = CreatedEntry.of("rock6", "PortionOfRock", ["grain1", "grain3"])
+        with pytest.raises(GranuleProvenanceViolation, match="live quantity 'rock4'"):
+            apply_transfer(kb, ["rock5"], [rock6], 3)
+        kb.retract_adjacency("grain2", "grain1", 3)
+        interval = next(iv for iv in kb.adjacency if (iv.a, iv.b) == ("grain1", "grain2"))
+        assert interval.end == 3
+        assert kb.adjacent_at("grain1", "grain2", 2) and not kb.adjacent_at("grain1", "grain2", 3)
+        rock6 = CreatedEntry.of("rock6", "PortionOfRock", ["grain1", "grain2"])
+        with pytest.raises(DuplicateId, match="id 'transfer1' is already in use"):
+            apply_transfer(kb, ["rock5"], [rock6], 3, event_id="transfer1")
+
+    def test_engine_writes_do_not_rescan_the_store(self, monkeypatch):
+        """2000 moved chains, 4000 events: about 5 s with the old scans on a 2.1 GHz Xeon."""
+        calls = []
+        scan = KnowledgeBase.live_quantities_at
+        monkeypatch.setattr(
+            KnowledgeBase, "live_quantities_at", lambda kb, t: calls.append(t) or scan(kb, t)
+        )
+        start = time.perf_counter()
+        kb = moved_chains_kb(2000)
+        rebuilt = replay(kb)
+        elapsed = time.perf_counter() - start
+        assert calls == []
+        assert len(rebuilt.events) == 4000
+        assert elapsed < 3.0
