@@ -117,10 +117,6 @@ def run_query(kb: KnowledgeBase, args: argparse.Namespace) -> tuple[str, object]
     if name == "provenance":
         (qid,) = _need(args, 1, "provenance QUANTITY [--transitive]")
         donors = sorted(provenance.inherited_from(kb, qid, transitive=args.transitive))
-        edges = [
-            e for e in provenance.derive_edges(kb)
-            if e.inheritor in {qid, *donors} and e.donor in {qid, *donors}
-        ]
         payload = {
             "quantity": qid,
             "transitive": args.transitive,
@@ -134,7 +130,7 @@ def run_query(kb: KnowledgeBase, args: argparse.Namespace) -> tuple[str, object]
                     "completeDonation": e.complete_donation,
                     "isSubPortion": e.is_sub_portion,
                 }
-                for e in edges
+                for e in provenance.edges_among(kb, {qid, *donors})
             ],
         }
         return "".join(f"{d}\n" for d in donors), payload

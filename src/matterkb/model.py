@@ -274,7 +274,8 @@ class KnowledgeBase:
 
     def adjacency_at(self, t: int) -> list[tuple[str, str]]:
         """Normalized pairs active at ``t``, sorted and deduplicated."""
-        return sorted({(iv.a, iv.b) for iv in self.adjacency if iv.active_at(t)})
+        # insertion order is nearly sorted already, which sorted() runs through in about linear time
+        return sorted(dict.fromkeys((iv.a, iv.b) for iv in self.adjacency if iv.active_at(t)))
 
     # -- sub-quantity assertions --------------------------------------------
 

@@ -9,9 +9,10 @@ orders by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import NotAGranuleAt
-from .events import GRANULE_TRANSFER
+from .events import GRANULE_TRANSFER, EventRec
 from .model import KnowledgeBase, connected_components
 
 ORIGINAL_PORTION = "OriginalPortion"
@@ -19,6 +20,7 @@ SUB_PORTION = "SubPortion"
 
 PHASE_CONNECTED = "connected"
 PHASE_SCATTERED = "scattered"
+_EDGE_ORDER = attrgetter("inheritor", "donor")
 
 
 @dataclass(frozen=True)
@@ -61,32 +63,42 @@ class ConstitutionView:
 
 
 class _Index:
-    """Adjacency lists over the derived edge set of one knowledge base.
+    """Edges of one knowledge base, by inheritor, and adjacency lists over them.
 
     Invalidation rule: edges depend only on the event log and on the granule
     sets of the quantities the log names. The log is append-only and, once
     a knowledge base is built or imported, only events add quantities, so
-    the index is current exactly while ``length`` equals ``len(kb.events)``.
+    the index is current exactly while ``length`` equals ``len(kb.events)``;
+    otherwise ``catch_up`` derives the edges of the unseen tail only.
     """
 
     def __init__(self, kb: KnowledgeBase):
-        self.length = len(kb.events)
-        self.edges = _derive(kb)
+        self.length = 0
+        self.by_inheritor: dict[str, list[ProvenanceEdge]] = {}
         self.parents: dict[str, set[str]] = {}
         self.children: dict[str, set[str]] = {}
         self.sub_parents: dict[str, set[str]] = {}
         self.sub_children: dict[str, set[str]] = {}
-        for e in self.edges:
-            self.parents.setdefault(e.inheritor, set()).add(e.donor)
-            self.children.setdefault(e.donor, set()).add(e.inheritor)
-            if e.is_sub_portion:
-                self.sub_parents.setdefault(e.inheritor, set()).add(e.donor)
-                self.sub_children.setdefault(e.donor, set()).add(e.inheritor)
+        self.sorted_edges: tuple[ProvenanceEdge, ...] | None = None
+        self.catch_up(kb)
+
+    def catch_up(self, kb: KnowledgeBase) -> "_Index":
+        if self.length != len(kb.events):
+            for e in _derive(kb, kb.events[self.length:]):
+                self.by_inheritor.setdefault(e.inheritor, []).append(e)
+                self.parents.setdefault(e.inheritor, set()).add(e.donor)
+                self.children.setdefault(e.donor, set()).add(e.inheritor)
+                if e.is_sub_portion:
+                    self.sub_parents.setdefault(e.inheritor, set()).add(e.donor)
+                    self.sub_children.setdefault(e.donor, set()).add(e.inheritor)
+            self.length = len(kb.events)
+            self.sorted_edges = None
+        return self
 
 
-def _derive(kb: KnowledgeBase) -> tuple[ProvenanceEdge, ...]:
+def _derive(kb: KnowledgeBase, events: list[EventRec]) -> list[ProvenanceEdge]:
     edges = []
-    for ev in kb.events:
+    for ev in events:
         if ev.kind != GRANULE_TRANSFER:
             continue
         for entry in ev.created:
@@ -108,14 +120,14 @@ def _derive(kb: KnowledgeBase) -> tuple[ProvenanceEdge, ...]:
                         is_sub_portion=subset and entry.kind == donor.kind,
                     )
                 )
-    return tuple(sorted(edges, key=lambda e: (e.inheritor, e.donor)))
+    return edges
 
 
 def _index(kb: KnowledgeBase) -> _Index:
     idx = kb.provenance_index
-    if idx is None or idx.length != len(kb.events):
+    if idx is None:
         idx = kb.provenance_index = _Index(kb)
-    return idx
+    return idx.catch_up(kb)
 
 
 def _reach(start: str, neighbors: dict[str, set[str]]) -> frozenset[str]:
@@ -132,7 +144,18 @@ def _reach(start: str, neighbors: dict[str, set[str]]) -> frozenset[str]:
 
 def derive_edges(kb: KnowledgeBase) -> tuple[ProvenanceEdge, ...]:
     """One edge per (donor, inheritor) pair sharing at least one moved granule."""
-    return _index(kb).edges
+    idx = _index(kb)
+    if idx.sorted_edges is None:
+        every = (e for edges in idx.by_inheritor.values() for e in edges)
+        idx.sorted_edges = tuple(sorted(every, key=_EDGE_ORDER))
+    return idx.sorted_edges
+
+
+def edges_among(kb: KnowledgeBase, quantity_ids: set[str]) -> list[ProvenanceEdge]:
+    """The edges whose inheritor and donor are both in ``quantity_ids``, in ``derive_edges`` order."""
+    by_inheritor = _index(kb).by_inheritor
+    edges = [e for q in quantity_ids for e in by_inheritor.get(q, ()) if e.donor in quantity_ids]
+    return sorted(edges, key=_EDGE_ORDER)
 
 
 def _related(kb: KnowledgeBase, quantity_id: str, transitive: bool, relation: str) -> frozenset[str]:

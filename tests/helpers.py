@@ -14,7 +14,14 @@ from matterkb import (
     kb_to_doc,
 )
 from matterkb.canonical import doc_to_kb
-from matterkb.errors import DuplicateId, OverlappingInterval, SelfAdjacency, UnknownAdjacency
+from matterkb.errors import (
+    DuplicateId,
+    EngineError,
+    OverlappingInterval,
+    SelfAdjacency,
+    UnknownAdjacency,
+)
+from matterkb.events import GRANULE_TRANSFER
 from matterkb.model import (
     MIN_GRANULES,
     OBJECT_KIND,
@@ -24,6 +31,7 @@ from matterkb.model import (
     QuantityInst,
     connected_components,
 )
+from matterkb.provenance import ProvenanceEdge
 from matterkb.validation import Violation
 
 TOP_KINDS = ("RockA", "RockB", "Mud")
@@ -361,6 +369,70 @@ def reference_retract_adjacency(kb: KnowledgeBase, a: str, b: str, end: int) -> 
 def reference_adjacent_at(kb: KnowledgeBase, a: str, b: str, t: int) -> bool:
     a, b = sorted((a, b))
     return any((iv.a, iv.b) == (a, b) and iv.active_at(t) for iv in kb.adjacency)
+
+
+# -- whole-log reference for the provenance index ---------------------------------
+# The derivation `provenance._Index` ran over the whole log before it caught up
+# on the log tail, kept as a differential check.
+
+
+def reference_derive_edges(kb: KnowledgeBase) -> tuple[ProvenanceEdge, ...]:
+    edges = []
+    for ev in kb.events:
+        if ev.kind != GRANULE_TRANSFER:
+            continue
+        for entry in ev.created:
+            for did in sorted(ev.donors):
+                donor = kb.quantities.get(did)
+                if donor is None:
+                    continue
+                shared = entry.granules & donor.granules
+                if not shared:
+                    continue
+                subset = entry.granules <= donor.granules
+                edges.append(
+                    ProvenanceEdge(
+                        inheritor=entry.id,
+                        donor=did,
+                        event=ev.id,
+                        complete_inheritance=subset,
+                        complete_donation=donor.granules <= entry.granules,
+                        is_sub_portion=subset and entry.kind == donor.kind,
+                    )
+                )
+    return tuple(sorted(edges, key=lambda e: (e.inheritor, e.donor)))
+
+
+def random_write(kb: KnowledgeBase, rng: random.Random, label: str) -> bool:
+    """One seeded engine write at the tick after the last event: mostly a
+    transfer (a move, split, merge or mix, sometimes with a free object or a
+    discard), sometimes a creation. Returns whether the engine accepted it;
+    a rejected write appends nothing."""
+    at = kb.events[-1].at + 1 if kb.events else 0
+    kinds = sorted(k for k, d in kb.kinds.items() if d.meta == QUANTITY_KIND)
+    objects = sorted(kb.objects)
+    live = kb.live_quantities_at(at - 1)
+    try:
+        if not live or rng.random() < 0.15:
+            granules = rng.sample(objects, min(len(objects), rng.randint(2, 3)))
+            apply_creation(kb, CreatedEntry.of(f"{label}c", rng.choice(kinds), granules), at)
+            return True
+        donors = rng.sample(live, min(len(live), rng.choice((1, 1, 2, 3))))
+        pool = sorted(set().union(*(q.granules for q in donors)))
+        rng.shuffle(pool)
+        n_parts = rng.randint(1, min(3, len(pool) // MIN_GRANULES))
+        parts = [pool[i::n_parts] for i in range(n_parts)]
+        discarded = parts.pop() if len(parts) > 1 and rng.random() < 0.3 else []
+        created = []
+        for n, part in enumerate(parts):
+            if rng.random() < 0.2:
+                part = [*part, rng.choice(objects)]
+            kind = donors[0].kind if rng.random() < 0.6 else rng.choice(kinds)
+            created.append(CreatedEntry.of(f"{label}p{n}", kind, sorted(set(part))))
+        apply_transfer(kb, [q.id for q in donors], created, at, discarded)
+        return True
+    except EngineError:
+        return False
 
 
 def oracle_ancestors(parents: dict[str, set[str]], start: str) -> set[str]:

@@ -1,5 +1,10 @@
 """Derived historical relations: edges, closures, histories, constitution."""
 
+import argparse
+import random
+import time
+from dataclasses import astuple
+
 import pytest
 
 from matterkb import (
@@ -20,9 +25,17 @@ from matterkb import (
     sub_portion_parents,
     sub_portions_of,
 )
+from matterkb import provenance
+from matterkb.cli import run_query
 from matterkb.errors import NotAGranuleAt, UnknownObject, UnknownQuantity
 
-from helpers import build_random_kb, oracle_ancestors
+from helpers import (
+    build_random_kb,
+    moved_chains_kb,
+    oracle_ancestors,
+    random_write,
+    reference_derive_edges,
+)
 
 
 @pytest.fixture()
@@ -299,7 +312,8 @@ def test_index_rebuilt_only_when_log_grows(kb):
         assert kb.provenance_index is index
     apply_transfer(kb, ["r1"], [CreatedEntry.of("r2", "Rock", ["g1", "g2"])], 3)
     assert inherited_from(kb, "r2") == {"r1"}
-    assert kb.provenance_index is not index
+    assert kb.provenance_index is index
+    assert index.length == len(kb.events)
 
 
 def test_imported_kb_answers_provenance(case_kb):
@@ -309,3 +323,95 @@ def test_imported_kb_answers_provenance(case_kb):
     assert inherited_from(kb, "rock5", transitive=True) == {"rock1", "rock3"}
     assert derive_edges(kb) == derive_edges(case_kb)
     assert kb == twin  # the index takes no part in equality
+
+
+def _assert_matches_reference(kb, rng):
+    """Every provenance read agrees with the whole-log reference derivation."""
+    reference = reference_derive_edges(kb)
+    assert derive_edges(kb) == reference
+    index = kb.provenance_index
+    assert index.length == len(kb.events)
+    by_inheritor = {}
+    for e in reference:
+        by_inheritor.setdefault(e.inheritor, []).append(e)
+    assert index.by_inheritor == by_inheritor  # each edge once, donors in sorted order
+    parents, children, sub_parents, sub_children = {}, {}, {}, {}
+    for e in reference:
+        parents.setdefault(e.inheritor, set()).add(e.donor)
+        children.setdefault(e.donor, set()).add(e.inheritor)
+        if e.is_sub_portion:
+            sub_parents.setdefault(e.inheritor, set()).add(e.donor)
+            sub_children.setdefault(e.donor, set()).add(e.inheritor)
+    relations = (
+        (inherited_from, parents),
+        (donated_to, children),
+        (sub_portion_parents, sub_parents),
+        (sub_portions_of, sub_children),
+    )
+    ids = sorted(kb.quantities)
+    for qid in ids:
+        for relation, neighbors in relations:
+            assert relation(kb, qid) == neighbors.get(qid, set())
+            assert relation(kb, qid, transitive=True) == oracle_ancestors(neighbors, qid)
+        expected = "SubPortion" if sub_parents.get(qid) else "OriginalPortion"
+        assert classify_origin(kb, qid) == expected
+    for _ in range(4):
+        q1, q2 = rng.choice(ids), rng.choice(ids)
+        left = oracle_ancestors(parents, q1) | {q1}
+        assert common_ancestors(kb, q1, q2) == left & (oracle_ancestors(parents, q2) | {q2})
+    for qid in rng.sample(ids, min(4, len(ids))):
+        for transitive in (False, True):
+            args = argparse.Namespace(query="provenance", args=[qid], transitive=transitive)
+            _, payload = run_query(kb, args)
+            donors = oracle_ancestors(parents, qid) if transitive else parents.get(qid, set())
+            among = {qid, *donors}
+            assert payload["donors"] == sorted(donors)
+            assert [tuple(x.values()) for x in payload["edges"]] == [
+                astuple(e) for e in reference if e.inheritor in among and e.donor in among
+            ]
+
+
+def test_incremental_index_matches_whole_log_reference(case_kb):
+    """Seeded transfers interleaved with reads on three sources; the index is
+    read after every one to three writes, so it catches up on tails of
+    several events, and sometimes the reads start before any write."""
+    case_doc = export_document(case_kb)
+    sources = (
+        build_random_kb,
+        lambda seed: moved_chains_kb(4 + seed % 5),
+        lambda seed: import_document(case_doc),
+    )
+    merges = 0
+    for seed in range(50):
+        for n, source in enumerate(sources):
+            kb = source(seed)
+            rng = random.Random(seed * 10 + n)
+            if rng.random() < 0.5:
+                _assert_matches_reference(kb, rng)
+            for step in range(8):
+                for k in range(rng.randint(1, 3)):
+                    random_write(kb, rng, f"w{9 - step}{'abc'[k]}")  # later writes sort first
+                _assert_matches_reference(kb, rng)
+            merges += sum(len(ev.donors) > 1 for ev in kb.events)
+    assert merges > 100  # multi-donor transfers, where donor order shows
+
+
+def test_each_event_derived_once(monkeypatch):
+    """1000 moved chains, then 200 cycles of one transfer and one provenance
+    read: every event is derived into the index exactly once. Rebuilding the
+    index after each write took about 0.5 s on a 2.1 GHz Xeon; catching up, 0.005 s."""
+    derived = []
+    derive = provenance._derive
+    monkeypatch.setattr(
+        provenance, "_derive", lambda kb, events: derived.append(len(events)) or derive(kb, events)
+    )
+    kb = moved_chains_kb(1000)
+    start = time.perf_counter()
+    for i in range(200):
+        chain = sorted(kb.quantities[f"m{i}"].granules)
+        apply_transfer(kb, [f"m{i}"], [CreatedEntry.of(f"r{i}", "Rock", chain)], 2000 + i)
+        assert inherited_from(kb, f"r{i}") == {f"m{i}"}
+    elapsed = time.perf_counter() - start
+    assert sum(derived) == len(kb.events) == 2200
+    assert len(derived) == 200
+    assert elapsed < 0.25
