@@ -112,12 +112,27 @@ def _need(args: argparse.Namespace, count: int, usage: str) -> list[str]:
     return args.args
 
 
-def run_query(kb: KnowledgeBase, args: argparse.Namespace) -> tuple[str, object]:
-    name = args.query
+# The world query's relations in output order: text heading and payload key, then the
+# payload keys of a row's two fields.
+WORLD_RELATIONS = (
+    ("objects", "id", "status"),
+    ("quantities", "id", "status"),
+    ("granuleOf", "object", "quantity"),
+    ("adjacency", "a", "b"),
+    ("subquantityOf", "part", "whole"),
+)
+
+
+def run_query(kb: KnowledgeBase, args: argparse.Namespace) -> tuple[str | None, object]:
+    """Answer a query as ``(text, payload)``. Only the form ``args.format``
+    names is built; the other is None."""
+    name, canonical = args.query, args.format == "canonical"
     if name == "provenance":
         (qid,) = _need(args, 1, "provenance QUANTITY [--transitive]")
         donors = sorted(provenance.inherited_from(kb, qid, transitive=args.transitive))
-        payload = {
+        if not canonical:
+            return "".join(f"{d}\n" for d in donors), None
+        return None, {
             "quantity": qid,
             "transitive": args.transitive,
             "donors": donors,
@@ -133,16 +148,17 @@ def run_query(kb: KnowledgeBase, args: argparse.Namespace) -> tuple[str, object]
                 for e in provenance.edges_among(kb, {qid, *donors})
             ],
         }
-        return "".join(f"{d}\n" for d in donors), payload
     if name == "history":
         (oid,) = _need(args, 1, "history OBJECT")
         history = provenance.granule_history(kb, oid)
-        lines = []
-        for ep in history.episodes:
-            span = f"t{ep.start}..t{ep.end}" if ep.end is not None else f"t{ep.start}.."
-            out = f" out={ep.out_event}" if ep.out_event is not None else ""
-            lines.append(f"{ep.quantity} {span} in={ep.in_event}{out}\n")
-        payload = {
+        if not canonical:
+            lines = []
+            for ep in history.episodes:
+                span = f"t{ep.start}..t{ep.end}" if ep.end is not None else f"t{ep.start}.."
+                out = f" out={ep.out_event}" if ep.out_event is not None else ""
+                lines.append(f"{ep.quantity} {span} in={ep.in_event}{out}\n")
+            return "".join(lines), None
+        return None, {
             "object": oid,
             "episodes": [
                 {
@@ -155,48 +171,44 @@ def run_query(kb: KnowledgeBase, args: argparse.Namespace) -> tuple[str, object]
                 for ep in history.episodes
             ],
         }
-        return "".join(lines), payload
     if name == "world":
         (t_raw,) = _need(args, 1, "world tN")
         t = parse_time(t_raw)
-        view = kb.world_at(t)
-        lines = [f"world t{t}\n", "objects:\n"]
-        lines += [f"  {oid} {status}\n" for oid, status in view.objects]
-        lines.append("quantities:\n")
-        lines += [f"  {qid} {status}\n" for qid, status in view.quantities]
-        lines.append("granuleOf:\n")
-        lines += [f"  {o} {q}\n" for o, q in view.granule_of]
-        lines.append("adjacency:\n")
-        lines += [f"  {a} {b}\n" for a, b in view.adjacency]
-        lines.append("subquantityOf:\n")
-        lines += [f"  {p} {w}\n" for p, w in view.subquantities]
-        payload = {
-            "at": t,
-            "objects": [{"id": o, "status": s} for o, s in view.objects],
-            "quantities": [{"id": q, "status": s} for q, s in view.quantities],
-            "granuleOf": [{"object": o, "quantity": q} for o, q in view.granule_of],
-            "adjacency": [{"a": a, "b": b} for a, b in view.adjacency],
-            "subquantityOf": [{"part": p, "whole": w} for p, w in view.subquantities],
-        }
-        return "".join(lines), payload
+        # each row is unpacked where it is used, so no tuple is kept per row
+        relations = zip(WORLD_RELATIONS, kb._world_rows(t))
+        if canonical:
+            payload: dict[str, object] = {"at": t}
+            for (key, kx, ky), rows in relations:
+                payload[key] = [{kx: x, ky: y} for x, y in rows]
+            return None, payload
+        lines = [f"world t{t}\n"]
+        for (key, _, _), rows in relations:
+            lines.append(f"{key}:\n")
+            lines += [f"  {x} {y}\n" for x, y in rows]
+        return "".join(lines), None
     if name == "cohort":
         (oid,) = _need(args, 1, "cohort OBJECT --at tN")
         if args.at is None:
             raise _CliError("cohort needs --at tN")
         t = parse_time(args.at)
         members = sorted(provenance.cohort_at(kb, oid, t))
-        return "".join(f"{m}\n" for m in members), {"object": oid, "at": t, "cohort": members}
+        if canonical:
+            return None, {"object": oid, "at": t, "cohort": members}
+        return "".join(f"{m}\n" for m in members), None
     if name == "ancestors":
         q1, q2 = _need(args, 2, "ancestors QUANTITY QUANTITY")
         shared = sorted(provenance.common_ancestors(kb, q1, q2))
-        return "".join(f"{q}\n" for q in shared), {"quantities": [q1, q2], "commonAncestors": shared}
+        if canonical:
+            return None, {"quantities": [q1, q2], "commonAncestors": shared}
+        return "".join(f"{q}\n" for q in shared), None
     if name == "classify":
         if len(args.args) > 1:
             raise _CliError("usage: query FILE classify [QUANTITY]")
         ids = args.args if args.args else sorted(kb.quantities)
         rows = [(qid, provenance.classify_origin(kb, qid)) for qid in ids]
-        text = "".join(f"{qid}: {label}\n" for qid, label in rows)
-        return text, {"classification": [{"quantity": q, "origin": label} for q, label in rows]}
+        if canonical:
+            return None, {"classification": [{"quantity": q, "origin": label} for q, label in rows]}
+        return "".join(f"{qid}: {label}\n" for qid, label in rows), None
     raise _CliError(f"unknown query '{name}'; choose from {', '.join(QUERIES)}")
 
 

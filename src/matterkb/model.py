@@ -273,9 +273,19 @@ class KnowledgeBase:
         return any(iv.active_at(t) for iv in self._intervals(a, b))
 
     def adjacency_at(self, t: int) -> list[tuple[str, str]]:
-        """Normalized pairs active at ``t``, sorted and deduplicated."""
-        # insertion order is nearly sorted already, which sorted() runs through in about linear time
-        return sorted(dict.fromkeys((iv.a, iv.b) for iv in self.adjacency if iv.active_at(t)))
+        """Normalized pairs active at ``t``, sorted and deduplicated.
+
+        The pairs are the index's own key tuples; its insertion order is
+        nearly sorted already, which the sort runs through in about linear time.
+        """
+        pairs = []
+        for pair, intervals in self.store_index.catch_up(self).intervals.items():
+            for iv in intervals:
+                if iv.start <= t and (iv.end is None or t < iv.end):
+                    pairs.append(pair)
+                    break
+        pairs.sort()
+        return pairs
 
     # -- sub-quantity assertions --------------------------------------------
 
@@ -316,32 +326,37 @@ class KnowledgeBase:
 
     def world_at(self, t: int) -> WorldView:
         """Deterministic snapshot of the world at ``t``; pure."""
+        return WorldView(t, *map(tuple, self._world_rows(t)))
+
+    def _world_rows(self, t: int) -> tuple[Iterable[tuple[str, str]], ...]:
+        """The rows of ``world_at(t)``: objects, quantities, granule_of,
+        adjacency and subquantities, each a one-pass iterable in order.
+
+        Apart from the few sub-quantity rows, rows are zipped from columns or
+        are the store index's own pair tuples, so a caller that unpacks each
+        row allocates no tuple per row. Row tuples kept alive while a large
+        world renders would set off full cyclic collections of the whole heap.
+        """
         self._check_time(t)
-        objects = tuple(
-            (oid, STATUS_LIVE if o.created_at <= t else STATUS_NOT_YET_CREATED)
-            for oid, o in sorted(self.objects.items())
-        )
-        quantities = tuple((qid, q.status_at(t)) for qid, q in sorted(self.quantities.items()))
-        granule_of = tuple(
-            sorted((g, q.id) for q in self.quantities.values() if q.live_at(t) for g in q.granules)
-        )
-        subq = tuple(
-            sorted(
-                (s.part, s.whole)
-                for s in self.subquantities
-                if s.part in self.quantities
-                and s.whole in self.quantities
-                and self.quantities[s.part].live_at(t)
-                and self.quantities[s.whole].live_at(t)
-            )
-        )
-        return WorldView(
-            at=t,
-            objects=objects,
-            quantities=quantities,
-            granule_of=granule_of,
-            adjacency=tuple(self.adjacency_at(t)),
-            subquantities=subq,
+        objects, quantities = self.objects, self.quantities
+        object_ids, quantity_ids = sorted(objects), sorted(quantities)
+        statuses = [quantities[qid].status_at(t) for qid in quantity_ids]
+        live = [qid for qid, status in zip(quantity_ids, statuses) if status == STATUS_LIVE]
+        granules, holders = [], []
+        for qid in live:
+            granules += quantities[qid].granules
+            holders += [qid] * len(quantities[qid].granules)
+        # a stable sort by granule keeps each granule's holders in id order
+        order = sorted(range(len(granules)), key=granules.__getitem__)
+        live_ids = set(live)
+        return (
+            zip(object_ids, [STATUS_LIVE if objects[o].created_at <= t else STATUS_NOT_YET_CREATED
+                             for o in object_ids]),
+            zip(quantity_ids, statuses),
+            zip([granules[i] for i in order], [holders[i] for i in order]),
+            self.adjacency_at(t),
+            sorted((s.part, s.whole) for s in self.subquantities
+                   if s.part in live_ids and s.whole in live_ids),
         )
 
     def change_points(self) -> list[int]:

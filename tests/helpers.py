@@ -26,9 +26,12 @@ from matterkb.model import (
     MIN_GRANULES,
     OBJECT_KIND,
     QUANTITY_KIND,
+    STATUS_LIVE,
+    STATUS_NOT_YET_CREATED,
     AdjacencyInterval,
     ObjectInst,
     QuantityInst,
+    WorldView,
     connected_components,
 )
 from matterkb.provenance import ProvenanceEdge
@@ -244,7 +247,7 @@ def oracle_maximality(
 def reference_connectivity(kb: KnowledgeBase, t: int) -> list[Violation]:
     """Brute-force CONNECTIVITY/EXTERNAL_CONNECTION: every active edge per quantity."""
     out = []
-    active = set(kb.adjacency_at(t))
+    active = set(reference_adjacency_at(kb, t))
     for q in kb.live_quantities_at(t):
         if len(q.granules) < MIN_GRANULES or any(g not in kb.objects for g in q.granules):
             continue
@@ -276,7 +279,7 @@ def reference_connectivity(kb: KnowledgeBase, t: int) -> list[Violation]:
 def reference_maximality(kb: KnowledgeBase, t: int) -> list[Violation]:
     """Brute-force MAXIMALITY_SAME_KIND: every pair of live quantities, every active edge."""
     out = []
-    active = set(kb.adjacency_at(t))
+    active = set(reference_adjacency_at(kb, t))
     live = kb.live_quantities_at(t)
     for i, q1 in enumerate(live):
         for q2 in live[i + 1:]:
@@ -315,7 +318,8 @@ def reference_maximality(kb: KnowledgeBase, t: int) -> list[Violation]:
 
 
 # -- brute-force references for the store index -----------------------------------
-# The scans that `KnowledgeBase.store_index` replaced, kept as differential checks.
+# The scans that `KnowledgeBase.store_index` replaced, kept as differential checks;
+# the world references are the whole-store scans `world_at` and `adjacency_at` ran.
 
 
 def reference_check_fresh(kb: KnowledgeBase, entity_id: str) -> None:
@@ -369,6 +373,64 @@ def reference_retract_adjacency(kb: KnowledgeBase, a: str, b: str, end: int) -> 
 def reference_adjacent_at(kb: KnowledgeBase, a: str, b: str, t: int) -> bool:
     a, b = sorted((a, b))
     return any((iv.a, iv.b) == (a, b) and iv.active_at(t) for iv in kb.adjacency)
+
+
+def reference_adjacency_at(kb: KnowledgeBase, t: int) -> list[tuple[str, str]]:
+    return sorted(dict.fromkeys((iv.a, iv.b) for iv in kb.adjacency if iv.active_at(t)))
+
+
+def reference_world_at(kb: KnowledgeBase, t: int) -> WorldView:
+    kb._check_time(t)
+    objects = tuple(
+        (oid, STATUS_LIVE if o.created_at <= t else STATUS_NOT_YET_CREATED)
+        for oid, o in sorted(kb.objects.items())
+    )
+    quantities = tuple((qid, q.status_at(t)) for qid, q in sorted(kb.quantities.items()))
+    granule_of = tuple(
+        sorted((g, q.id) for q in kb.quantities.values() if q.live_at(t) for g in q.granules)
+    )
+    subq = tuple(
+        sorted(
+            (s.part, s.whole)
+            for s in kb.subquantities
+            if s.part in kb.quantities
+            and s.whole in kb.quantities
+            and kb.quantities[s.part].live_at(t)
+            and kb.quantities[s.whole].live_at(t)
+        )
+    )
+    return WorldView(
+        at=t,
+        objects=objects,
+        quantities=quantities,
+        granule_of=granule_of,
+        adjacency=tuple(reference_adjacency_at(kb, t)),
+        subquantities=subq,
+    )
+
+
+def reference_world_query(kb: KnowledgeBase, t: int) -> tuple[str, dict]:
+    """The text and payload of `query world tN`, rendered from `reference_world_at`."""
+    view = reference_world_at(kb, t)
+    lines = [f"world t{t}\n", "objects:\n"]
+    lines += [f"  {oid} {status}\n" for oid, status in view.objects]
+    lines.append("quantities:\n")
+    lines += [f"  {qid} {status}\n" for qid, status in view.quantities]
+    lines.append("granuleOf:\n")
+    lines += [f"  {o} {q}\n" for o, q in view.granule_of]
+    lines.append("adjacency:\n")
+    lines += [f"  {a} {b}\n" for a, b in view.adjacency]
+    lines.append("subquantityOf:\n")
+    lines += [f"  {p} {w}\n" for p, w in view.subquantities]
+    payload = {
+        "at": t,
+        "objects": [{"id": o, "status": s} for o, s in view.objects],
+        "quantities": [{"id": q, "status": s} for q, s in view.quantities],
+        "granuleOf": [{"object": o, "quantity": q} for o, q in view.granule_of],
+        "adjacency": [{"a": a, "b": b} for a, b in view.adjacency],
+        "subquantityOf": [{"part": p, "whole": w} for p, w in view.subquantities],
+    }
+    return "".join(lines), payload
 
 
 # -- whole-log reference for the provenance index ---------------------------------

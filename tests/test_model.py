@@ -43,6 +43,7 @@ from matterkb.model import (
 from helpers import (
     build_random_kb,
     moved_chains_kb,
+    reference_adjacency_at,
     reference_adjacent_at,
     reference_assert_adjacency,
     reference_check_fresh,
@@ -321,6 +322,7 @@ class TestStoreIndex:
         (KnowledgeBase, "assert_adjacency", reference_assert_adjacency),
         (KnowledgeBase, "retract_adjacency", reference_retract_adjacency),
         (KnowledgeBase, "adjacent_at", reference_adjacent_at),
+        (KnowledgeBase, "adjacency_at", reference_adjacency_at),
         (events, "_same_kind_holder", reference_same_kind_holder),
     ]
 

@@ -361,7 +361,8 @@ def _assert_matches_reference(kb, rng):
         assert common_ancestors(kb, q1, q2) == left & (oracle_ancestors(parents, q2) | {q2})
     for qid in rng.sample(ids, min(4, len(ids))):
         for transitive in (False, True):
-            args = argparse.Namespace(query="provenance", args=[qid], transitive=transitive)
+            args = argparse.Namespace(query="provenance", args=[qid], transitive=transitive,
+                                      format="canonical")
             _, payload = run_query(kb, args)
             donors = oracle_ancestors(parents, qid) if transitive else parents.get(qid, set())
             among = {qid, *donors}
