@@ -69,6 +69,10 @@ class NoLifetimeOverlap(EngineError):
     pass
 
 
+class SubQuantityNotIncluded(EngineError):
+    pass
+
+
 class NonMonotonicTime(EngineError):
     pass
 

@@ -20,6 +20,7 @@ from .errors import (
     OverlappingInterval,
     SameKindSubQuantity,
     SelfAdjacency,
+    SubQuantityNotIncluded,
     UnknownAdjacency,
     UnknownGranuleKind,
     UnknownKind,
@@ -290,7 +291,11 @@ class KnowledgeBase:
     # -- sub-quantity assertions --------------------------------------------
 
     def assert_subquantity(self, part: str, whole: str) -> None:
-        """Assert that ``part`` is a sub-quantity of ``whole`` (idempotent)."""
+        """Assert that ``part`` is a sub-quantity of ``whole`` (idempotent).
+
+        The two are of distinct kinds, their lifetimes overlap, and every
+        granule of ``part`` is a granule of ``whole`` (A2).
+        """
         p = self._quantity(part)
         w = self._quantity(whole)
         if p.kind == w.kind:
@@ -299,6 +304,12 @@ class KnowledgeBase:
             )
         if not p.overlaps(w):
             raise NoLifetimeOverlap(f"lifetimes of '{part}' and '{whole}' do not overlap")
+        missing = p.granules - w.granules
+        if missing:
+            raise SubQuantityNotIncluded(
+                f"granule(s) {', '.join(sorted(missing))} of sub-quantity '{part}' "
+                f"are not granules of whole '{whole}'"
+            )
         self.subquantities.add(SubQuantityAssertion(part, whole))
 
     # -- reads ---------------------------------------------------------------

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import EngineError, ReplayError
+from .events import replay
 from .model import (
     MIN_GRANULES,
     KnowledgeBase,
@@ -204,7 +206,7 @@ def check_connectivity(kb: KnowledgeBase, t: int, world: _World | None = None) -
             if b in q.granules:
                 edges_of.setdefault(q.id, []).append((a, b))
     for q in live:
-        if len(q.granules) < MIN_GRANULES or any(g not in kb.objects for g in q.granules):
+        if len(q.granules) < MIN_GRANULES or not q.granules <= kb.objects.keys():
             continue
         edges = edges_of.get(q.id, [])
         touched = {x for e in edges for x in e}
@@ -267,66 +269,44 @@ def check_maximality(kb: KnowledgeBase, t: int, world: _World | None = None) -> 
     return out
 
 
+# What check_history names when a stored quantity differs from its rebuild.
+_QUANTITY_FIELDS = (
+    ("kind", "kind"),
+    ("created_at", "creation time"),
+    ("granules", "granule set"),
+    ("creation_event", "creation event"),
+    ("terminated_at", "termination time"),
+)
+
+
 def check_history(kb: KnowledgeBase) -> list[Violation]:
-    """The entity store and the event log must tell the same story.
+    """The event log, re-applied through the engine, rebuilds the stored quantities.
 
-    Recomputes each quantity's lifecycle from the log and reports any
-    disagreement: creations without matching events, terminations without a
-    donating transfer, granule sets drifting from their creation record.
+    ``replay`` runs the engine's checks record by record, so they are the only
+    encoding of the log's rules. Replay stops at the first rejected record and
+    that record alone is reported; otherwise every stored quantity must equal
+    its rebuilt twin.
     """
+    try:
+        rebuilt = replay(kb).quantities
+    except ReplayError as exc:
+        ev_id = kb.events[exc.index].id
+        return [Violation("H1_HISTORY", (ev_id,), None, f"event '{ev_id}' cannot be re-applied: {exc.cause}")]
+    except EngineError as exc:
+        return [Violation("H1_HISTORY", (), None, f"the store cannot be rebuilt from its event log: {exc}")]
     out = []
-
-    def bad(subjects: tuple[str, ...], message: str) -> None:
-        out.append(Violation("H1_HISTORY", subjects, None, message))
-
-    events_by_id = {}
-    last_at = None
-    for ev in kb.events:
-        if ev.id in events_by_id:
-            bad((ev.id,), f"event id '{ev.id}' appears twice in the log")
-        events_by_id[ev.id] = ev
-        if last_at is not None and ev.at <= last_at:
-            bad((ev.id,), f"event '{ev.id}' at t{ev.at} does not follow its predecessor at t{last_at}")
-        last_at = ev.at
-
-    created_in: dict[str, tuple[str, int, frozenset[str], str]] = {}
-    donated_in: dict[str, list[tuple[str, int]]] = {}
-    for ev in kb.events:
-        for entry in ev.created:
-            if entry.id in created_in:
-                bad((entry.id,), f"quantity '{entry.id}' is created by two events")
-            created_in[entry.id] = (ev.id, ev.at, entry.granules, entry.kind)
-            if entry.id not in kb.quantities:
-                bad((entry.id,), f"event '{ev.id}' creates quantity '{entry.id}', which is not in the store")
-        for did in sorted(ev.donors):
-            donated_in.setdefault(did, []).append((ev.id, ev.at))
-            if did not in kb.quantities:
-                bad((did,), f"event '{ev.id}' lists donor '{did}', which is not in the store")
-
-    for qid, q in sorted(kb.quantities.items()):
-        record = created_in.get(qid)
-        if record is None or record[0] != q.creation_event:
-            bad((qid,), f"quantity '{qid}' names creation event '{q.creation_event}', "
-                        "but the log does not create it there")
+    for qid in sorted(kb.quantities.keys() | rebuilt.keys()):
+        stored, again = kb.quantities.get(qid), rebuilt.get(qid)
+        if again is None:
+            message = f"quantity '{qid}' is created by no event in the log"
+        elif stored is None:
+            message = f"event '{again.creation_event}' creates quantity '{qid}', which is not in the store"
+        elif stored != again:
+            fields = [label for name, label in _QUANTITY_FIELDS if getattr(stored, name) != getattr(again, name)]
+            message = f"quantity '{qid}' differs from its rebuild from the event log in: {', '.join(fields)}"
         else:
-            ev_id, ev_at, granules, kind = record
-            if ev_at != q.created_at:
-                bad((qid,), f"quantity '{qid}' starts at t{q.created_at} but its creation event is at t{ev_at}")
-            if granules != q.granules:
-                bad((qid,), f"granule set of quantity '{qid}' disagrees with its creation event")
-            if kind != q.kind:
-                bad((qid,), f"kind of quantity '{qid}' disagrees with its creation event")
-        donations = donated_in.get(qid, [])
-        if q.terminated_at is None:
-            for ev_id, _ in donations:
-                bad((qid,), f"quantity '{qid}' donated in event '{ev_id}' but is not terminated")
-        else:
-            if q.terminated_at <= q.created_at:
-                bad((qid,), f"quantity '{qid}' terminates at t{q.terminated_at}, "
-                            f"not after its creation at t{q.created_at}")
-            if not any(at == q.terminated_at for _, at in donations):
-                bad((qid,), f"quantity '{qid}' is terminated at t{q.terminated_at} "
-                            "without a granule transfer event there")
+            continue
+        out.append(Violation("H1_HISTORY", (qid,), None, message))
     return out
 
 
@@ -334,13 +314,14 @@ def validate_all(kb: KnowledgeBase, at: int | None = None) -> Report:
     """Run every rule; world-scoped rules run at each change point.
 
     With ``at`` given, the world-scoped rules run only at that time point.
+    The history rule runs only on a store that typing, supplementation and
+    inclusion pass.
     """
-    violations: list[Violation] = []
-    violations += check_typing(kb)
-    violations += check_supplementation(kb)
-    violations += check_subquantity_inclusion(kb)
+    violations = check_typing(kb) + check_supplementation(kb) + check_subquantity_inclusion(kb)
+    if not violations:
+        # The engine rejects those defects too, so replay would report them twice.
+        violations += check_history(kb)
     violations += check_ggd(kb)
-    violations += check_history(kb)
     worlds = [at] if at is not None else kb.change_points()
     for t in worlds:
         world = _world(kb, t)

@@ -271,6 +271,19 @@ class TestLoad:
         assert SubQuantityAssertion("alcohol1", "wine1") in kb.subquantities
         assert validate_all(kb).ok
 
+    def test_non_included_subquantity_fails_to_load(self):
+        with pytest.raises(ScenarioLoadError) as info:
+            load(scenario(
+                "object-kind Molecule\n"
+                "quantity-kind Wine\nquantity-kind Alcohol\n"
+                "object m1 : Molecule\nobject m2 : Molecule\nobject m3 : Molecule\n"
+                "quantity wine1 : Wine at t0 granules {m1, m3}\n"
+                "quantity alcohol1 : Alcohol at t1 granules {m1, m2}\n"
+                "subquantity alcohol1 of wine1\n"
+            ))
+        assert (info.value.line, info.value.column) == (9, 1)
+        assert "not granules of whole 'wine1'" in info.value.message
+
     def test_ggd_gap_loads_then_validates_dirty(self):
         from matterkb import validate_all
 

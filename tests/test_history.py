@@ -1,0 +1,183 @@
+"""The history rule replays the event log: `validate` OK implies `replay-check` OK."""
+
+import copy
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from matterkb import case_study_path, export_document, kb_to_doc, load, parse, replay, validate_all
+from matterkb.canonical import doc_to_kb
+from matterkb.cli import main
+
+from helpers import build_random_kb, random_write
+
+WORLD_RULES = {"CONNECTIVITY", "EXTERNAL_CONNECTION", "MAXIMALITY_SAME_KIND"}
+
+
+CASE_DOC = kb_to_doc(load(parse(case_study_path().read_text(encoding="utf-8")).scenario))
+
+
+def _free_grains(doc):
+    """Declare grain7 and grain8, which no quantity holds."""
+    for oid in ("grain7", "grain8"):
+        doc["objects"].append({"id": oid, "kind": "SedimentaryGrain", "created_at": 0})
+    doc["adjacency"].append({"a": "grain7", "b": "grain8", "from": 0})
+
+
+def _event(doc, ev_id):
+    return next(e for e in doc["events"] if e["id"] == ev_id)
+
+
+def second_open_interval(doc):
+    doc["adjacency"].append({"a": "grain1", "b": "grain2", "from": 1})
+
+
+def discard_free_grain(doc):
+    _free_grains(doc)
+    _event(doc, "transfer1")["discarded"] = ["grain7"]
+
+
+def grain_created_late(doc):
+    doc["objects"][0]["created_at"] = 1  # grain1, a granule of rock1 from t0
+
+
+def unrelated_creation_in_transfer(doc):
+    _free_grains(doc)
+    _event(doc, "transfer2")["created"].append(
+        {"id": "rock6", "kind": "PortionOfRock", "granules": ["grain7", "grain8"]}
+    )
+    doc["quantities"].append({"id": "rock6", "kind": "PortionOfRock", "created_at": 2,
+                              "granules": ["grain7", "grain8"], "creation_event": "transfer2"})
+
+
+def subquantity_without_overlap(doc):
+    _free_grains(doc)
+    doc["kinds"].append({"name": "PortionOfSilt", "meta": "quantityKind", "requires": []})
+    doc["events"].append({"id": "create-silt1", "at": 3, "kind": "creation", "donors": [],
+                          "created": [{"id": "silt1", "kind": "PortionOfSilt",
+                                       "granules": ["grain7", "grain8"]}],
+                          "discarded": []})
+    doc["quantities"].append({"id": "silt1", "kind": "PortionOfSilt", "created_at": 3,
+                              "granules": ["grain7", "grain8"], "creation_event": "create-silt1"})
+    doc["subquantities"].append({"part": "silt1", "whole": "rock1"})  # rock1 ends at t1
+
+
+# Each used to validate clean and then fail replay-check. Subjects name the
+# rejected event, or nothing when replay fails outside the log.
+REPLAY_GAPS = [
+    (second_open_interval, (), "would overlap"),
+    (discard_free_grain, ("transfer1",), "not a granule of any donor"),
+    (grain_created_late, ("create-rock1",), "does not exist at t0"),
+    (unrelated_creation_in_transfer, ("transfer2",), "inherits no granule"),
+    (subquantity_without_overlap, (), "do not overlap"),
+]
+
+
+@pytest.mark.parametrize("mutate, subjects, reason", REPLAY_GAPS, ids=[m[0].__name__ for m in REPLAY_GAPS])
+def test_documents_that_fail_replay_report_history(mutate, subjects, reason, tmp_path, capsys):
+    doc = copy.deepcopy(CASE_DOC)
+    mutate(doc)
+    kb = doc_to_kb(doc)
+    (violation,) = validate_all(kb).violations
+    assert (violation.rule, violation.subjects) == ("H1_HISTORY", subjects)
+    assert reason in violation.message
+    path = tmp_path / "doc.mpkb"
+    path.write_text(export_document(kb), encoding="utf-8")
+    assert main(["validate", str(path)]) == 1
+    assert main(["replay-check", str(path)]) == 1
+    assert "H1_HISTORY (1)" in capsys.readouterr().out
+
+
+# -- seeded mutations of canonical documents ---------------------------------------
+
+
+def _times(doc):
+    return st.integers(0, 2 + max([0] + [e["at"] for e in doc["events"]]))
+
+
+def add_interval(doc, draw):
+    pairs = sorted({(iv["a"], iv["b"]) for iv in doc["adjacency"]})
+    if pairs:
+        a, b = draw(st.sampled_from(pairs))
+        doc["adjacency"].append({"a": a, "b": b, "from": draw(_times(doc))})
+
+
+def add_discard(doc, draw):
+    transfers = [e for e in doc["events"] if e["kind"] == "granuleTransfer"]
+    if transfers:
+        event = draw(st.sampled_from(transfers))
+        extra = draw(st.sampled_from([o["id"] for o in doc["objects"]]))
+        event["discarded"] = sorted(set(event["discarded"]) | {extra})
+
+
+def move_created_at(doc, draw):
+    if doc["objects"]:
+        draw(st.sampled_from(doc["objects"]))["created_at"] = draw(_times(doc))
+
+
+def add_created(doc, draw):
+    transfers = [e for e in doc["events"] if e["kind"] == "granuleTransfer"]
+    if not transfers:
+        return
+    event = draw(st.sampled_from(transfers))
+    qid = f"new{len(doc['quantities'])}"
+    kind = draw(st.sampled_from([k["name"] for k in doc["kinds"] if k["meta"] == "quantityKind"]))
+    granules = sorted(draw(st.sets(st.sampled_from([o["id"] for o in doc["objects"]]), min_size=2, max_size=3)))
+    event["created"].append({"id": qid, "kind": kind, "granules": granules})
+    if draw(st.booleans()):
+        doc["quantities"].append({"id": qid, "kind": kind, "created_at": event["at"],
+                                  "granules": granules, "creation_event": event["id"]})
+
+
+def add_subquantity(doc, draw):
+    if doc["quantities"]:
+        ids = st.sampled_from([q["id"] for q in doc["quantities"]])
+        doc["subquantities"].append({"part": draw(ids), "whole": draw(ids)})
+
+
+def change_termination(doc, draw):
+    if doc["quantities"]:
+        quantity = draw(st.sampled_from(doc["quantities"]))
+        at = draw(st.none() | _times(doc))
+        if at is None:
+            quantity.pop("terminated_at", None)
+        else:
+            quantity["terminated_at"] = at
+
+
+def close_interval(doc, draw):
+    open_intervals = [iv for iv in doc["adjacency"] if "to" not in iv]
+    if open_intervals:
+        iv = draw(st.sampled_from(open_intervals))
+        iv["to"] = iv["from"] + draw(st.integers(1, 3))
+
+
+MUTATIONS = (add_interval, add_discard, move_created_at, add_created, add_subquantity,
+             change_termination, close_interval)
+
+
+BASE_DOCS = [CASE_DOC] + [kb_to_doc(build_random_kb(seed)) for seed in range(30)]
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(st.data())
+def test_validate_ok_implies_replay_reproduces_the_store(data):
+    doc = copy.deepcopy(data.draw(st.sampled_from(BASE_DOCS)))
+    for mutate in data.draw(st.lists(st.sampled_from(MUTATIONS), min_size=1, max_size=3)):
+        mutate(doc, data.draw)
+    kb = doc_to_kb(doc)
+    if validate_all(kb).ok:
+        assert export_document(replay(kb)) == export_document(kb)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 8))
+def test_engine_writes_break_no_rule_over_the_log(seed, n_writes):
+    """Random engine writes do not keep adjacency tidy, so only world rules may fire."""
+    kb = build_random_kb(seed)
+    rng = random.Random(seed)
+    for step in range(n_writes):
+        random_write(kb, rng, f"w{step}")
+    fired = {v.rule for v in validate_all(kb).violations}
+    assert fired <= WORLD_RULES

@@ -25,6 +25,7 @@ from matterkb.errors import (
     OverlappingInterval,
     SameKindSubQuantity,
     SelfAdjacency,
+    SubQuantityNotIncluded,
     UnknownAdjacency,
     UnknownGranuleKind,
     UnknownKind,
@@ -242,6 +243,16 @@ class TestSubQuantity:
         self.setup_pair(kb)
         with pytest.raises(UnknownQuantity):
             kb.assert_subquantity("alcohol", "ghost")
+
+    def test_part_not_included_rejected(self, kb):
+        kb.declare_quantity_kind("PortionOfWine")
+        for g in ("m1", "m2", "m3"):
+            kb.create_object(g, "H2OMolecule", 0)
+        apply_creation(kb, CreatedEntry.of("wine", "PortionOfWine", ["m1", "m3"]), 0)
+        apply_creation(kb, CreatedEntry.of("alcohol", "PortionOfWater", ["m1", "m2"]), 1)
+        with pytest.raises(SubQuantityNotIncluded, match="m2 of sub-quantity 'alcohol'"):
+            kb.assert_subquantity("alcohol", "wine")
+        assert kb.subquantities == set()
 
     def test_disjoint_lifetimes_rejected(self, kb):
         self.setup_pair(kb)
