@@ -3,17 +3,24 @@
 Export is canonical: fixed section order (kinds, objects, quantities,
 adjacency, subquantities, events), fixed field order, all id lists sorted,
 optional fields omitted when absent. Equal knowledge bases therefore yield
-byte-identical documents.
+byte-identical documents. ``dumps`` decides the indent-2 layout of every
+canonical output: documents here, query payloads and reports in ``cli``.
 
 Import checks structure only (field types, id shapes, duplicates within a
 section); semantic problems in hand-written documents are left for the
-validators to report.
+validators to report. Each section but the few kind declarations is checked
+in bulk, a column at a time. Only when a bulk check fails is the section read
+again record by record, to raise the first bad field's ``DocumentError`` in
+document order.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from itertools import chain, islice
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter, eq, itemgetter
 from typing import Any
 
 from .errors import DocumentError
@@ -29,7 +36,13 @@ from .model import (
     SubQuantityAssertion,
 )
 
-_ID_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_-]*$")
+_ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*")
+# A column of identifiers joined by newlines holds only identifier characters
+# and newlines, and an identifier starts after each newline. Neither pattern
+# repeats a group: the regex engine keeps state for each pass through a
+# repeated group, which would cost memory per identifier.
+_ID_COLUMN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_\n-]*")
+_BAD_ID_START_RE = re.compile(r"\n(?![A-Za-z_])")
 _SECTIONS = ("kinds", "objects", "quantities", "adjacency", "subquantities", "events")
 
 
@@ -90,7 +103,67 @@ def kb_to_doc(kb: KnowledgeBase) -> dict[str, Any]:
 
 def export_document(kb: KnowledgeBase) -> str:
     """Canonical text rendering; equal knowledge bases export identical bytes."""
-    return json.dumps(kb_to_doc(kb), indent=2) + "\n"
+    return dumps(kb_to_doc(kb)) + "\n"
+
+
+def dumps(value: Any) -> str:
+    """Exactly ``json.dumps(value, indent=2)`` for plain JSON data.
+
+    ``json.dumps`` falls back to a pure-Python encoder whenever it indents;
+    this writer leaves every string to the C string encoder and joins a list
+    of strings in one pass. Dict keys must be strings. A leaf other than a
+    str, int, bool or None (a float, say) is rendered by ``json.dumps``,
+    which gives the same bytes at any depth.
+    """
+    return _encode(value, "\n")
+
+
+def _encode(value: Any, newline: str) -> str:
+    # A dict or a list of containers is one join over its parts, with no
+    # string per field or body: a large section is then copied only into its
+    # parent, and large short-lived strings raise the process's peak memory.
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        sep = "," + inner
+        try:
+            return f"[{inner}{sep.join(map(encode_basestring_ascii, value))}{newline}]"
+        except TypeError:  # not a list of strings
+            pass
+        parts = [sep] * (2 * len(value) + 1)
+        parts[1::2] = [_encode(v, inner) for v in value]
+        parts[0] = "[" + inner
+        parts[-1] = newline + "]"
+        return "".join(parts)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        sep = "," + inner
+        parts = ["{" + inner]
+        for key, v in value.items():
+            t = type(v)
+            if t is str:
+                text = encode_basestring_ascii(v)
+            elif t is int:
+                text = int.__repr__(v)
+            else:
+                text = _encode(v, inner)
+            parts += (encode_basestring_ascii(key), ": ", text, sep)
+        parts[-1] = newline + "}"
+        return "".join(parts)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    return json.dumps(value)
 
 
 def import_document(text: str) -> KnowledgeBase:
@@ -117,13 +190,174 @@ def doc_to_kb(doc: Any) -> KnowledgeBase:
         raise DocumentError("$", f"missing section(s): {', '.join(missing)}")
 
     kb = KnowledgeBase()
-    _read_kinds(kb, _array(doc, "kinds"))
-    _read_objects(kb, _array(doc, "objects"))
-    _read_quantities(kb, _array(doc, "quantities"))
-    _read_adjacency(kb, _array(doc, "adjacency"))
-    _read_subquantities(kb, _array(doc, "subquantities"))
-    _read_events(kb, _array(doc, "events"))
+    for key, bulk, walk in _READERS:
+        items = _array(doc, key)
+        if bulk is None or not bulk(kb, items):
+            walk(kb, items)
     return kb
+
+
+# -- bulk readers -------------------------------------------------------------------
+# Each checks a whole section and adds it to the KB only when every check
+# passes; otherwise it returns False and leaves the KB as it was. A check may
+# be stricter than the record-by-record reader (a dict subclass fails it), as
+# that reader then decides.
+
+
+_OBJECT_KEYS = frozenset(("id", "kind", "created_at"))
+_QUANTITY_KEYS = frozenset(("id", "kind", "created_at", "granules", "creation_event"))
+_ADJACENCY_KEYS = frozenset(("a", "b", "from"))
+_SUBQUANTITY_KEYS = frozenset(("part", "whole"))
+_EVENT_KEYS = frozenset(("id", "at", "kind", "donors", "created", "discarded"))
+_CREATED_KEYS = frozenset(("id", "kind", "granules"))
+_EVENT_KINDS = frozenset((CREATION, GRANULE_TRANSFER))
+_BY_ID = attrgetter("id")
+
+
+def _bulk_objects(kb: KnowledgeBase, items: list) -> bool:
+    if not _shaped(items, _OBJECT_KEYS):
+        return False
+    ids, kinds, times = _columns(items, "id", "kind", "created_at")
+    if not (_ids(ids) and _distinct(ids) and _ids(kinds) and _times(times)):
+        return False
+    kb.objects.update(zip(ids, map(ObjectInst, ids, kinds, times)))
+    return True
+
+
+def _bulk_quantities(kb: KnowledgeBase, items: list) -> bool:
+    if not _shaped(items, _QUANTITY_KEYS, "terminated_at"):
+        return False
+    ids, kinds, created, granules, events = _columns(
+        items, "id", "kind", "created_at", "granules", "creation_event"
+    )
+    if not (
+        _ids(ids) and _distinct(ids) and kb.objects.keys().isdisjoint(ids)
+        and _ids(kinds) and _times(created) and _ids(events)
+        and _times([r["terminated_at"] for r in items if "terminated_at" in r])
+    ):
+        return False
+    granule_sets = _id_sets(granules)
+    if granule_sets is None:
+        return False
+    ends = [r.get("terminated_at") for r in items]
+    kb.quantities.update(zip(ids, map(QuantityInst, ids, kinds, created, granule_sets, events, ends)))
+    return True
+
+
+def _bulk_adjacency(kb: KnowledgeBase, items: list) -> bool:
+    if not _shaped(items, _ADJACENCY_KEYS, "to"):
+        return False
+    a, b, starts = _columns(items, "a", "b", "from")
+    if not (
+        _ids(a) and _ids(b) and not any(map(eq, a, b)) and _times(starts)
+        and _times([r["to"] for r in items if "to" in r])
+    ):
+        return False
+    ends = [r.get("to") for r in items]
+    if any(end is not None and end <= start for start, end in zip(starts, ends)):
+        return False
+    kb.adjacency += [
+        AdjacencyInterval(x, y, start, end) if x < y else AdjacencyInterval(y, x, start, end)
+        for x, y, start, end in zip(a, b, starts, ends)
+    ]
+    return True
+
+
+def _bulk_subquantities(kb: KnowledgeBase, items: list) -> bool:
+    if not _shaped(items, _SUBQUANTITY_KEYS):
+        return False
+    parts, wholes = _columns(items, "part", "whole")
+    if not (_ids(parts) and _ids(wholes)):
+        return False
+    kb.subquantities.update(map(SubQuantityAssertion, parts, wholes))
+    return True
+
+
+def _bulk_events(kb: KnowledgeBase, items: list) -> bool:
+    if not _shaped(items, _EVENT_KEYS):
+        return False
+    ids, ats, kinds, donors, created, discarded = _columns(
+        items, "id", "at", "kind", "donors", "created", "discarded"
+    )
+    if not (
+        _ids(ids) and _distinct(ids) and _times(ats)
+        and _types(kinds, str) and _EVENT_KINDS.issuperset(kinds) and _types(created, list)
+    ):
+        return False
+    entries = list(chain.from_iterable(created))
+    if not _shaped(entries, _CREATED_KEYS):
+        return False
+    entry_ids, entry_kinds, entry_granules = _columns(entries, "id", "kind", "granules")
+    if not (_ids(entry_ids) and _ids(entry_kinds)):
+        return False
+    donor_sets, discarded_sets, granule_sets = map(_id_sets, (donors, discarded, entry_granules))
+    if donor_sets is None or discarded_sets is None or granule_sets is None:
+        return False
+    if not all([
+        (not d and len(c) == 1) if kind == CREATION else bool(d and c)
+        for kind, d, c in zip(kinds, donor_sets, created)
+    ]):
+        return False
+    built = iter(map(CreatedEntry, entry_ids, entry_kinds, granule_sets))
+    created_recs = [tuple(sorted(islice(built, len(c)), key=_BY_ID)) for c in created]
+    kb.events += map(EventRec, ids, ats, kinds, donor_sets, created_recs, discarded_sets)
+    return True
+
+
+def _shaped(items: list, keys: frozenset[str], optional: str | None = None) -> bool:
+    """Every item is a dict with exactly ``keys``, plus ``optional`` or not."""
+    if not _types(items, dict):
+        return False
+    if optional is None:
+        return all([r.keys() == keys for r in items])
+    longer = keys | {optional}
+    return all([r.keys() == keys or r.keys() == longer for r in items])
+
+
+def _columns(items: list, *keys: str) -> list[list]:
+    return [list(map(itemgetter(key), items)) for key in keys]
+
+
+def _types(column: list, kind: type) -> bool:
+    return set(map(type, column)) <= {kind}
+
+
+def _ids(column: list) -> bool:
+    """Every entry is an identifier, checked over the column joined by newlines."""
+    if not column:
+        return True
+    try:
+        text = "\n".join(column)
+    except TypeError:  # not all strings
+        return False
+    # an entry holding a newline would split into two tokens, so count them
+    return (
+        text.count("\n") == len(column) - 1
+        and _ID_COLUMN_RE.fullmatch(text) is not None
+        and _BAD_ID_START_RE.search(text) is None
+    )
+
+
+def _distinct(ids: list[str]) -> bool:
+    return len(set(ids)) == len(ids)
+
+
+def _times(column: list) -> bool:
+    """Every entry is a non-negative int; a bool is not one."""
+    return not column or (_types(column, int) and min(column) >= 0)
+
+
+def _id_sets(lists: list) -> list[frozenset[str]] | None:
+    """Each list as a set, if each is a list of distinct identifiers."""
+    if not (_types(lists, list) and _ids(list(chain.from_iterable(lists)))):
+        return None
+    sets = list(map(frozenset, lists))
+    return sets if list(map(len, sets)) == list(map(len, lists)) else None
+
+
+# -- record-by-record readers ---------------------------------------------------------
+# They raise the first bad field's DocumentError in document order. A document
+# declares a handful of kinds, so kinds are only ever read this way.
 
 
 def _read_kinds(kb: KnowledgeBase, items: list) -> None:
@@ -277,7 +511,7 @@ def _string(rec: dict, key: str, path: str) -> str:
 
 def _identifier(rec: dict, key: str, path: str) -> str:
     value = _string(rec, key, path)
-    if not _ID_RE.match(value):
+    if not _ID_RE.fullmatch(value):
         raise DocumentError(f"{path}.{key}", f"'{value}' is not a valid identifier")
     return value
 
@@ -292,11 +526,21 @@ def _time(rec: dict, key: str, path: str) -> int:
 def _id_list(value: Any, path: str) -> list[str]:
     if not isinstance(value, list):
         raise DocumentError(path, f"expected an array, got {type(value).__name__}")
-    out = []
+    seen = set()
     for i, item in enumerate(value):
-        if not isinstance(item, str) or not _ID_RE.match(item):
+        if not isinstance(item, str) or not _ID_RE.fullmatch(item):
             raise DocumentError(f"{path}[{i}]", f"{item!r} is not a valid identifier")
-        if item in out:
+        if item in seen:
             raise DocumentError(f"{path}[{i}]", f"duplicate entry '{item}'")
-        out.append(item)
-    return out
+        seen.add(item)
+    return value
+
+
+_READERS = (
+    ("kinds", None, _read_kinds),
+    ("objects", _bulk_objects, _read_objects),
+    ("quantities", _bulk_quantities, _read_quantities),
+    ("adjacency", _bulk_adjacency, _read_adjacency),
+    ("subquantities", _bulk_subquantities, _read_subquantities),
+    ("events", _bulk_events, _read_events),
+)

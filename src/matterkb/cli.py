@@ -8,7 +8,6 @@ is byte-deterministic for a given input and command.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -73,7 +72,7 @@ def render_report(report: Report, fmt: str) -> str:
             }
             for v in report.violations
         ]
-        return json.dumps(records, indent=2) + "\n"
+        return canonical.dumps(records) + "\n"
     lines = []
     for rule, violations in sorted(report.by_rule().items()):
         lines.append(f"{rule} ({len(violations)})")
@@ -100,7 +99,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     except EngineError as exc:
         raise _CliError(str(exc)) from exc
     if args.format == "canonical":
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        sys.stdout.write(canonical.dumps(payload) + "\n")
     else:
         sys.stdout.write(text)
     return OK

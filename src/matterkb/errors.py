@@ -98,12 +98,19 @@ class GranuleProvenanceViolation(EngineError):
 
 
 class ReplayError(EngineError):
-    """An event could not be re-applied; carries the log index of the offender."""
+    """A record could not be re-applied.
 
-    def __init__(self, index: int, cause: Exception):
-        super().__init__(f"event #{index} failed to replay: {cause}")
+    ``subjects`` names the rejected record: an event's id, a kind's name, an
+    object's id, an adjacency interval's endpoints, or a sub-quantity
+    assertion's part and whole. ``index`` is a rejected event's log index and
+    None for any other record, whose error reads as its cause's.
+    """
+
+    def __init__(self, index: int | None, cause: Exception, subjects: tuple[str, ...] = ()):
+        super().__init__(str(cause) if index is None else f"event #{index} failed to replay: {cause}")
         self.index = index
         self.cause = cause
+        self.subjects = subjects
 
 
 class DocumentError(Exception):

@@ -14,6 +14,7 @@ from typing import Iterable, Sequence
 from .errors import (
     DonorNotLive,
     DuplicateGranuleAssignment,
+    EngineError,
     GranuleNotFree,
     GranuleProvenanceViolation,
     NonMonotonicTime,
@@ -184,26 +185,38 @@ def replay(kb: KnowledgeBase) -> KnowledgeBase:
     """Rebuild a knowledge base from declarations plus the event log.
 
     The result must be structurally identical to the source (checked via
-    canonical export in the test suite). Apply errors are wrapped with the
-    index of the offending event.
+    canonical export in the test suite). Apply errors are wrapped in a
+    ReplayError that names the offending record.
     """
     fresh = KnowledgeBase()
     decls = sorted(kb.kinds.values(), key=lambda d: (d.meta != OBJECT_KIND, d.name))
     for decl in decls:
-        fresh.declare_kind(decl)
+        try:
+            fresh.declare_kind(decl)
+        except (EngineError, ValueError) as exc:
+            raise ReplayError(None, exc, (decl.name,)) from exc
     for oid, obj in sorted(kb.objects.items()):
-        fresh.create_object(oid, obj.kind, obj.created_at)
+        try:
+            fresh.create_object(oid, obj.kind, obj.created_at)
+        except (EngineError, ValueError) as exc:
+            raise ReplayError(None, exc, (oid,)) from exc
     for index, event in enumerate(kb.events):
         try:
             apply_event(fresh, event)
         except Exception as exc:
-            raise ReplayError(index, exc) from exc
+            raise ReplayError(index, exc, (event.id,)) from exc
     for iv in sorted(kb.adjacency, key=lambda i: (i.a, i.b, i.start)):
-        fresh.assert_adjacency(iv.a, iv.b, iv.start)
-        if iv.end is not None:
-            fresh.retract_adjacency(iv.a, iv.b, iv.end)
+        try:
+            fresh.assert_adjacency(iv.a, iv.b, iv.start)
+            if iv.end is not None:
+                fresh.retract_adjacency(iv.a, iv.b, iv.end)
+        except (EngineError, ValueError) as exc:
+            raise ReplayError(None, exc, (iv.a, iv.b)) from exc
     for s in sorted(kb.subquantities, key=lambda s: (s.part, s.whole)):
-        fresh.assert_subquantity(s.part, s.whole)
+        try:
+            fresh.assert_subquantity(s.part, s.whole)
+        except (EngineError, ValueError) as exc:
+            raise ReplayError(None, exc, (s.part, s.whole)) from exc
     return fresh
 
 

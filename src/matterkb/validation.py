@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EngineError, ReplayError
+from .errors import ReplayError
 from .events import replay
 from .model import (
     MIN_GRANULES,
@@ -290,10 +290,11 @@ def check_history(kb: KnowledgeBase) -> list[Violation]:
     try:
         rebuilt = replay(kb).quantities
     except ReplayError as exc:
-        ev_id = kb.events[exc.index].id
-        return [Violation("H1_HISTORY", (ev_id,), None, f"event '{ev_id}' cannot be re-applied: {exc.cause}")]
-    except EngineError as exc:
-        return [Violation("H1_HISTORY", (), None, f"the store cannot be rebuilt from its event log: {exc}")]
+        if exc.index is not None:
+            message = f"event '{exc.subjects[0]}' cannot be re-applied: {exc.cause}"
+        else:
+            message = f"the store cannot be rebuilt from its event log: {exc.cause}"
+        return [Violation("H1_HISTORY", exc.subjects, None, message)]
     out = []
     for qid in sorted(kb.quantities.keys() | rebuilt.keys()):
         stored, again = kb.quantities.get(qid), rebuilt.get(qid)

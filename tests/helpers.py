@@ -4,6 +4,8 @@ independent graph/closure oracles, and the seeded-fault fixture corpus."""
 from __future__ import annotations
 
 import random
+import re
+from typing import Any
 
 from matterkb import (
     CreatedEntry,
@@ -15,13 +17,14 @@ from matterkb import (
 )
 from matterkb.canonical import doc_to_kb
 from matterkb.errors import (
+    DocumentError,
     DuplicateId,
     EngineError,
     OverlappingInterval,
     SelfAdjacency,
     UnknownAdjacency,
 )
-from matterkb.events import GRANULE_TRANSFER
+from matterkb.events import CREATION, GRANULE_TRANSFER, EventRec
 from matterkb.model import (
     MIN_GRANULES,
     OBJECT_KIND,
@@ -31,6 +34,7 @@ from matterkb.model import (
     AdjacencyInterval,
     ObjectInst,
     QuantityInst,
+    SubQuantityAssertion,
     WorldView,
     connected_components,
 )
@@ -756,3 +760,209 @@ def moved_chains_kb(n: int) -> KnowledgeBase:
     for i, chain in enumerate(chains):
         apply_transfer(kb, [f"q{i}"], [CreatedEntry.of(f"m{i}", "Rock", chain)], n + i)
     return kb
+
+
+# -- reference canonical reader ----------------------------------------------------
+# The record-by-record reader that `canonical.doc_to_kb` checked every document
+# with before its bulk checks, kept as a differential check. It differs from
+# that reader only in matching whole identifiers (`fullmatch`), so an id with a
+# trailing newline is rejected.
+
+_REF_ID_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_-]*$")
+_REF_SECTIONS = ("kinds", "objects", "quantities", "adjacency", "subquantities", "events")
+
+
+def reference_doc_to_kb(doc: Any) -> KnowledgeBase:
+    if not isinstance(doc, dict):
+        raise DocumentError("$", f"expected an object, got {type(doc).__name__}")
+    extra = sorted(set(doc) - set(_REF_SECTIONS))
+    if extra:
+        raise DocumentError("$", f"unexpected section(s): {', '.join(extra)}")
+    missing = [s for s in _REF_SECTIONS if s not in doc]
+    if missing:
+        raise DocumentError("$", f"missing section(s): {', '.join(missing)}")
+
+    kb = KnowledgeBase()
+    _ref_read_kinds(kb, _ref_array(doc, "kinds"))
+    _ref_read_objects(kb, _ref_array(doc, "objects"))
+    _ref_read_quantities(kb, _ref_array(doc, "quantities"))
+    _ref_read_adjacency(kb, _ref_array(doc, "adjacency"))
+    _ref_read_subquantities(kb, _ref_array(doc, "subquantities"))
+    _ref_read_events(kb, _ref_array(doc, "events"))
+    return kb
+
+
+def _ref_read_kinds(kb: KnowledgeBase, items: list) -> None:
+    for i, item in enumerate(items):
+        path = f"kinds[{i}]"
+        rec = _ref_record(item, path, required=("name", "meta"), optional=("requires",))
+        name = _ref_identifier(rec, "name", path)
+        meta = _ref_string(rec, "meta", path)
+        if meta not in (QUANTITY_KIND, OBJECT_KIND):
+            raise DocumentError(f"{path}.meta", f"expected '{QUANTITY_KIND}' or '{OBJECT_KIND}', got '{meta}'")
+        if meta == QUANTITY_KIND:
+            if "requires" not in rec:
+                raise DocumentError(f"{path}.requires", "quantity kinds must carry a requires list")
+            requires = _ref_id_list(rec["requires"], f"{path}.requires")
+        else:
+            if "requires" in rec:
+                raise DocumentError(f"{path}.requires", "object kinds must not carry a requires list")
+            requires = []
+        if name in kb.kinds:
+            raise DocumentError(f"{path}.name", f"duplicate kind '{name}'")
+        kb.kinds[name] = KindDecl(name, meta, frozenset(requires))
+
+
+def _ref_read_objects(kb: KnowledgeBase, items: list) -> None:
+    for i, item in enumerate(items):
+        path = f"objects[{i}]"
+        rec = _ref_record(item, path, required=("id", "kind", "created_at"))
+        oid = _ref_identifier(rec, "id", path)
+        if oid in kb.objects:
+            raise DocumentError(f"{path}.id", f"duplicate object '{oid}'")
+        kb.objects[oid] = ObjectInst(oid, _ref_identifier(rec, "kind", path), _ref_time(rec, "created_at", path))
+
+
+def _ref_read_quantities(kb: KnowledgeBase, items: list) -> None:
+    for i, item in enumerate(items):
+        path = f"quantities[{i}]"
+        rec = _ref_record(
+            item, path,
+            required=("id", "kind", "created_at", "granules", "creation_event"),
+            optional=("terminated_at",),
+        )
+        qid = _ref_identifier(rec, "id", path)
+        if qid in kb.quantities:
+            raise DocumentError(f"{path}.id", f"duplicate quantity '{qid}'")
+        if qid in kb.objects:
+            raise DocumentError(f"{path}.id", f"id '{qid}' is already used by an object")
+        terminated = _ref_time(rec, "terminated_at", path) if "terminated_at" in rec else None
+        kb.quantities[qid] = QuantityInst(
+            id=qid,
+            kind=_ref_identifier(rec, "kind", path),
+            created_at=_ref_time(rec, "created_at", path),
+            granules=frozenset(_ref_id_list(rec["granules"], f"{path}.granules")),
+            creation_event=_ref_identifier(rec, "creation_event", path),
+            terminated_at=terminated,
+        )
+
+
+def _ref_read_adjacency(kb: KnowledgeBase, items: list) -> None:
+    for i, item in enumerate(items):
+        path = f"adjacency[{i}]"
+        rec = _ref_record(item, path, required=("a", "b", "from"), optional=("to",))
+        a = _ref_identifier(rec, "a", path)
+        b = _ref_identifier(rec, "b", path)
+        if a == b:
+            raise DocumentError(f"{path}.b", "adjacency endpoints must differ")
+        start = _ref_time(rec, "from", path)
+        end = _ref_time(rec, "to", path) if "to" in rec else None
+        if end is not None and end <= start:
+            raise DocumentError(f"{path}.to", f"interval end t{end} must follow start t{start}")
+        a, b = sorted((a, b))
+        kb.adjacency.append(AdjacencyInterval(a, b, start, end))
+
+
+def _ref_read_subquantities(kb: KnowledgeBase, items: list) -> None:
+    for i, item in enumerate(items):
+        path = f"subquantities[{i}]"
+        rec = _ref_record(item, path, required=("part", "whole"))
+        kb.subquantities.add(
+            SubQuantityAssertion(_ref_identifier(rec, "part", path), _ref_identifier(rec, "whole", path))
+        )
+
+
+def _ref_read_events(kb: KnowledgeBase, items: list) -> None:
+    seen = set()
+    for i, item in enumerate(items):
+        path = f"events[{i}]"
+        rec = _ref_record(item, path, required=("id", "at", "kind", "donors", "created", "discarded"))
+        ev_id = _ref_identifier(rec, "id", path)
+        if ev_id in seen:
+            raise DocumentError(f"{path}.id", f"duplicate event '{ev_id}'")
+        seen.add(ev_id)
+        kind = _ref_string(rec, "kind", path)
+        if kind not in (CREATION, GRANULE_TRANSFER):
+            raise DocumentError(f"{path}.kind", f"expected '{CREATION}' or '{GRANULE_TRANSFER}', got '{kind}'")
+        donors = _ref_id_list(rec["donors"], f"{path}.donors")
+        created_raw = rec["created"]
+        if not isinstance(created_raw, list):
+            raise DocumentError(f"{path}.created", "expected an array")
+        created = []
+        for j, sub in enumerate(created_raw):
+            sub_path = f"{path}.created[{j}]"
+            sub_rec = _ref_record(sub, sub_path, required=("id", "kind", "granules"))
+            created.append(
+                CreatedEntry(
+                    _ref_identifier(sub_rec, "id", sub_path),
+                    _ref_identifier(sub_rec, "kind", sub_path),
+                    frozenset(_ref_id_list(sub_rec["granules"], f"{sub_path}.granules")),
+                )
+            )
+        if kind == CREATION and (donors or len(created) != 1):
+            raise DocumentError(path, "a creation event has no donors and exactly one created quantity")
+        if kind == GRANULE_TRANSFER and (not donors or not created):
+            raise DocumentError(path, "a granule transfer has at least one donor and one created quantity")
+        kb.events.append(
+            EventRec(
+                ev_id,
+                _ref_time(rec, "at", path),
+                kind,
+                frozenset(donors),
+                tuple(sorted(created, key=lambda e: e.id)),
+                frozenset(_ref_id_list(rec["discarded"], f"{path}.discarded")),
+            )
+        )
+
+
+def _ref_array(doc: dict, key: str) -> list:
+    value = doc[key]
+    if not isinstance(value, list):
+        raise DocumentError(key, f"expected an array, got {type(value).__name__}")
+    return value
+
+
+def _ref_record(item: Any, path: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> dict:
+    if not isinstance(item, dict):
+        raise DocumentError(path, f"expected an object, got {type(item).__name__}")
+    unknown = sorted(set(item) - set(required) - set(optional))
+    if unknown:
+        raise DocumentError(path, f"unexpected field(s): {', '.join(unknown)}")
+    missing = [f for f in required if f not in item]
+    if missing:
+        raise DocumentError(path, f"missing field(s): {', '.join(missing)}")
+    return item
+
+
+def _ref_string(rec: dict, key: str, path: str) -> str:
+    value = rec[key]
+    if not isinstance(value, str):
+        raise DocumentError(f"{path}.{key}", f"expected a string, got {type(value).__name__}")
+    return value
+
+
+def _ref_identifier(rec: dict, key: str, path: str) -> str:
+    value = _ref_string(rec, key, path)
+    if not _REF_ID_RE.fullmatch(value):
+        raise DocumentError(f"{path}.{key}", f"'{value}' is not a valid identifier")
+    return value
+
+
+def _ref_time(rec: dict, key: str, path: str) -> int:
+    value = rec[key]
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise DocumentError(f"{path}.{key}", f"expected a non-negative integer, got {value!r}")
+    return value
+
+
+def _ref_id_list(value: Any, path: str) -> list[str]:
+    if not isinstance(value, list):
+        raise DocumentError(path, f"expected an array, got {type(value).__name__}")
+    out = []
+    for i, item in enumerate(value):
+        if not isinstance(item, str) or not _REF_ID_RE.fullmatch(item):
+            raise DocumentError(f"{path}[{i}]", f"{item!r} is not a valid identifier")
+        if item in out:
+            raise DocumentError(f"{path}[{i}]", f"duplicate entry '{item}'")
+        out.append(item)
+    return out

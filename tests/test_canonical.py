@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matterkb import (
     KnowledgeBase,
@@ -11,10 +12,10 @@ from matterkb import (
     kb_to_doc,
     validate_all,
 )
-from matterkb.canonical import doc_to_kb
+from matterkb.canonical import doc_to_kb, dumps
 from matterkb.errors import DocumentError
 
-from helpers import build_random_kb
+from helpers import build_random_kb, moved_chains_kb
 
 EMPTY_DOC = """{
   "kinds": [],
@@ -174,7 +175,66 @@ class TestSchemaErrors:
         self.expect_error(doc, "granules[1]")
 
 
+# `$` also matches before a final newline, so each of these ids used to load.
+NEWLINE_IDS = [
+    (("objects", 0, "id"), "objects[0].id", "'grain1\n' is not a valid identifier"),
+    (("quantities", 1, "granules", 1), "quantities[1].granules[1]", "'grain6\\n' is not a valid identifier"),
+    (("events", 2, "id"), "events[2].id", "'transfer2\n' is not a valid identifier"),
+]
+
+
+@pytest.mark.parametrize("where, path, message", NEWLINE_IDS, ids=[p for _, p, _ in NEWLINE_IDS])
+def test_identifier_with_trailing_newline_rejected(case_kb, where, path, message):
+    doc = kb_to_doc(case_kb)
+    *parents, last = where
+    container = doc
+    for key in parents:
+        container = container[key]
+    container[last] += "\n"
+    with pytest.raises(DocumentError) as exc_info:
+        import_document(json.dumps(doc))
+    assert (exc_info.value.path, exc_info.value.message) == (path, message)
+
+
 def test_kb_to_doc_is_plain_data(case_kb):
     doc = kb_to_doc(case_kb)
     json.dumps(doc)  # JSON-serializable all the way down
     assert doc["events"][0]["id"] == "create-rock1"
+
+
+# -- the writer is json.dumps(indent=2), byte for byte ------------------------------
+
+_LEAVES = (
+    st.text(alphabet=st.characters() | st.sampled_from('"\\\n\t\x00\x1f\x7f\u2028\ud800\U0001f600')),
+    st.integers() | st.integers(min_value=2**63 - 2, max_value=2**70) | st.integers(max_value=-(2**63)),
+    st.booleans(),
+    st.none(),
+)
+_PLAIN = st.recursive(
+    st.one_of(*_LEAVES),
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=5).map(tuple)
+    | st.lists(_LEAVES[0], max_size=5)
+    | st.dictionaries(_LEAVES[0], inner, max_size=5),
+    max_leaves=40,
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_PLAIN)
+def test_dumps_matches_json_dumps(value):
+    assert dumps(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [[], {}, (), [[], {}, ()], {"a": {"b": []}}, [[[{}]]], 1.5, [1e300, -0.0], {"x": [float("nan"), float("-inf")]}],
+)
+def test_dumps_matches_json_dumps_on_empty_and_float_values(value):
+    assert dumps(value) == json.dumps(value, indent=2)
+
+
+def test_export_matches_json_dumps(case_kb):
+    kbs = [case_kb, moved_chains_kb(200), *map(build_random_kb, range(50))]
+    for kb in kbs:
+        assert export_document(kb) == json.dumps(kb_to_doc(kb), indent=2) + "\n"

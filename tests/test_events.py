@@ -20,11 +20,14 @@ from matterkb.errors import (
     GranuleNotFree,
     GranuleProvenanceViolation,
     NonMonotonicTime,
+    OverlappingInterval,
     ReplayError,
     TooFewGranules,
+    UnknownKind,
     UnknownObject,
     UnknownQuantity,
 )
+from matterkb.model import AdjacencyInterval, ObjectInst
 
 from helpers import build_random_kb
 
@@ -251,6 +254,23 @@ class TestLogAndReplay:
             replay(kb)
         assert exc_info.value.index == 1
         assert isinstance(exc_info.value.cause, NonMonotonicTime)
+
+    def test_replay_names_a_rejected_interval(self, kb):
+        kb.assert_adjacency("g1", "g2", 0)
+        kb.adjacency.append(AdjacencyInterval("g1", "g2", 1))  # overlaps the first
+        with pytest.raises(ReplayError) as exc_info:
+            replay(kb)
+        error = exc_info.value
+        assert (error.index, error.subjects) == (None, ("g1", "g2"))
+        assert isinstance(error.cause, OverlappingInterval)
+        assert str(error) == str(error.cause)
+
+    def test_replay_names_a_rejected_object(self, kb):
+        kb.objects["p1"] = ObjectInst("p1", "Pebble", 0)  # an undeclared kind
+        with pytest.raises(ReplayError) as exc_info:
+            replay(kb)
+        assert (exc_info.value.index, exc_info.value.subjects) == (None, ("p1",))
+        assert isinstance(exc_info.value.cause, UnknownKind)
 
     def test_replay_fuzzed(self):
         rng = random.Random(99)

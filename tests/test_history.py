@@ -64,13 +64,13 @@ def subquantity_without_overlap(doc):
 
 
 # Each used to validate clean and then fail replay-check. Subjects name the
-# rejected event, or nothing when replay fails outside the log.
+# rejected record: an event, an interval's endpoints or an assertion's part and whole.
 REPLAY_GAPS = [
-    (second_open_interval, (), "would overlap"),
+    (second_open_interval, ("grain1", "grain2"), "would overlap"),
     (discard_free_grain, ("transfer1",), "not a granule of any donor"),
     (grain_created_late, ("create-rock1",), "does not exist at t0"),
     (unrelated_creation_in_transfer, ("transfer2",), "inherits no granule"),
-    (subquantity_without_overlap, (), "do not overlap"),
+    (subquantity_without_overlap, ("silt1", "rock1"), "do not overlap"),
 ]
 
 

@@ -1,0 +1,148 @@
+"""The bulk-checked importer accepts and rejects exactly what the record-by-record
+reader did: the same export bytes, or the same DocumentError path and message."""
+
+import copy
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from matterkb import case_study_path, export_document, kb_to_doc, load, parse
+from matterkb.canonical import doc_to_kb
+from matterkb.errors import DocumentError
+
+from helpers import build_random_kb, messy_world_kb, reference_doc_to_kb
+
+BASES = [
+    kb_to_doc(load(parse(case_study_path().read_text(encoding="utf-8")).scenario)),
+    *(kb_to_doc(build_random_kb(seed)) for seed in range(20)),
+    *(kb_to_doc(messy_world_kb(seed, n_quantities=6, n_objects=10)) for seed in range(3)),
+]
+
+# Values a mutation may write anywhere: every JSON type, bad and reserved
+# identifiers, bools, negative and huge numbers; ids and times of the
+# document itself are drawn too, which makes duplicates and clashes.
+ODD_VALUES = [
+    None, True, False, -1, 0, 1, 3, 2**70, 1.5, "", "x", "9lives", "a b", "g\n", "\n", "g1\ng2",
+    "creation", "granuleTransfer", "quantityKind", "objectKind",
+    [], ["x"], ["x", "x"], [1], {}, {"id": "x"}, {"id": "x", "kind": "K", "granules": []},
+]
+
+
+def outcome(reader, doc):
+    """The export bytes and the KB itself, whose event records keep the order
+    of created entries that export sorts away; or the error."""
+    try:
+        kb = reader(doc)
+    except DocumentError as exc:
+        return "rejected", exc.path, exc.message
+    return "loaded", export_document(kb), kb
+
+
+def _slots(value, out):
+    """Every (container, key) under ``value``, in document order."""
+    if isinstance(value, dict):
+        pairs = list(value.items())
+    elif isinstance(value, list):
+        pairs = list(enumerate(value))
+    else:
+        return out
+    for key, v in pairs:
+        out.append((value, key))
+        _slots(v, out)
+    return out
+
+
+def _scalars(doc):
+    return sorted({repr(c[k]): c[k] for c, k in _slots(doc, []) if isinstance(c[k], (str, int))}.items())
+
+
+SECTIONS = ("kinds", "objects", "quantities", "adjacency", "subquantities", "events")
+
+
+@st.composite
+def mutated_documents(draw):
+    """One or two faults, each in a section drawn first so that no section's
+    faults crowd out the others'."""
+    doc = copy.deepcopy(draw(st.sampled_from(BASES)))
+    for _ in range(draw(st.integers(1, 2))):
+        section = draw(st.sampled_from(SECTIONS))
+        slots = _slots(doc.get(section), [(doc, section)] if section in doc else [])
+        containers = [c[k] for c, k in slots if isinstance(c[k], (dict, list))]
+        op = draw(st.sampled_from(("replace", "delete", "extra", "repeat", "sibling", "reverse")))
+        if op == "replace" and slots:
+            container, key = draw(st.sampled_from(slots))
+            own = [v for _, v in _scalars(doc)]
+            container[key] = copy.deepcopy(draw(st.sampled_from(ODD_VALUES) | st.sampled_from(own)))
+        elif op == "delete" and slots:
+            container, key = draw(st.sampled_from(slots))
+            del container[key]
+        elif op == "extra":
+            target = draw(st.sampled_from([c for c in containers if isinstance(c, dict)] + [doc]))
+            target["extra"] = 1
+        elif op == "sibling":  # a field takes another field's value: a == b, say
+            records = [c for c in containers if isinstance(c, dict) and len(c) > 1]
+            if records:
+                target = draw(st.sampled_from(records))
+                source, key = draw(st.lists(st.sampled_from(sorted(target)), min_size=2, max_size=2, unique=True))
+                target[key] = copy.deepcopy(target[source])
+        else:
+            lists = [c for c in containers if isinstance(c, list) and c]
+            if lists:
+                target = draw(st.sampled_from(lists))
+                if op == "repeat":  # a duplicate record or list entry
+                    target.append(copy.deepcopy(draw(st.sampled_from(target))))
+                else:  # out of canonical order
+                    target.reverse()
+    return doc
+
+
+@pytest.mark.parametrize("doc", BASES, ids=range(len(BASES)))
+def test_readers_agree_on_canonical_documents(doc):
+    loaded = outcome(doc_to_kb, doc)
+    assert loaded == outcome(reference_doc_to_kb, doc)
+    assert loaded[0] == "loaded"
+
+
+def _reverse_every_list(value):
+    if isinstance(value, dict):
+        for v in value.values():
+            _reverse_every_list(v)
+    elif isinstance(value, list):
+        value.reverse()
+        for v in value:
+            _reverse_every_list(v)
+
+
+@pytest.mark.parametrize("doc", BASES, ids=range(len(BASES)))
+def test_readers_agree_on_documents_out_of_order(doc):
+    doc = copy.deepcopy(doc)
+    _reverse_every_list(doc)
+    loaded = outcome(doc_to_kb, doc)
+    assert loaded == outcome(reference_doc_to_kb, doc)
+    assert loaded[0] == "loaded"
+
+
+# Column checks join a column's entries, so both ends of a column matter.
+@pytest.mark.parametrize("bad", ["9lives", "-x", "", "a b", "g\n", "\ng", "g1\ng2", "gr\u00e4in"])
+@pytest.mark.parametrize(
+    "where",
+    [("objects", 0, "id"), ("objects", -1, "kind"), ("quantities", 0, "granules", 0),
+     ("events", -1, "created", 0, "granules", -1)],
+    ids=lambda where: ".".join(map(str, where)),
+)
+def test_readers_agree_on_bad_identifiers_at_column_ends(where, bad):
+    doc = copy.deepcopy(BASES[0])
+    *parents, last = where
+    container = doc
+    for key in parents:
+        container = container[key]
+    container[last] = bad
+    rejected = outcome(doc_to_kb, doc)
+    assert rejected == outcome(reference_doc_to_kb, doc)
+    assert rejected[0] == "rejected"
+
+
+@settings(derandomize=True, max_examples=1500, deadline=None)
+@given(mutated_documents())
+def test_readers_agree_on_mutated_documents(doc):
+    assert outcome(doc_to_kb, doc) == outcome(reference_doc_to_kb, doc)
