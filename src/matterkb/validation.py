@@ -8,6 +8,7 @@ invariants. Validators never repair anything, they only report.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from .errors import ReplayError
 from .events import replay
@@ -170,18 +171,175 @@ def check_ggd(kb: KnowledgeBase) -> list[Violation]:
     return out
 
 
-_World = tuple[list[QuantityInst], dict[str, list[QuantityInst]], list[tuple[str, str]]]
+def _pair_key(q1: QuantityInst, q2: QuantityInst) -> tuple[str, str]:
+    return (q1.id, q2.id) if q1.id < q2.id else (q2.id, q1.id)
 
 
-def _world(kb: KnowledgeBase, t: int) -> _World:
-    """What the two world rules read at ``t``: the live quantities in id order,
-    each granule's live holders in that order, and the sorted active edges."""
-    live = kb.live_quantities_at(t)
-    holders: dict[str, list[QuantityInst]] = {}
-    for q in live:
+class _World:
+    """What the two world rules read at one time point, kept current by deltas.
+
+    ``_World(kb, t)`` builds the state at ``t`` in bulk from the live
+    quantities and active pairs at ``t``; ``advance`` then moves it to a later
+    point by applying only what changes there: quantity births and deaths and
+    the pairs whose intervals start or end there. It carries:
+
+    - ``holders``: granule → its live holders, by id;
+    - ``active`` and ``incident``: the active stored pairs, and each node's
+      active pairs;
+    - ``inner``: for each live quantity the connectivity rule checks, the
+      active edges among its granules; and ``broken``: for those that fail
+      the rule, the sorted granules that touch no co-granule and the number
+      of components of the rest;
+    - ``shared`` and ``touching``: for each pair of live same-kind quantities
+      that share or touch granules, the shared granules and the active edges
+      that join one to the other.
+
+    Invalidation rule: a quantity's cached connectivity result holds until the
+    quantity dies or an edge among its granules opens or closes; only then is
+    ``connected_components`` run again. The maximality entries of a pair change
+    only when one of the two is born or dies, or when an edge with one end in
+    each opens or closes. So a sweep over T points costs O(changes), and the
+    rules re-emit the still-violating entries at each point: O(output).
+    """
+
+    def __init__(self, kb: KnowledgeBase, t: int) -> None:
+        self.objects = kb.objects.keys()
+        self.intervals = kb.store_index.catch_up(kb).intervals
+        self.holders: dict[str, dict[str, QuantityInst]] = {}
+        self.active: set[tuple[str, str]] = set()
+        self.incident: dict[str, set[tuple[str, str]]] = {}
+        self.inner: dict[str, set[tuple[str, str]]] = {}
+        self.broken: dict[str, tuple[list[str], int]] = {}
+        self.shared: dict[tuple[str, str], set[str]] = {}
+        self.touching: dict[tuple[str, str], set[tuple[str, str]]] = {}
+        self._stale: dict[str, QuantityInst] = {}
+        for q in kb.live_quantities_at(t):
+            self._birth(q)
+        for pair in kb.adjacency_at(t):
+            self._toggle(pair, True)
+        self._settle()
+
+    def advance(self, t: int, born: Iterable[QuantityInst], dying: Iterable[QuantityInst],
+                toggled: Iterable[tuple[str, str]]) -> None:
+        """Apply the deltas at ``t``. A toggled pair is re-tested against all of
+        its intervals, since imported stores can hold duplicate and overlapping
+        ones: one can close at ``t`` while another stays open or reopens."""
+        for q in dying:
+            self._death(q)
+        for q in born:
+            self._birth(q)
+        for pair in toggled:
+            on = any(iv.start <= t and (iv.end is None or t < iv.end) for iv in self.intervals[pair])
+            if on != (pair in self.active):
+                self._toggle(pair, on)
+        self._settle()
+
+    def _neighbours(self, q: QuantityInst) -> Iterator[tuple[dict, QuantityInst, object]]:
+        """``(self.shared, h, g)`` for each granule ``g`` that ``q`` shares with
+        another live same-kind quantity ``h``, and ``(self.touching, h, e)`` for
+        each active edge ``e`` through which it touches one."""
+        holders = self.holders
         for g in q.granules:
-            holders.setdefault(g, []).append(q)
-    return live, holders, kb.adjacency_at(t)
+            for h in holders[g].values():
+                if h is not q and h.kind == q.kind:
+                    yield self.shared, h, g
+            for e in self.incident.get(g, ()):
+                for h in holders.get(e[1] if e[0] == g else e[0], {}).values():
+                    if h is not q and h.kind == q.kind:
+                        yield self.touching, h, e
+
+    def _birth(self, q: QuantityInst) -> None:
+        granules = q.granules
+        for g in granules:
+            self.holders.setdefault(g, {})[q.id] = q
+        for table, h, what in self._neighbours(q):
+            table.setdefault(_pair_key(q, h), set()).add(what)
+        if len(granules) >= MIN_GRANULES and granules <= self.objects:
+            self.inner[q.id] = {e for g in granules for e in self.incident.get(g, ())
+                                if e[0] in granules and e[1] in granules}
+            self._stale[q.id] = q
+
+    def _death(self, q: QuantityInst) -> None:
+        for table, h, _ in self._neighbours(q):
+            table.pop(_pair_key(q, h), None)
+        for g in q.granules:
+            del self.holders[g][q.id]
+        self.inner.pop(q.id, None)
+        self.broken.pop(q.id, None)
+        self._stale.pop(q.id, None)
+
+    def _toggle(self, pair: tuple[str, str], on: bool) -> None:
+        a, b = pair
+        op = set.add if on else set.discard
+        op(self.active, pair)
+        op(self.incident.setdefault(a, set()), pair)
+        op(self.incident.setdefault(b, set()), pair)
+        on_a, on_b = self.holders.get(a, {}), self.holders.get(b, {})
+        for q in on_a.values():
+            edges = self.inner.get(q.id)
+            if edges is not None and b in q.granules:
+                op(edges, pair)
+                self._stale[q.id] = q
+        touching = self.touching
+        for q1 in on_a.values():
+            for q2 in on_b.values():
+                if q1 is not q2 and q1.kind == q2.kind:
+                    key = _pair_key(q1, q2)
+                    if on:
+                        touching.setdefault(key, set()).add(pair)
+                    elif key in touching:  # not yet dropped: two holders of both ends meet twice
+                        touching[key].discard(pair)
+                        if not touching[key]:
+                            del touching[key]
+
+    def _settle(self) -> None:
+        """Re-run connectivity for the quantities a delta made stale."""
+        for qid, q in self._stale.items():
+            edges = self.inner[qid]
+            touched = {x for e in edges for x in e}
+            isolated = sorted(q.granules - touched)
+            parts = len(connected_components(touched, edges))
+            if isolated or parts > 1:
+                self.broken[qid] = (isolated, parts)
+            else:
+                self.broken.pop(qid, None)
+        self._stale.clear()
+
+
+def _sweep(kb: KnowledgeBase, worlds: list[int]) -> Iterator[tuple[int, _World]]:
+    """``(t, world)`` for each of ``worlds``, one state advanced from point to point.
+
+    ``worlds`` is either one time point or ``kb.change_points()``, so every
+    quantity birth and death and every interval start and end after the first
+    point falls on a later point. A quantity with ``terminated_at <=
+    created_at`` is never live and never enters.
+    """
+    if not worlds:
+        return
+    first, *later = worlds
+    world = _World(kb, first)
+    yield first, world
+    if not later:
+        return
+    born: dict[int, list[QuantityInst]] = {}
+    dying: dict[int, list[QuantityInst]] = {}
+    toggled: dict[int, dict[tuple[str, str], None]] = {}
+    for q in kb.quantities.values():
+        end = q.terminated_at
+        if end is not None and end <= q.created_at:
+            continue
+        if q.created_at > first:
+            born.setdefault(q.created_at, []).append(q)
+        if end is not None and end > first:
+            dying.setdefault(end, []).append(q)
+    for pair, intervals in world.intervals.items():
+        for iv in intervals:
+            for tick in (iv.start, iv.end):
+                if tick is not None and tick > first:
+                    toggled.setdefault(tick, {})[pair] = None
+    for t in later:
+        world.advance(t, born.get(t, ()), dying.get(t, ()), toggled.get(t, ()))
+        yield t, world
 
 
 def check_connectivity(kb: KnowledgeBase, t: int, world: _World | None = None) -> list[Violation]:
@@ -193,40 +351,30 @@ def check_connectivity(kb: KnowledgeBase, t: int, world: _World | None = None) -
     sub-minimum granule sets are skipped here: typing and supplementation own
     those defects.
 
-    Each active edge goes, through the granule → live-holders index, to the
-    live quantities that hold both its ends, so one world costs
-    O(A_t + Σ|granules of live quantities|) for A_t active edges. ``world``
-    is ``_world(kb, t)``, passed when the caller has already built it.
+    ``world`` is the sweep's state at ``t``; without it a one-point state is
+    built. The rule only re-emits that state's cached failures with ``t``.
     """
+    if world is None:
+        world = _World(kb, t)
     out = []
-    live, holders, active = world or _world(kb, t)
-    edges_of: dict[str, list[tuple[str, str]]] = {}
-    for a, b in active:
-        for q in holders.get(a, ()):
-            if b in q.granules:
-                edges_of.setdefault(q.id, []).append((a, b))
-    for q in live:
-        if len(q.granules) < MIN_GRANULES or not q.granules <= kb.objects.keys():
-            continue
-        edges = edges_of.get(q.id, [])
-        touched = {x for e in edges for x in e}
-        for g in sorted(q.granules - touched):
+    for qid in sorted(world.broken):
+        isolated, parts = world.broken[qid]
+        for g in isolated:
             out.append(
                 Violation(
                     "EXTERNAL_CONNECTION",
-                    (g, q.id),
+                    (g, qid),
                     t,
-                    f"granule '{g}' of quantity '{q.id}' is externally connected to no co-granule at t{t}",
+                    f"granule '{g}' of quantity '{qid}' is externally connected to no co-granule at t{t}",
                 )
             )
-        parts = connected_components(touched, edges)
-        if len(parts) > 1:
+        if parts > 1:
             out.append(
                 Violation(
                     "CONNECTIVITY",
-                    (q.id,),
+                    (qid,),
                     t,
-                    f"granules of quantity '{q.id}' fall apart into {len(parts)} "
+                    f"granules of quantity '{qid}' fall apart into {parts} "
                     f"disconnected clusters at t{t}",
                 )
             )
@@ -236,33 +384,19 @@ def check_connectivity(kb: KnowledgeBase, t: int, world: _World | None = None) -
 def check_maximality(kb: KnowledgeBase, t: int, world: _World | None = None) -> list[Violation]:
     """No two live quantities of one kind share or touch granules at ``t``.
 
-    Candidate pairs come from the granule → live-holders index: the holders
-    of one granule share it, and the holders of the two ends of an active edge
-    touch. One world costs O(A_t + Σ|granules of live quantities| + violations)
-    for A_t active edges, with no scan over all pairs of quantities, as long as
-    a granule has few live holders of other kinds (an engine-built store gives
-    it at most one per kind). ``world`` is as for ``check_connectivity``.
+    A pair that shares granules is reported with all of them; otherwise the
+    least active edge that joins the two is named. ``world`` is as for
+    ``check_connectivity``.
     """
-    _, holders, active = world or _world(kb, t)
-    shared: dict[tuple[str, str], list[str]] = {}
-    for g, on_g in holders.items():
-        for i, q1 in enumerate(on_g):
-            for q2 in on_g[i + 1:]:
-                if q1.kind == q2.kind:
-                    shared.setdefault((q1.id, q2.id), []).append(g)
-    touching: dict[tuple[str, str], tuple[str, str]] = {}
-    for a, b in active:  # sorted, so the first edge kept per pair is its least
-        for q1 in holders.get(a, ()):
-            for q2 in holders.get(b, ()):
-                if q1 is not q2 and q1.kind == q2.kind:
-                    pair = (q1.id, q2.id) if q1.id < q2.id else (q2.id, q1.id)
-                    touching.setdefault(pair, (a, b))
+    if world is None:
+        world = _World(kb, t)
+    shared, touching = world.shared, world.touching
     out = []
     for pair in sorted(shared.keys() | touching.keys()):
         if pair in shared:
             detail = f"share granule(s) {', '.join(sorted(shared[pair]))} at t{t}"
         else:
-            a, b = touching[pair]
+            a, b = min(touching[pair])
             detail = f"are adjacent ({a}-{b}) at t{t}; they should be one quantity"
         message = f"same-kind quantities '{pair[0]}' and '{pair[1]}' {detail}"
         out.append(Violation("MAXIMALITY_SAME_KIND", pair, t, message))
@@ -324,8 +458,7 @@ def validate_all(kb: KnowledgeBase, at: int | None = None) -> Report:
         violations += check_history(kb)
     violations += check_ggd(kb)
     worlds = [at] if at is not None else kb.change_points()
-    for t in worlds:
-        world = _world(kb, t)
+    for t, world in _sweep(kb, worlds):
         violations += check_connectivity(kb, t, world)
         violations += check_maximality(kb, t, world)
     ordered = sorted(violations, key=lambda v: (v.rule, v.subjects, v.at if v.at is not None else -1))

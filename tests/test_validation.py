@@ -5,7 +5,9 @@ import time
 
 import pytest
 
-from matterkb import export_document, validate_all
+from matterkb import KindDecl, KnowledgeBase, export_document, validate_all
+from matterkb import validation
+from matterkb.model import OBJECT_KIND, QUANTITY_KIND, AdjacencyInterval, ObjectInst, QuantityInst
 from matterkb.validation import (
     RULES,
     check_connectivity,
@@ -15,6 +17,7 @@ from matterkb.validation import (
     check_subquantity_inclusion,
     check_supplementation,
     check_typing,
+    Violation,
 )
 
 from helpers import (
@@ -229,6 +232,171 @@ def test_full_validate_scales_past_pairwise_cost():
     assert report.ok
     assert len(report.worlds_checked) == 400
     assert elapsed < 10.0
+
+
+WORLD_RULES = {"CONNECTIVITY", "EXTERNAL_CONNECTION", "MAXIMALITY_SAME_KIND"}
+
+
+def _hand_store(quantities, intervals):
+    """Same-kind quantities ``(id, granules, created_at, terminated_at)`` over
+    grains a-f and intervals ``(a, b, start, end)``, written field by field."""
+    kb = KnowledgeBase()
+    kb.kinds["Grain"] = KindDecl("Grain", OBJECT_KIND)
+    kb.kinds["Rock"] = KindDecl("Rock", QUANTITY_KIND)
+    for oid in "abcdef":
+        kb.objects[oid] = ObjectInst(oid, "Grain", 0)
+    for qid, granules, start, end in quantities:
+        kb.quantities[qid] = QuantityInst(qid, "Rock", start, frozenset(granules), f"e-{qid}", end)
+    for a, b, start, end in intervals:
+        kb.adjacency.append(AdjacencyInterval(a, b, start, end))
+    return kb
+
+
+# Deltas the sweep must get right, each next to a same-kind neighbour it can
+# wrongly touch and with change points after it, so a stale state shows. The
+# (a, f) edge only adds those later points, with a gap before them.
+DELTA_CASES = {
+    # (b, c) and (c, d) each hold two overlapping intervals, both active at
+    # the first point; one closes while the other stays open.
+    "overlap_one_closes": _hand_store(
+        [("p", "abc", 0, None), ("r", "de", 0, None)],
+        [("a", "b", 0, None), ("b", "c", 0, 4), ("b", "c", 0, None), ("d", "e", 0, None),
+         ("c", "d", 0, 5), ("c", "d", 0, None), ("a", "f", 8, 10)],
+    ),
+    # (a, b) and (c, d) close and reopen at t3; from t2 to t4, (b, d) is the
+    # least of the two edges through which p and r touch.
+    "close_and_reopen": _hand_store(
+        [("p", "abc", 0, None), ("r", "de", 0, None)],
+        [("a", "b", 0, 3), ("a", "b", 3, None), ("b", "c", 0, None), ("d", "e", 0, None),
+         ("c", "d", 1, 3), ("c", "d", 3, 6), ("b", "d", 2, 4), ("a", "f", 8, 10)],
+    ),
+    # z would share b with p and touch r through (c, d), but it dies as it is
+    # created, so it is never live.
+    "never_live": _hand_store(
+        [("p", "ab", 0, None), ("r", "de", 0, None), ("z", "bc", 2, 2)],
+        [("a", "b", 0, None), ("d", "e", 0, None), ("c", "d", 1, None), ("a", "f", 4, 6)],
+    ),
+}
+
+
+def _sweep_corpus(case_kb):
+    """(label, store) for the differential tests: messy, engine-built and
+    hand-written stores, the fault fixtures and the case study."""
+    for seed in range(200):
+        yield f"messy {seed}", messy_world_kb(seed)
+    for seed in range(20):
+        yield f"messy large {seed}", messy_world_kb(1000 + seed, n_quantities=150, n_objects=200)
+    for seed in range(100):
+        yield f"random {seed}", build_random_kb(seed)
+    yield "moved chains 50", moved_chains_kb(50)
+    for rule, make in sorted(FAULT_FIXTURES.items()):
+        yield f"fixture {rule}", make()
+    yield "case study", case_kb
+    yield from DELTA_CASES.items()
+
+
+def _world_violations(report):
+    return [v for v in report.violations if v.rule in WORLD_RULES]
+
+
+def test_sweep_matches_per_world_references(case_kb):
+    """The world rules of a full validate, at repr level, against a brute-force
+    recompute of every change point that reads no state the sweep keeps."""
+    seen = set()
+    for label, kb in _sweep_corpus(case_kb):
+        points = kb.change_points()
+        expected = sorted(
+            (v for t in points for v in reference_connectivity(kb, t) + reference_maximality(kb, t)),
+            key=lambda v: (v.rule, v.subjects, v.at),
+        )
+        report = validate_all(kb)
+        assert report.worlds_checked == tuple(points), label
+        assert [repr(v) for v in _world_violations(report)] == [repr(v) for v in expected], label
+        seen.update((v.rule, "share" in v.message) for v in expected)
+    assert seen == {("CONNECTIVITY", False), ("EXTERNAL_CONNECTION", False),
+                    ("MAXIMALITY_SAME_KIND", True), ("MAXIMALITY_SAME_KIND", False)}
+
+
+def test_delta_cases_report_what_the_references_do():
+    """The hand-written deltas, spelled out: the surviving interval keeps its
+    pair active, the reopened edges keep p and r touching, and z never lives."""
+    overlap = _world_violations(validate_all(DELTA_CASES["overlap_one_closes"]))
+    assert [(v.subjects, v.at) for v in overlap] == [(("p", "r"), t) for t in (0, 4, 5, 8, 10)]
+    reopen = _world_violations(validate_all(DELTA_CASES["close_and_reopen"]))
+    assert [v.message.split("(")[1].split(")")[0] for v in reopen] == ["c-d", "b-d", "b-d", "c-d"]
+    assert [v.at for v in reopen] == [1, 2, 3, 4]
+    assert _world_violations(validate_all(DELTA_CASES["never_live"])) == []
+
+
+def test_full_sweep_agrees_with_one_point_validate(case_kb):
+    """At each change point, a full validate reports what ``validate --at``
+    reports there; between two points and past the last, ``--at`` repeats the
+    earlier point's world with the new time."""
+    stores = [(f"messy {seed}", messy_world_kb(seed)) for seed in range(50)]
+    stores += [(f"random {seed}", build_random_kb(seed)) for seed in range(30)]
+    stores += [("moved chains 30", moved_chains_kb(30)), ("case study", case_kb)]
+    stores += [(f"fixture {rule}", make()) for rule, make in sorted(FAULT_FIXTURES.items())]
+    stores += list(DELTA_CASES.items())
+
+    def world_at(report, t):
+        return [v for v in report.violations if v.at == t]
+
+    for label, kb in stores:
+        full = validate_all(kb)
+        points = kb.change_points()
+        for t in points:
+            assert world_at(full, t) == world_at(validate_all(kb, at=t), t), (label, t)
+        gaps = [(p, q) for p, q in zip(points, points[1:]) if q - p > 1]
+        probes = [(gaps[0][0], gaps[0][0] + 1)] if gaps else []
+        probes.append((points[-1], points[-1] + 1))
+        for before, t in probes:
+            moved = [
+                Violation(v.rule, v.subjects, t, v.message.replace(f" at t{before}", f" at t{t}"))
+                for v in world_at(full, before)
+            ]
+            assert world_at(validate_all(kb, at=t), t) == moved, (label, t)
+
+
+def test_full_validate_of_3200_worlds_is_clean_and_fast():
+    """1600 moved chains, 3,200 worlds: about 23 s with a full rebuild per world."""
+    kb = moved_chains_kb(1600)
+    start = time.perf_counter()
+    report = validate_all(kb)
+    elapsed = time.perf_counter() - start
+    assert report.ok
+    assert len(report.worlds_checked) == 3200
+    assert elapsed < 5.0
+
+
+def test_sweep_reruns_connectivity_only_for_births_and_inner_toggles(monkeypatch):
+    """A quantity's components are recomputed when it is born or an edge among
+    its granules opens or closes, not once per live quantity per world."""
+    kb = moved_chains_kb(400)
+    intervals = {}
+    for iv in kb.adjacency:
+        intervals.setdefault((iv.a, iv.b), []).append(iv)
+    births = toggles = 0
+    for q in kb.quantities.values():
+        end = q.terminated_at
+        if end is not None and end <= q.created_at:
+            continue
+        births += 1
+        for a in q.granules:
+            for b in q.granules:
+                for iv in intervals.get((a, b), ()):
+                    toggles += sum(1 for tick in (iv.start, iv.end) if tick is not None
+                                   and q.created_at < tick and (end is None or tick < end))
+    calls = []
+    counted = validation.connected_components
+
+    def counting(nodes, edges):
+        calls.append(1)
+        return counted(nodes, edges)
+
+    monkeypatch.setattr(validation, "connected_components", counting)
+    assert validate_all(kb).ok
+    assert births == 800
+    assert 0 < len(calls) <= births + toggles
 
 
 class TestHistory:
