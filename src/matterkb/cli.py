@@ -8,6 +8,7 @@ is byte-deterministic for a given input and command.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -217,8 +218,20 @@ def cmd_export(args: argparse.Namespace) -> int:
     if args.out == "-":
         sys.stdout.write(document)
         return OK
+    data = document.encode("utf-8")
+    # Rewrite OUT in place, never truncating it to zero first: on ext4 that
+    # blocks open() for tens of ms after a recent write. Cut it to length
+    # only if it was longer, since ftruncate fails on /dev/null and FIFOs.
     try:
-        Path(args.out).write_text(document, encoding="utf-8")
+        fd = os.open(args.out, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+            if os.fstat(fd).st_size > len(data):
+                os.ftruncate(fd, len(data))
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise _CliError(f"cannot write '{args.out}': {exc.strerror or exc}") from exc
     return OK

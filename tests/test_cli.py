@@ -1,5 +1,7 @@
 """Command-line behaviour: exit codes, determinism, output shapes."""
 
+import builtins
+import io
 import json
 import os
 import subprocess
@@ -217,6 +219,112 @@ class TestExportAndReplay:
         path.write_text(export_document(fixture_h1_history()), encoding="utf-8")
         code, out, _ = run_cli(capsys, "replay-check", str(path))
         assert code == 1 and "FAILED" in out
+
+
+def _exported(capsys, scenario) -> bytes:
+    code, out, _ = run_cli(capsys, "export", scenario, "-")
+    assert code == 0
+    return out.encode("utf-8")
+
+
+@pytest.fixture()
+def empty_file(tmp_path):
+    path = tmp_path / "empty.mp"
+    path.write_text("", encoding="utf-8")
+    return str(path)
+
+
+class TestExportOverwrite:
+    """`export` rewrites OUT in place and cuts it to the document's length."""
+
+    @pytest.mark.parametrize("old", [None, b"{" * 200_000, b"old"], ids=["new", "longer", "shorter"])
+    def test_written_file_equals_stdout(self, capsys, tmp_path, case_file, old):
+        out = tmp_path / "out.mpkb"
+        if old is not None:
+            out.write_bytes(old)
+        assert run_cli(capsys, "export", case_file, str(out))[0] == 0
+        assert out.read_bytes() == _exported(capsys, case_file)
+
+    def test_symlink_target_rewritten_and_link_kept(self, capsys, tmp_path, case_file):
+        target = tmp_path / "target.mpkb"
+        target.write_bytes(b"x" * 100_000)
+        link = tmp_path / "link.mpkb"
+        link.symlink_to(target)
+        assert run_cli(capsys, "export", case_file, str(link))[0] == 0
+        assert link.is_symlink()
+        assert target.read_bytes() == _exported(capsys, case_file)
+
+    @pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
+    def test_null_device(self, capsys, case_file):
+        assert run_cli(capsys, "export", case_file, os.devnull) == (0, "", "")
+
+    def test_directory_gives_write_text_message(self, capsys, tmp_path, case_file):
+        with pytest.raises(OSError) as exc:
+            tmp_path.write_text("", encoding="utf-8")
+        code, out, err = run_cli(capsys, "export", case_file, str(tmp_path))
+        assert (code, out, err) == (2, "", f"cannot write '{tmp_path}': {exc.value.strerror}\n")
+
+    @pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() == 0, reason="root ignores file modes")
+    def test_read_only_file_left_unchanged(self, capsys, tmp_path, case_file):
+        out = tmp_path / "ro.mpkb"
+        out.write_bytes(b"old contents")
+        out.chmod(0o444)
+        code, _, err = run_cli(capsys, "export", case_file, str(out))
+        assert code == 2 and err.startswith(f"cannot write '{out}': ")
+        assert out.read_bytes() == b"old contents"
+
+    def test_new_file_mode_matches_write_text(self, capsys, tmp_path, case_file):
+        old_umask = os.umask(0o027)
+        try:
+            (tmp_path / "reference").write_text("", encoding="utf-8")
+            assert run_cli(capsys, "export", case_file, str(tmp_path / "out.mpkb"))[0] == 0
+        finally:
+            os.umask(old_umask)
+        assert (tmp_path / "out.mpkb").stat().st_mode == (tmp_path / "reference").stat().st_mode
+
+    def test_parse_error_leaves_out_untouched(self, capsys, tmp_path, case_file):
+        bad = tmp_path / "bad.mp"
+        bad.write_text("quantity oops ((\n", encoding="utf-8")
+        out = tmp_path / "out.mpkb"
+        assert run_cli(capsys, "export", case_file, str(out))[0] == 0
+        before = out.read_bytes()
+        code, _, err = run_cli(capsys, "export", str(bad), str(out))
+        assert code == 2 and "error" in err
+        assert out.read_bytes() == before
+
+    def test_overwrite_never_truncates_to_zero(self, capsys, monkeypatch, tmp_path, case_file, empty_file):
+        # Truncating a recently written file to zero stalls open() for tens
+        # of milliseconds on ext4, so OUT must not be opened with O_TRUNC
+        # or in a "w" mode, whatever the old and new lengths.
+        out = tmp_path / "out.mpkb"
+        expected = {case_file: _exported(capsys, case_file), empty_file: _exported(capsys, empty_file)}
+        run_cli(capsys, "export", case_file, str(out))
+        opens = []
+        real_os_open, real_io_open = os.open, io.open
+
+        def os_open(path, flags, *args, **kwargs):
+            if os.fspath(path) == str(out):
+                opens.append(("os.open", flags))
+            return real_os_open(path, flags, *args, **kwargs)
+
+        def io_open(file, mode="r", *args, **kwargs):
+            if not isinstance(file, int) and os.fspath(file) == str(out):
+                opens.append(("open", mode))
+            return real_io_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", os_open)
+        monkeypatch.setattr(io, "open", io_open)
+        monkeypatch.setattr(builtins, "open", io_open)
+        for scenario in (case_file, empty_file, case_file):  # same length, shorter, longer
+            opens.clear()
+            assert run_cli(capsys, "export", scenario, str(out))[0] == 0
+            assert out.read_bytes() == expected[scenario]
+            assert opens, "OUT was not opened through a recorded call"
+            for how, arg in opens:
+                if how == "os.open":
+                    assert not arg & os.O_TRUNC
+                else:
+                    assert "w" not in arg
 
 
 def _child_env() -> dict[str, str]:
