@@ -230,8 +230,7 @@ def _check_monotonic(kb: KnowledgeBase, at: int) -> None:
 def _check_entry(kb: KnowledgeBase, entry: CreatedEntry, at: int) -> None:
     """The checks every created quantity passes, in a creation or a transfer."""
     kb._check_fresh(entry.id)
-    decl = kb.kinds.get(entry.kind)
-    if decl is None or decl.meta != QUANTITY_KIND:
+    if not kb.has_kind(entry.kind, QUANTITY_KIND):
         raise UnknownKind(f"'{entry.kind}' is not a declared quantity kind")
     for g in sorted(entry.granules):
         kb._object_at(g, at)

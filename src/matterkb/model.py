@@ -92,6 +92,14 @@ class QuantityInst:
         ends = [q.terminated_at for q in (self, other) if q.terminated_at is not None]
         return max(self.created_at, other.created_at) < min(ends, default=float("inf"))
 
+    def missing_from(self, whole: "QuantityInst") -> frozenset[str]:
+        """A2: the granules of this part that ``whole`` lacks.
+
+        Empty when the two lifetimes never overlap: the inclusion only binds
+        worlds where both quantities are live.
+        """
+        return self.granules - whole.granules if self.overlaps(whole) else frozenset()
+
 
 @dataclass
 class AdjacencyInterval:
@@ -213,13 +221,17 @@ class KnowledgeBase:
         if decl.meta == OBJECT_KIND and decl.requires:
             raise ValueError(f"object kind '{decl.name}' cannot require granule kinds")
         for req in sorted(decl.requires):
-            target = self.kinds.get(req)
-            if target is None or target.meta != OBJECT_KIND:
+            if not self.has_kind(req, OBJECT_KIND):
                 raise UnknownGranuleKind(
                     f"kind '{decl.name}' requires '{req}', which is not a declared object kind"
                 )
         self.kinds[decl.name] = decl
         return decl
+
+    def has_kind(self, name: str, meta: str) -> bool:
+        """A1: ``name`` is a declared kind of meta-kind ``meta``."""
+        decl = self.kinds.get(name)
+        return decl is not None and decl.meta == meta
 
     def declare_object_kind(self, name: str) -> KindDecl:
         return self.declare_kind(KindDecl(name, OBJECT_KIND))
@@ -231,8 +243,7 @@ class KnowledgeBase:
         """Bring an object into existence from ``at`` onward."""
         self._check_time(at)
         self._check_fresh(object_id)
-        decl = self.kinds.get(kind)
-        if decl is None or decl.meta != OBJECT_KIND:
+        if not self.has_kind(kind, OBJECT_KIND):
             raise UnknownKind(f"'{kind}' is not a declared object kind")
         obj = ObjectInst(object_id, kind, at)
         self.objects[object_id] = obj
@@ -304,7 +315,7 @@ class KnowledgeBase:
             )
         if not p.overlaps(w):
             raise NoLifetimeOverlap(f"lifetimes of '{part}' and '{whole}' do not overlap")
-        missing = p.granules - w.granules
+        missing = p.missing_from(w)
         if missing:
             raise SubQuantityNotIncluded(
                 f"granule(s) {', '.join(sorted(missing))} of sub-quantity '{part}' "

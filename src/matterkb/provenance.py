@@ -8,6 +8,7 @@ orders by construction.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -194,27 +195,23 @@ def classify_origin(kb: KnowledgeBase, quantity_id: str) -> str:
 
 
 def granule_history(kb: KnowledgeBase, object_id: str) -> GranuleHistory:
-    """Chronological episodes of the object's stays inside quantities.
+    """The object's stays inside quantities, one per quantity that ever held it,
+    by creation time and id; a sub-quantity's stay runs alongside its whole's.
 
-    Consecutive episodes share their out/in event when the granule moved in
-    one transfer; a granule freed and later reused leaves a gap.
+    The out event is the event at the host's termination that lists it as a
+    donor, if any. A granule moved in one transfer has consecutive stays that
+    share that event; one freed and later reused leaves a gap.
     """
     kb._object(object_id)
-    episodes: list[Episode] = []
-    current: Episode | None = None
-    for ev in kb.events:
-        if current is not None and (current.quantity in ev.donors):
-            episodes.append(Episode(current.quantity, current.start, ev.at, current.in_event, ev.id))
-            current = None
-        entry = next((e for e in ev.created if object_id in e.granules), None)
-        if entry is not None:
-            if current is not None:
-                episodes.append(
-                    Episode(current.quantity, current.start, ev.at, current.in_event, ev.id)
-                )
-            current = Episode(entry.id, ev.at, None, ev.id, None)
-    if current is not None:
-        episodes.append(current)
+    held = kb.store_index.catch_up(kb).holders.get(object_id, ())
+    episodes = []
+    for q in sorted((kb.quantities[qid] for qid in held), key=attrgetter("created_at", "id")):
+        out_event = None
+        if q.terminated_at is not None:
+            i = bisect_left(kb.events, q.terminated_at, key=attrgetter("at"))
+            if i < len(kb.events) and kb.events[i].at == q.terminated_at and q.id in kb.events[i].donors:
+                out_event = kb.events[i].id
+        episodes.append(Episode(q.id, q.created_at, q.terminated_at, q.creation_event, out_event))
     return GranuleHistory(object_id, tuple(episodes))
 
 

@@ -76,12 +76,10 @@ def check_typing(kb: KnowledgeBase) -> list[Violation]:
         out.append(Violation(rule, subjects, None, message))
 
     for oid, obj in sorted(kb.objects.items()):
-        decl = kb.kinds.get(obj.kind)
-        if decl is None or decl.meta != OBJECT_KIND:
+        if not kb.has_kind(obj.kind, OBJECT_KIND):
             bad((oid,), f"object '{oid}' has kind '{obj.kind}', which is not a declared object kind")
     for qid, q in sorted(kb.quantities.items()):
-        decl = kb.kinds.get(q.kind)
-        if decl is None or decl.meta != QUANTITY_KIND:
+        if not kb.has_kind(q.kind, QUANTITY_KIND):
             bad((qid,), f"quantity '{qid}' has kind '{q.kind}', which is not a declared quantity kind")
         for g in sorted(q.granules):
             if g not in kb.objects:
@@ -89,8 +87,7 @@ def check_typing(kb: KnowledgeBase) -> list[Violation]:
                 bad((qid, g), f"granule '{g}' of quantity '{qid}' is {what}")
     for decl in sorted(kb.kinds.values(), key=lambda d: d.name):
         for req in sorted(decl.requires):
-            target = kb.kinds.get(req)
-            if target is None or target.meta != OBJECT_KIND:
+            if not kb.has_kind(req, OBJECT_KIND):
                 bad((decl.name, req), f"kind '{decl.name}' requires '{req}', which is not a declared object kind")
     for iv in sorted(kb.adjacency, key=lambda i: (i.a, i.b, i.start)):
         for end in (iv.a, iv.b):
@@ -127,20 +124,15 @@ def check_supplementation(kb: KnowledgeBase) -> list[Violation]:
 
 
 def check_subquantity_inclusion(kb: KnowledgeBase) -> list[Violation]:
-    """Granules of a sub-quantity must all be granules of its whole.
-
-    Vacuous when the lifetimes never overlap: the inclusion only binds worlds
-    where both quantities are live. One violation per missing granule.
-    """
+    """Granules of a sub-quantity must all be granules of its whole (A2), as
+    ``QuantityInst.missing_from`` decides; one violation per missing granule."""
     out = []
     for s in sorted(kb.subquantities, key=lambda s: (s.part, s.whole)):
         part = kb.quantities.get(s.part)
         whole = kb.quantities.get(s.whole)
         if part is None or whole is None:
             continue  # typing owns unresolved endpoints
-        if not part.overlaps(whole):
-            continue
-        for g in sorted(part.granules - whole.granules):
+        for g in sorted(part.missing_from(whole)):
             out.append(
                 Violation(
                     "A2_SUBQUANTITY_INCLUSION",
@@ -449,8 +441,9 @@ def validate_all(kb: KnowledgeBase, at: int | None = None) -> Report:
     """Run every rule; world-scoped rules run at each change point.
 
     With ``at`` given, the world-scoped rules run only at that time point.
-    The history rule runs only on a store that typing, supplementation and
-    inclusion pass.
+    The history rule runs only when ``A1_TYPING``, ``SUBQ_KIND_DISTINCT``,
+    ``SUPPLEMENTATION_MIN2`` and ``A2_SUBQUANTITY_INCLUSION`` report nothing;
+    until then a distinct history defect, even an earlier one, goes unreported.
     """
     violations = check_typing(kb) + check_supplementation(kb) + check_subquantity_inclusion(kb)
     if not violations:

@@ -198,26 +198,36 @@ class TestGranuleHistory:
         assert episodes[0].out_event == "e1"
         assert episodes[1].in_event == "create-r3"
 
+    def test_cross_kind_subquantity_leaves_its_whole_open(self, kb):
+        apply_creation(kb, CreatedEntry.of("rock", "Rock", ["g1", "g2", "g3"]), 0)
+        apply_creation(kb, CreatedEntry.of("sand", "Sand", ["g1", "g2"]), 2)
+        kb.assert_subquantity("sand", "rock")
+        apply_transfer(kb, ["rock"], [CreatedEntry.of("rock2", "Rock", ["g1", "g2", "g3"])], 5, event_id="move")
+        assert [h.id for h in kb.holders_of("g1", 3)] == ["rock", "sand"]
+        assert [astuple(e) for e in granule_history(kb, "g1").episodes] == [
+            ("rock", 0, 5, "create-rock", "move"),
+            ("sand", 2, None, "create-sand", None),
+            ("rock2", 5, None, "move", None),
+        ]
+
     def test_episodes_agree_with_log_scan_oracle(self):
         for seed in range(40):
             kb = build_random_kb(seed)
             for oid in kb.objects:
                 episodes = granule_history(kb, oid).episodes
-                # oracle: replay the log by hand, tracking the host
-                expected = []
-                host = None
-                for ev in kb.events:
-                    if host is not None and host[0] in ev.donors:
-                        expected.append((host[0], host[1], ev.at))
-                        host = None
-                    hit = [e.id for e in ev.created if oid in e.granules]
-                    if hit:
-                        if host is not None:
-                            expected.append((host[0], host[1], ev.at))
-                        host = (hit[0], ev.at)
-                if host is not None:
-                    expected.append((host[0], host[1], None))
-                assert [(e.quantity, e.start, e.end) for e in episodes] == expected
+                # oracle: every stored quantity that holds the object, with the
+                # log events that create it and that take it as a donor
+                hosts = sorted((q for q in kb.quantities.values() if oid in q.granules),
+                               key=lambda q: (q.created_at, q.id))
+                expected = [
+                    (
+                        q.id, q.created_at, q.terminated_at,
+                        next(ev.id for ev in kb.events if q.id in {e.id for e in ev.created}),
+                        next((ev.id for ev in kb.events if q.id in ev.donors), None),
+                    )
+                    for q in hosts
+                ]
+                assert [astuple(e) for e in episodes] == expected
 
     def test_episodes_chronological_and_non_overlapping(self):
         for seed in range(40):
@@ -225,8 +235,13 @@ class TestGranuleHistory:
             for oid in kb.objects:
                 episodes = granule_history(kb, oid).episodes
                 for first, second in zip(episodes, episodes[1:]):
-                    assert first.end is not None
-                    assert first.end <= second.start
+                    assert (first.start, first.quantity) < (second.start, second.quantity)
+                # only same-kind hosts exclude each other (GranuleNotFree); a
+                # sub-quantity of another kind shares its whole's granules
+                for i, first in enumerate(episodes):
+                    for second in episodes[i + 1:]:
+                        if kb.quantities[first.quantity].kind == kb.quantities[second.quantity].kind:
+                            assert first.end is not None and first.end <= second.start
 
 
 class TestCohort:

@@ -427,7 +427,10 @@ class TestHistory:
 
 
 def test_engine_built_kbs_never_fire_supplementation_or_history():
+    # also typing and inclusion: with supplementation they gate the history rule
     for seed in range(150):
         kb = build_random_kb(seed)
         assert check_supplementation(kb) == []
         assert check_history(kb) == []
+        assert check_typing(kb) == []
+        assert check_subquantity_inclusion(kb) == []
