@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple, NoReturn
 
 from .errors import EngineError, ScenarioLoadError
 from .events import CreatedEntry, apply_creation, apply_transfer
@@ -36,9 +37,15 @@ KEYWORDS = {
     "discard",
 }
 
-_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-_TIME_RE = re.compile(r"^t(\d+)$")
-_WORD_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*")
+# One token per match; whitespace and comments match no named group. A time is a
+# whole word: `t1x` is a word. `[0-9]`, not `\d`, which admits `١` and `²`.
+_TOKEN_RE = re.compile(
+    r"[ \t]+|#.*"
+    r"|(?P<punct>[:,;{}])"
+    r"|(?P<time>t(?P<number>[0-9]+))(?![A-Za-z0-9_-])"
+    r"|(?P<word>[A-Za-z_][A-Za-z0-9_-]*)"
+    r"|(?P<bad>.)"
+)
 
 
 @dataclass(frozen=True)
@@ -53,10 +60,9 @@ class ParseDiagnostic:
     column: int
     message: str
     snippet: str
-    severity: str = "error"
 
     def render(self) -> str:
-        return f"{self.line}:{self.column}: {self.severity}: {self.message}"
+        return f"{self.line}:{self.column}: error: {self.message}"
 
 
 @dataclass(frozen=True)
@@ -142,8 +148,7 @@ class ParseResult:
         return self.scenario is not None
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # word | time | punct | newline | eof
     value: str
     line: int
@@ -162,38 +167,28 @@ def _lex(text: str) -> tuple[list[_Token], list[ParseDiagnostic], list[str]]:
     depth = 0  # newlines inside braces do not terminate statements
     for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\r")
-        col = 0
-        while col < len(line):
-            ch = line[col]
-            if ch in " \t":
-                col += 1
+        for m in _TOKEN_RE.finditer(line):
+            kind = m.lastgroup
+            if kind is None:
                 continue
-            if ch == "#":
-                break
-            if ch in ":,;{}":
-                if ch == "{":
-                    depth += 1
-                elif ch == "}" and depth > 0:
-                    depth -= 1
-                tokens.append(_Token("punct", ch, lineno, col + 1))
-                col += 1
+            value = m.group(kind)
+            if kind == "bad":
+                diags.append(ParseDiagnostic(lineno, m.start() + 1, f"unexpected character {value!r}", line))
                 continue
-            m = _WORD_RE.match(line, col)
-            if m:
-                word = m.group(0)
-                tm = _TIME_RE.match(word)
-                if tm:
-                    tokens.append(_Token("time", word, lineno, col + 1, int(tm.group(1))))
-                else:
-                    tokens.append(_Token("word", word, lineno, col + 1))
-                col = m.end()
-                continue
-            diags.append(ParseDiagnostic(lineno, col + 1, f"unexpected character {ch!r}", line))
-            col += 1
+            if value == "{":
+                depth += 1
+            elif value == "}" and depth > 0:
+                depth -= 1
+            number = int(m.group("number")) if kind == "time" else 0
+            tokens.append(_Token(kind, value, lineno, m.start() + 1, number))
         if depth == 0:
             tokens.append(_Token("newline", "\n", lineno, len(line) + 1))
     tokens.append(_Token("eof", "", len(lines), len(lines[-1]) + 1))
     return tokens, diags, lines
+
+
+def _diagnostic(lines: list[str], at: _Token | Pos, message: str) -> ParseDiagnostic:
+    return ParseDiagnostic(at.line, at.column, message, lines[at.line - 1].rstrip("\r"))
 
 
 class _Parser:
@@ -218,67 +213,42 @@ class _Parser:
             self.last = tok
         return tok
 
-    def snippet(self, line: int) -> str:
-        if 1 <= line <= len(self.lines):
-            return self.lines[line - 1].rstrip("\r")
-        return ""
-
-    def error(self, message: str, at: _Token | Pos) -> None:
-        self.diags.append(ParseDiagnostic(at.line, at.column, message, self.snippet(at.line)))
-
-    def bail(self, message: str, at: _Token | Pos) -> None:
-        self.error(message, at)
+    def bail(self, message: str, at: _Token | Pos) -> NoReturn:
+        self.diags.append(_diagnostic(self.lines, at, message))
         raise _Bail()
 
-    def expect_name(self, what: str) -> str:
+    def expected(self, what: str) -> NoReturn:
+        """Reject the next token; at the end of a line, point at the last token read."""
         tok = self.peek()
-        if tok.kind == "word" and tok.value not in KEYWORDS and _NAME_RE.match(tok.value):
-            self.advance()
-            return tok.value
-        if tok.kind == "word" and tok.value in KEYWORDS:
-            self.bail(f"keyword '{tok.value}' cannot be used as {what}", tok)
-        if tok.kind == "word":
-            self.bail(f"'{tok.value}' is not a valid {what} (letters, digits, '_')", tok)
         if tok.kind in ("newline", "eof"):
             self.bail(f"expected {what}", self.last)
         self.bail(f"expected {what}, found {tok.value!r}", tok)
-        raise AssertionError  # unreachable
+
+    def expect_name(self, what: str) -> str:
+        tok = self.peek()
+        if tok.kind != "word":
+            self.expected(what)
+        if tok.value in KEYWORDS:
+            self.bail(f"keyword '{tok.value}' cannot be used as {what}", tok)
+        if "-" in tok.value:  # a word is a valid name unless it holds '-'
+            self.bail(f"'{tok.value}' is not a valid {what} (letters, digits, '_')", tok)
+        self.advance()
+        return tok.value
 
     def expect_time(self) -> int:
-        tok = self.peek()
-        if tok.kind == "time":
-            self.advance()
-            return tok.number
-        if tok.kind in ("newline", "eof"):
-            self.bail("expected a time point like t0", self.last)
-        self.bail(f"expected a time point like t0, found {tok.value!r}", tok)
-        raise AssertionError
+        if self.peek().kind != "time":
+            self.expected("a time point like t0")
+        return self.advance().number
 
-    def expect_punct(self, ch: str) -> _Token:
-        tok = self.peek()
-        if tok.kind == "punct" and tok.value == ch:
-            return self.advance()
-        if tok.kind in ("newline", "eof"):
-            self.bail(f"expected '{ch}'", self.last)
-        self.bail(f"expected '{ch}', found {tok.value!r}", tok)
-        raise AssertionError
+    # Only a punctuation or keyword token can have a punctuation mark or a keyword
+    # as its value, so the value alone tells it apart.
+    def at(self, value: str) -> bool:
+        return self.peek().value == value
 
-    def expect_keyword(self, word: str) -> _Token:
-        tok = self.peek()
-        if tok.kind == "word" and tok.value == word:
-            return self.advance()
-        if tok.kind in ("newline", "eof"):
-            self.bail(f"expected '{word}'", self.last)
-        self.bail(f"expected '{word}', found {tok.value!r}", tok)
-        raise AssertionError
-
-    def at_keyword(self, word: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "word" and tok.value == word
-
-    def at_punct(self, ch: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "punct" and tok.value == ch
+    def expect(self, value: str) -> _Token:
+        if not self.at(value):
+            self.expected(f"'{value}'")
+        return self.advance()
 
     def end_statement(self) -> None:
         tok = self.peek()
@@ -309,18 +279,9 @@ class _Parser:
                 self.recover()
 
     def statement(self, tok: _Token) -> None:
-        handlers = {
-            "quantity-kind": self.kind_stmt,
-            "object-kind": self.kind_stmt,
-            "object": self.object_stmt,
-            "quantity": self.quantity_stmt,
-            "connect": self.adjacency_stmt,
-            "disconnect": self.adjacency_stmt,
-            "subquantity": self.subquantity_stmt,
-            "event": self.event_stmt,
-        }
-        if tok.kind == "word" and tok.value in handlers:
-            handlers[tok.value](self.advance())
+        handler = self.HANDLERS.get(tok.value)
+        if handler is not None:
+            handler(self, self.advance())
             return
         if tok.kind == "word":
             self.bail(f"unknown statement '{tok.value}'", tok)
@@ -329,10 +290,10 @@ class _Parser:
     def kind_stmt(self, kw: _Token) -> None:
         name = self.expect_name("a kind name")
         requires: list[str] = []
-        if kw.value == "quantity-kind" and self.at_keyword("requires"):
+        if kw.value == "quantity-kind" and self.at("requires"):
             self.advance()
             requires.append(self.expect_name("an object kind name"))
-            while self.at_punct(","):
+            while self.at(","):
                 self.advance()
                 requires.append(self.expect_name("an object kind name"))
         meta = QUANTITY_KIND if kw.value == "quantity-kind" else OBJECT_KIND
@@ -341,10 +302,10 @@ class _Parser:
 
     def object_stmt(self, kw: _Token) -> None:
         name = self.expect_name("an object name")
-        self.expect_punct(":")
+        self.expect(":")
         kind = self.expect_name("a kind name")
         at = 0
-        if self.at_keyword("at"):
+        if self.at("at"):
             self.advance()
             at = self.expect_time()
         self.end_statement()
@@ -352,11 +313,11 @@ class _Parser:
 
     def quantity_stmt(self, kw: _Token) -> None:
         name = self.expect_name("a quantity name")
-        self.expect_punct(":")
+        self.expect(":")
         kind = self.expect_name("a kind name")
-        self.expect_keyword("at")
+        self.expect("at")
         at = self.expect_time()
-        self.expect_keyword("granules")
+        self.expect("granules")
         granules = self.name_block()
         self.end_statement()
         self.scenario.quantity_creations.append(
@@ -366,7 +327,7 @@ class _Parser:
     def adjacency_stmt(self, kw: _Token) -> None:
         a = self.expect_name("an object name")
         b = self.expect_name("an object name")
-        self.expect_keyword("at")
+        self.expect("at")
         at = self.expect_time()
         self.end_statement()
         self.scenario.adjacency.append(
@@ -375,7 +336,7 @@ class _Parser:
 
     def subquantity_stmt(self, kw: _Token) -> None:
         part = self.expect_name("a quantity name")
-        self.expect_keyword("of")
+        self.expect("of")
         whole = self.expect_name("a quantity name")
         self.end_statement()
         self.scenario.subquantity_assertions.append(
@@ -384,45 +345,44 @@ class _Parser:
 
     def event_stmt(self, kw: _Token) -> None:
         name = self.expect_name("an event name")
-        self.expect_keyword("at")
+        self.expect("at")
         at = self.expect_time()
-        open_brace = self.expect_punct("{")
+        open_brace = self.expect("{")
         donors: list[str] = []
         creates: list[CreateClause] = []
         discard: list[str] = []
         saw_discard = False
         while True:
             tok = self.peek()
-            if tok.kind == "punct" and tok.value == "}":
+            if self.at("}"):
                 self.advance()
                 break
             if tok.kind == "eof":
                 self.bail("unclosed event block", open_brace)
-            if tok.kind == "punct" and tok.value == ";":
+            if self.at(";"):
                 self.advance()
                 continue
-            if self.at_keyword("donor"):
+            if self.at("donor"):
                 self.advance()
                 donors.append(self.expect_name("a quantity name"))
                 while self.peek().kind == "word" and self.peek().value not in KEYWORDS:
                     donors.append(self.expect_name("a quantity name"))
-            elif self.at_keyword("create"):
+            elif self.at("create"):
                 create_kw = self.advance()
                 cid = self.expect_name("a quantity name")
-                self.expect_punct(":")
+                self.expect(":")
                 ckind = self.expect_name("a kind name")
-                self.expect_keyword("granules")
+                self.expect("granules")
                 cgranules = self.name_block()
                 creates.append(CreateClause(cid, ckind, cgranules, Pos(create_kw.line, create_kw.column)))
-            elif self.at_keyword("discard"):
+            elif self.at("discard"):
                 if saw_discard:
                     self.bail("event block has more than one discard clause", tok)
                 saw_discard = True
                 self.advance()
                 discard.extend(self.name_block())
             else:
-                label = tok.value if tok.kind != "newline" else "end of line"
-                self.bail(f"expected donor, create, discard or '}}', found {label!r}", tok)
+                self.bail(f"expected donor, create, discard or '}}', found {tok.value!r}", tok)
         if not creates:
             self.bail("event block needs at least one create clause", kw)
         if not donors and len(creates) > 1:
@@ -435,25 +395,37 @@ class _Parser:
         )
 
     def name_block(self) -> tuple[str, ...]:
-        self.expect_punct("{")
+        self.expect("{")
         names: list[str] = []
-        if self.at_punct("}"):
+        if self.at("}"):
             self.advance()
             return ()
         names.append(self.expect_name("a name"))
-        while self.at_punct(","):
+        while self.at(","):
             self.advance()
             names.append(self.expect_name("a name"))
-        self.expect_punct("}")
+        self.expect("}")
         return tuple(names)
+
+    # Plain functions, built once: a dict of bound methods on the parser would form a
+    # reference cycle that keeps every token alive until the cyclic collector runs.
+    HANDLERS = {
+        "quantity-kind": kind_stmt,
+        "object-kind": kind_stmt,
+        "object": object_stmt,
+        "quantity": quantity_stmt,
+        "connect": adjacency_stmt,
+        "disconnect": adjacency_stmt,
+        "subquantity": subquantity_stmt,
+        "event": event_stmt,
+    }
 
 
 def _resolve(scenario: Scenario, lines: list[str]) -> list[ParseDiagnostic]:
     diags: list[ParseDiagnostic] = []
 
     def err(pos: Pos, message: str) -> None:
-        snippet = lines[pos.line - 1].rstrip("\r") if 1 <= pos.line <= len(lines) else ""
-        diags.append(ParseDiagnostic(pos.line, pos.column, message, snippet))
+        diags.append(_diagnostic(lines, pos, message))
 
     kinds: dict[str, KindStmt] = {}
     for st in scenario.kind_decls:
@@ -468,18 +440,20 @@ def _resolve(scenario: Scenario, lines: list[str]) -> list[ParseDiagnostic]:
             err(pos, f"{what} '{name}' reuses an already declared name")
         entities[name] = pos
 
-    objects = {st.id for st in scenario.object_decls}
-    quantity_names: set[str] = set()
+    # Declaration order decides which of two equal names is reported.
     for st in scenario.object_decls:
         declare_entity(st.id, st.pos, "object")
     for st in scenario.quantity_creations:
         declare_entity(st.id, st.pos, "quantity")
-        quantity_names.add(st.id)
     for ev in scenario.events:
         declare_entity(ev.name, ev.pos, "event")
         for cl in ev.creates:
             declare_entity(cl.id, cl.pos, "quantity")
-            quantity_names.add(cl.id)
+    creations: list[QuantityStmt | CreateClause] = [
+        *scenario.quantity_creations, *(cl for ev in scenario.events for cl in ev.creates)
+    ]
+    objects = {st.id for st in scenario.object_decls}
+    quantity_names = {st.id for st in creations}
 
     def check_kind(name: str, meta: str, pos: Pos, context: str) -> None:
         st = kinds.get(name)
@@ -494,7 +468,7 @@ def _resolve(scenario: Scenario, lines: list[str]) -> list[ParseDiagnostic]:
             check_kind(req, OBJECT_KIND, st.pos, f"kind '{st.name}'")
     for st in scenario.object_decls:
         check_kind(st.kind, OBJECT_KIND, st.pos, f"object '{st.id}'")
-    for st in scenario.quantity_creations:
+    for st in creations:
         check_kind(st.kind, QUANTITY_KIND, st.pos, f"quantity '{st.id}'")
         for g in st.granules:
             if g not in objects:
@@ -512,11 +486,6 @@ def _resolve(scenario: Scenario, lines: list[str]) -> list[ParseDiagnostic]:
         for donor in ev.donors:
             if donor not in quantity_names:
                 err(ev.pos, f"event '{ev.name}' lists undeclared quantity '{donor}' as donor")
-        for cl in ev.creates:
-            check_kind(cl.kind, QUANTITY_KIND, cl.pos, f"quantity '{cl.id}'")
-            for g in cl.granules:
-                if g not in objects:
-                    err(cl.pos, f"quantity '{cl.id}' lists undeclared object '{g}' as a granule")
         for g in ev.discard:
             if g not in objects:
                 err(ev.pos, f"event '{ev.name}' discards undeclared object '{g}'")
@@ -585,23 +554,16 @@ def load(scenario: Scenario) -> KnowledgeBase:
     for st in scenario.object_decls:
         run(st.pos, kb.create_object, st.id, st.kind, st.at)
 
-    timeline: list[tuple[int, int, QuantityStmt | EventStmt]] = []
-    for order, qst in enumerate(scenario.quantity_creations):
-        timeline.append((qst.at, order, qst))
-    for order, ev in enumerate(scenario.events, start=len(scenario.quantity_creations)):
-        timeline.append((ev.at, order, ev))
-    for _, _, stmt in sorted(timeline, key=lambda item: (item[0], item[1])):
-        if isinstance(stmt, QuantityStmt):
-            entry = CreatedEntry.of(stmt.id, stmt.kind, stmt.granules)
-            run(stmt.pos, apply_creation, kb, entry, stmt.at, event_id=f"create-{stmt.id}")
-        elif stmt.donors:
-            created = [CreatedEntry.of(c.id, c.kind, c.granules) for c in stmt.creates]
-            run(stmt.pos, apply_transfer, kb, stmt.donors, created, stmt.at,
-                discarded=stmt.discard, event_id=stmt.name)
+    # A quantity statement is a donor-less event named create-NAME; the sort is
+    # stable, so statements at one time point keep their source order.
+    timeline = [(q.at, f"create-{q.id}", (), (q,), (), q.pos) for q in scenario.quantity_creations]
+    timeline += [(ev.at, ev.name, ev.donors, ev.creates, ev.discard, ev.pos) for ev in scenario.events]
+    for at, event_id, donors, creates, discard, pos in sorted(timeline, key=lambda step: step[0]):
+        created = [CreatedEntry.of(c.id, c.kind, c.granules) for c in creates]
+        if donors:
+            run(pos, apply_transfer, kb, donors, created, at, discarded=discard, event_id=event_id)
         else:
-            cl = stmt.creates[0]
-            run(stmt.pos, apply_creation, kb, CreatedEntry.of(cl.id, cl.kind, cl.granules),
-                stmt.at, event_id=stmt.name)
+            run(pos, apply_creation, kb, created[0], at, event_id=event_id)
 
     for order, st in sorted(enumerate(scenario.adjacency), key=lambda io: (io[1].at, io[0])):
         if st.connect:

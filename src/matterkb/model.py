@@ -195,10 +195,10 @@ class StoreIndex:
 
 @dataclass
 class KnowledgeBase:
-    """Typed entity store plus the append-only event log.
+    """Typed entity store plus the append-only event log; world views are immutable snapshots.
 
-    All mutation goes through the kernel methods here and the event engine;
-    world views are immutable snapshots safe to share across readers.
+    The kernel methods here and the event engine check every write; `canonical.doc_to_kb` fills
+    the store directly, unchecked. Both only append, so the store only grows (see `StoreIndex`).
     """
 
     kinds: dict[str, KindDecl] = field(default_factory=dict)

@@ -16,6 +16,7 @@ from matterkb import (
     kb_to_doc,
 )
 from matterkb.canonical import doc_to_kb
+from matterkb.dsl import ParseDiagnostic, _Token
 from matterkb.errors import (
     DocumentError,
     DuplicateId,
@@ -966,3 +967,52 @@ def _ref_id_list(value: Any, path: str) -> list[str]:
             raise DocumentError(f"{path}[{i}]", f"duplicate entry '{item}'")
         out.append(item)
     return out
+
+
+# -- reference scenario lexer ------------------------------------------------------
+# The character-loop lexer that `dsl._lex` replaced, kept as a differential
+# check: the same tokens, lexer diagnostics and split lines on any text.
+
+_WORD_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*")
+_TIME_RE = re.compile(r"^t(\d+)$")
+
+
+def reference_lex(text: str) -> tuple[list[_Token], list[ParseDiagnostic], list[str]]:
+    lines = text.split("\n")
+    tokens: list[_Token] = []
+    diags: list[ParseDiagnostic] = []
+    depth = 0  # newlines inside braces do not terminate statements
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\r")
+        col = 0
+        while col < len(line):
+            ch = line[col]
+            if ch in " \t":
+                col += 1
+                continue
+            if ch == "#":
+                break
+            if ch in ":,;{}":
+                if ch == "{":
+                    depth += 1
+                elif ch == "}" and depth > 0:
+                    depth -= 1
+                tokens.append(_Token("punct", ch, lineno, col + 1))
+                col += 1
+                continue
+            m = _WORD_RE.match(line, col)
+            if m:
+                word = m.group(0)
+                tm = _TIME_RE.match(word)
+                if tm:
+                    tokens.append(_Token("time", word, lineno, col + 1, int(tm.group(1))))
+                else:
+                    tokens.append(_Token("word", word, lineno, col + 1))
+                col = m.end()
+                continue
+            diags.append(ParseDiagnostic(lineno, col + 1, f"unexpected character {ch!r}", line))
+            col += 1
+        if depth == 0:
+            tokens.append(_Token("newline", "\n", lineno, len(line) + 1))
+    tokens.append(_Token("eof", "", len(lines), len(lines[-1]) + 1))
+    return tokens, diags, lines

@@ -1,11 +1,19 @@
 """Scenario language: parsing, diagnostics, resolution, loading."""
 
+import gc
+import json
 import random
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from matterkb import event_log, load, parse, parse_bytes
+from matterkb import dsl, event_log, load, parse, parse_bytes
+from matterkb.cli import main
 from matterkb.errors import ScenarioLoadError
+
+from helpers import reference_lex
 
 
 def diags(text):
@@ -76,6 +84,16 @@ class TestParseBasics:
     def test_requires_list(self):
         sc = scenario("object-kind A\nobject-kind B\nquantity-kind Q requires A, B\n")
         assert sc.kind_decls[2].requires == ("A", "B")
+
+    def test_parse_leaves_no_reference_cycle(self, case_text):
+        # A cycle through the parser keeps every token alive until the cyclic collector runs.
+        gc.collect()
+        gc.disable()
+        try:
+            parse("object a :\n" + case_text)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestDiagnostics:
@@ -296,3 +314,103 @@ class TestLoad:
         ))
         report = validate_all(kb)
         assert {v.rule for v in report.violations} == {"AA1_GGD"}
+
+
+def lexed(text):
+    tokens, diagnostics, lines = dsl._lex(text)
+    return [(t.kind, t.value, t.line, t.column, t.number) for t in tokens], diagnostics, lines
+
+
+def rendered(result):
+    return [(d.render(), d.snippet) for d in result.diagnostics]
+
+
+class TestLexer:
+    def test_unicode_digit_after_t_is_not_a_time(self):
+        tokens, (d,), _ = lexed("t\u0661")
+        assert tokens == [("word", "t", 1, 1, 0), ("newline", "\n", 1, 3, 0), ("eof", "", 1, 3, 0)]
+        assert (d.line, d.column, d.message) == (1, 2, "unexpected character '\u0661'")
+
+    def test_unicode_digit_ends_a_time(self):
+        tokens, (d,), _ = lexed("t12\u0661")
+        assert tokens[0] == ("time", "t12", 1, 1, 12)
+        assert (d.column, d.message) == (4, "unexpected character '\u0661'")
+
+    @pytest.mark.parametrize("word", ["t1x", "t1-a", "t_2", "t"])
+    def test_time_matches_whole_words_only(self, word):
+        tokens, diagnostics, _ = lexed(f"at {word} ")
+        assert tokens[1] == ("word", word, 1, 4, 0) and diagnostics == []
+
+    @pytest.mark.parametrize("ch", ["\f", "\u00a0", "\u00b2", "\r"])
+    def test_stray_character_between_words(self, ch):
+        tokens, (d,), lines = lexed(f"a{ch}b\n")
+        assert [t[:4] for t in tokens] == [
+            ("word", "a", 1, 1), ("word", "b", 1, 3), ("newline", "\n", 1, 4), ("newline", "\n", 2, 1), ("eof", "", 2, 1),
+        ]
+        assert (d.line, d.column, d.message, d.snippet) == (1, 2, f"unexpected character {ch!r}", f"a{ch}b")
+        assert lines == [f"a{ch}b", ""]
+
+    def test_last_line_ending_in_cr_without_newline(self):
+        tokens, diagnostics, lines = lexed("a\nb\r")
+        assert tokens == [
+            ("word", "a", 1, 1, 0), ("newline", "\n", 1, 2, 0),
+            ("word", "b", 2, 1, 0), ("newline", "\n", 2, 2, 0), ("eof", "", 2, 3, 0),
+        ]
+        assert diagnostics == [] and lines == ["a", "b\r"]
+
+    def test_comment_inside_multiline_brace_block(self):
+        tokens, diagnostics, _ = lexed("x { a # } b\n c }\n")
+        assert [t[:4] for t in tokens] == [
+            ("word", "x", 1, 1), ("punct", "{", 1, 3), ("word", "a", 1, 5),
+            ("word", "c", 2, 2), ("punct", "}", 2, 4), ("newline", "\n", 2, 5),
+            ("newline", "\n", 3, 1), ("eof", "", 3, 1),
+        ]
+        assert diagnostics == []
+
+
+FRAGMENTS = sorted(dsl.KEYWORDS) + [
+    "t", "t0", "t12", "t1x", "t1-a", "t\u0661", "t12\u0661", "t\u00b2", "a", "b_c", "d-e", "9",
+    " ", "\t", "\r", "\f", "\u00a0", "\n", "\r\n", "#", "# c\n", ":", ",", ";", "{", "}",
+    "\u0661", "\u00b2", "\u00e9",
+]
+CHARS = "at01_- \t\r\f\u00a0\n#:,;{}\u0661\u00b2\u00e9"
+
+
+@settings(derandomize=True, max_examples=2500, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(FRAGMENTS), st.text(CHARS, max_size=4)), max_size=40).map("".join))
+def test_lexer_matches_reference(text):
+    tokens, diagnostics, lines = reference_lex(text)
+    assert lexed(text) == (
+        [(t.kind, t.value, t.line, t.column, t.number) for t in tokens], diagnostics, lines,
+    )
+    with mock.patch.object(dsl, "_lex", reference_lex):
+        expected = rendered(parse(text))
+    assert rendered(parse(text)) == expected
+
+
+DIAGNOSTICS = json.loads((Path(__file__).parent / "golden" / "diagnostics.json").read_text(encoding="utf-8"))
+
+
+class TestDiagnosticsGolden:
+    """``validate FILE`` on malformed scenarios, byte for byte. ``{file}`` in
+    stderr stands for the scenario's path; a lone surrogate in ``source``
+    stands for an invalid UTF-8 byte."""
+
+    FAMILIES = (
+        "unexpected character", "cannot be used as", "is not a valid", "expected ':', found",
+        "error: expected a kind name\n", "unclosed event block", "error: expected '}'\n",
+        "more than one discard clause", "at least one create clause", "undeclared kind",
+        "undeclared object", "undeclared quantity", "which is not", "reuses an already declared name",
+        "declared twice", "shares time point", "invalid UTF-8", "is not live",
+    )
+
+    def test_every_message_family_is_covered(self):
+        assert all(any(f in r["stderr"] for r in DIAGNOSTICS) for f in self.FAMILIES)
+
+    @pytest.mark.parametrize("record", DIAGNOSTICS, ids=[r["name"] for r in DIAGNOSTICS])
+    def test_validate_matches_golden(self, record, tmp_path, capsys):
+        path = tmp_path / "scenario.mp"
+        path.write_bytes(record["source"].encode("utf-8", "surrogateescape"))
+        code = main(["validate", str(path)])
+        out, err = capsys.readouterr()
+        assert (code, out, err.replace(str(path), "{file}")) == (record["exit"], "", record["stderr"])
