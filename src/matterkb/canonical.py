@@ -8,10 +8,10 @@ canonical output: documents here, query payloads and reports in ``cli``.
 
 Import checks structure only (field types, id shapes, duplicates within a
 section); semantic problems in hand-written documents are left for the
-validators to report. Each section but the few kind declarations is checked
-in bulk, a column at a time. Only when a bulk check fails is the section read
-again record by record, to raise the first bad field's ``DocumentError`` in
-document order.
+validators to report. Each section but the few kind declarations and
+sub-quantity assertions is checked in bulk, a column at a time. Only when a
+bulk check fails is the section read again record by record, to raise the
+first bad field's ``DocumentError`` in document order.
 """
 
 from __future__ import annotations
@@ -207,7 +207,6 @@ def doc_to_kb(doc: Any) -> KnowledgeBase:
 _OBJECT_KEYS = frozenset(("id", "kind", "created_at"))
 _QUANTITY_KEYS = frozenset(("id", "kind", "created_at", "granules", "creation_event"))
 _ADJACENCY_KEYS = frozenset(("a", "b", "from"))
-_SUBQUANTITY_KEYS = frozenset(("part", "whole"))
 _EVENT_KEYS = frozenset(("id", "at", "kind", "donors", "created", "discarded"))
 _CREATED_KEYS = frozenset(("id", "kind", "granules"))
 _EVENT_KINDS = frozenset((CREATION, GRANULE_TRANSFER))
@@ -260,16 +259,6 @@ def _bulk_adjacency(kb: KnowledgeBase, items: list) -> bool:
         AdjacencyInterval(x, y, start, end) if x < y else AdjacencyInterval(y, x, start, end)
         for x, y, start, end in zip(a, b, starts, ends)
     ]
-    return True
-
-
-def _bulk_subquantities(kb: KnowledgeBase, items: list) -> bool:
-    if not _shaped(items, _SUBQUANTITY_KEYS):
-        return False
-    parts, wholes = _columns(items, "part", "whole")
-    if not (_ids(parts) and _ids(wholes)):
-        return False
-    kb.subquantities.update(map(SubQuantityAssertion, parts, wholes))
     return True
 
 
@@ -357,7 +346,8 @@ def _id_sets(lists: list) -> list[frozenset[str]] | None:
 
 # -- record-by-record readers ---------------------------------------------------------
 # They raise the first bad field's DocumentError in document order. A document
-# declares a handful of kinds, so kinds are only ever read this way.
+# declares a handful of kinds and asserts few sub-quantities, so kinds and
+# sub-quantity assertions are only ever read this way.
 
 
 def _read_kinds(kb: KnowledgeBase, items: list) -> None:
@@ -541,6 +531,6 @@ _READERS = (
     ("objects", _bulk_objects, _read_objects),
     ("quantities", _bulk_quantities, _read_quantities),
     ("adjacency", _bulk_adjacency, _read_adjacency),
-    ("subquantities", _bulk_subquantities, _read_subquantities),
+    ("subquantities", None, _read_subquantities),
     ("events", _bulk_events, _read_events),
 )

@@ -24,6 +24,9 @@ USAGE = 2
 
 QUERIES = ("provenance", "history", "world", "cohort", "ancestors", "classify")
 
+# An echoed source line shows control characters, which act on a terminal, as repr escapes.
+_SNIPPET_ESCAPES = {c: repr(chr(c))[1:-1] for c in [*range(0x20), 0x7F] if c != 0x09}
+
 
 class _CliError(Exception):
     def __init__(self, message: str, code: int = USAGE):
@@ -47,7 +50,9 @@ def load_kb(path_str: str) -> KnowledgeBase:
             raise _CliError(f"{path_str}: {exc}") from exc
     result = dsl.parse_bytes(data)
     if not result.ok:
-        rendered = "\n".join(f"{path_str}:{d.render()}\n  | {d.snippet}" for d in result.diagnostics)
+        rendered = "\n".join(
+            f"{path_str}:{d.render()}\n  | {d.snippet.translate(_SNIPPET_ESCAPES)}" for d in result.diagnostics
+        )
         raise _CliError(rendered)
     try:
         return dsl.load(result.scenario)
@@ -239,18 +244,18 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 def cmd_replay_check(args: argparse.Namespace) -> int:
     kb = load_kb(args.file)
-    before = canonical.export_document(kb)
     try:
         rebuilt = replay(kb)
     except EngineError as exc:
         sys.stdout.write(f"replay-check: FAILED ({exc})\n")
         return VIOLATIONS
-    after = canonical.export_document(rebuilt)
-    if before == after:
-        sys.stdout.write(f"replay-check: OK ({len(kb.events)} events, {len(before)} bytes)\n")
-        return OK
-    sys.stdout.write("replay-check: FAILED (re-applied log exports differently)\n")
-    return VIOLATIONS
+    # Replay re-adds every other record as given, so only the derived quantities can differ.
+    if rebuilt.quantities != kb.quantities:
+        sys.stdout.write("replay-check: FAILED (re-applied log exports differently)\n")
+        return VIOLATIONS
+    size = len(canonical.export_document(kb))
+    sys.stdout.write(f"replay-check: OK ({len(kb.events)} events, {size} bytes)\n")
+    return OK
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, NoReturn
 
 from .errors import EngineError, ScenarioLoadError
-from .events import CreatedEntry, apply_creation, apply_transfer
+from .events import CREATION, GRANULE_TRANSFER, CreatedEntry, EventRec, apply_event
 from .model import KindDecl, KnowledgeBase, OBJECT_KIND, QUANTITY_KIND
 
 KEYWORDS = {
@@ -231,7 +231,7 @@ class _Parser:
         if tok.value in KEYWORDS:
             self.bail(f"keyword '{tok.value}' cannot be used as {what}", tok)
         if "-" in tok.value:  # a word is a valid name unless it holds '-'
-            self.bail(f"'{tok.value}' is not a valid {what} (letters, digits, '_')", tok)
+            self.bail(f"'{tok.value}' is not a valid {what.partition(' ')[2]} (letters, digits, '_')", tok)
         self.advance()
         return tok.value
 
@@ -545,12 +545,9 @@ def load(scenario: Scenario) -> KnowledgeBase:
         except (EngineError, ValueError) as exc:
             raise ScenarioLoadError(str(exc), pos.line, pos.column, exc) from exc
 
-    for st in scenario.kind_decls:
-        if st.meta == OBJECT_KIND:
-            run(st.pos, kb.declare_kind, KindDecl(st.name, st.meta))
-    for st in scenario.kind_decls:
-        if st.meta == QUANTITY_KIND:
-            run(st.pos, kb.declare_kind, KindDecl(st.name, st.meta, frozenset(st.requires)))
+    # Object kinds first, since a quantity kind requires them; the sort is stable.
+    for st in sorted(scenario.kind_decls, key=lambda st: st.meta != OBJECT_KIND):
+        run(st.pos, kb.declare_kind, KindDecl(st.name, st.meta, frozenset(st.requires)))
     for st in scenario.object_decls:
         run(st.pos, kb.create_object, st.id, st.kind, st.at)
 
@@ -559,11 +556,9 @@ def load(scenario: Scenario) -> KnowledgeBase:
     timeline = [(q.at, f"create-{q.id}", (), (q,), (), q.pos) for q in scenario.quantity_creations]
     timeline += [(ev.at, ev.name, ev.donors, ev.creates, ev.discard, ev.pos) for ev in scenario.events]
     for at, event_id, donors, creates, discard, pos in sorted(timeline, key=lambda step: step[0]):
-        created = [CreatedEntry.of(c.id, c.kind, c.granules) for c in creates]
-        if donors:
-            run(pos, apply_transfer, kb, donors, created, at, discarded=discard, event_id=event_id)
-        else:
-            run(pos, apply_creation, kb, created[0], at, event_id=event_id)
+        created = tuple(CreatedEntry.of(c.id, c.kind, c.granules) for c in creates)
+        kind = GRANULE_TRANSFER if donors else CREATION
+        run(pos, apply_event, kb, EventRec(event_id, at, kind, frozenset(donors), created, frozenset(discard)))
 
     for order, st in sorted(enumerate(scenario.adjacency), key=lambda io: (io[1].at, io[0])):
         if st.connect:

@@ -14,7 +14,6 @@ from typing import Iterable, Sequence
 from .errors import (
     DonorNotLive,
     DuplicateGranuleAssignment,
-    EngineError,
     GranuleNotFree,
     GranuleProvenanceViolation,
     NonMonotonicTime,
@@ -170,7 +169,7 @@ def event_log(kb: KnowledgeBase) -> list[EventRec]:
 def apply_event(kb: KnowledgeBase, event: EventRec) -> EventRec:
     """Re-apply a previously recorded event through the normal checks."""
     if event.kind == CREATION:
-        if len(event.created) != 1 or event.donors:
+        if len(event.created) != 1 or event.donors or event.discarded:
             raise ValueError(f"malformed creation event '{event.id}'")
         return apply_creation(kb, event.created[0], event.at, event_id=event.id)
     if event.kind == GRANULE_TRANSFER:
@@ -184,40 +183,32 @@ def apply_event(kb: KnowledgeBase, event: EventRec) -> EventRec:
 def replay(kb: KnowledgeBase) -> KnowledgeBase:
     """Rebuild a knowledge base from declarations plus the event log.
 
-    The result must be structurally identical to the source (checked via
-    canonical export in the test suite). Apply errors are wrapped in a
-    ReplayError that names the offending record.
+    Every record is re-applied through the engine's checks; any error is
+    wrapped in a ReplayError that names the offending record. A successful
+    replay re-adds exactly the kinds, objects, events, intervals and
+    assertions of the source, so only the quantities it derives can differ.
     """
     fresh = KnowledgeBase()
-    decls = sorted(kb.kinds.values(), key=lambda d: (d.meta != OBJECT_KIND, d.name))
-    for decl in decls:
-        try:
-            fresh.declare_kind(decl)
-        except (EngineError, ValueError) as exc:
-            raise ReplayError(None, exc, (decl.name,)) from exc
+    for decl in sorted(kb.kinds.values(), key=lambda d: (d.meta != OBJECT_KIND, d.name)):
+        _replayed(None, (decl.name,), fresh.declare_kind, decl)
     for oid, obj in sorted(kb.objects.items()):
-        try:
-            fresh.create_object(oid, obj.kind, obj.created_at)
-        except (EngineError, ValueError) as exc:
-            raise ReplayError(None, exc, (oid,)) from exc
+        _replayed(None, (oid,), fresh.create_object, oid, obj.kind, obj.created_at)
     for index, event in enumerate(kb.events):
-        try:
-            apply_event(fresh, event)
-        except Exception as exc:
-            raise ReplayError(index, exc, (event.id,)) from exc
+        _replayed(index, (event.id,), apply_event, fresh, event)
     for iv in sorted(kb.adjacency, key=lambda i: (i.a, i.b, i.start)):
-        try:
-            fresh.assert_adjacency(iv.a, iv.b, iv.start)
-            if iv.end is not None:
-                fresh.retract_adjacency(iv.a, iv.b, iv.end)
-        except (EngineError, ValueError) as exc:
-            raise ReplayError(None, exc, (iv.a, iv.b)) from exc
+        _replayed(None, (iv.a, iv.b), fresh.assert_adjacency, iv.a, iv.b, iv.start)
+        if iv.end is not None:
+            _replayed(None, (iv.a, iv.b), fresh.retract_adjacency, iv.a, iv.b, iv.end)
     for s in sorted(kb.subquantities, key=lambda s: (s.part, s.whole)):
-        try:
-            fresh.assert_subquantity(s.part, s.whole)
-        except (EngineError, ValueError) as exc:
-            raise ReplayError(None, exc, (s.part, s.whole)) from exc
+        _replayed(None, (s.part, s.whole), fresh.assert_subquantity, s.part, s.whole)
     return fresh
+
+
+def _replayed(index: int | None, subjects: tuple[str, ...], fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:
+        raise ReplayError(index, exc, subjects) from exc
 
 
 def _check_monotonic(kb: KnowledgeBase, at: int) -> None:

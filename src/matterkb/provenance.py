@@ -80,7 +80,6 @@ class _Index:
         self.children: dict[str, set[str]] = {}
         self.sub_parents: dict[str, set[str]] = {}
         self.sub_children: dict[str, set[str]] = {}
-        self.sorted_edges: tuple[ProvenanceEdge, ...] | None = None
         self.catch_up(kb)
 
     def catch_up(self, kb: KnowledgeBase) -> "_Index":
@@ -93,7 +92,6 @@ class _Index:
                     self.sub_parents.setdefault(e.inheritor, set()).add(e.donor)
                     self.sub_children.setdefault(e.donor, set()).add(e.inheritor)
             self.length = len(kb.events)
-            self.sorted_edges = None
         return self
 
 
@@ -145,11 +143,8 @@ def _reach(start: str, neighbors: dict[str, set[str]]) -> frozenset[str]:
 
 def derive_edges(kb: KnowledgeBase) -> tuple[ProvenanceEdge, ...]:
     """One edge per (donor, inheritor) pair sharing at least one moved granule."""
-    idx = _index(kb)
-    if idx.sorted_edges is None:
-        every = (e for edges in idx.by_inheritor.values() for e in edges)
-        idx.sorted_edges = tuple(sorted(every, key=_EDGE_ORDER))
-    return idx.sorted_edges
+    every = (e for edges in _index(kb).by_inheritor.values() for e in edges)
+    return tuple(sorted(every, key=_EDGE_ORDER))
 
 
 def edges_among(kb: KnowledgeBase, quantity_ids: set[str]) -> list[ProvenanceEdge]:

@@ -13,7 +13,9 @@ from matterkb import (
     KnowledgeBase,
     apply_creation,
     apply_transfer,
+    export_document,
     kb_to_doc,
+    replay,
 )
 from matterkb.canonical import doc_to_kb
 from matterkb.dsl import ParseDiagnostic, _Token
@@ -468,6 +470,23 @@ def reference_derive_edges(kb: KnowledgeBase) -> tuple[ProvenanceEdge, ...]:
                     )
                 )
     return tuple(sorted(edges, key=lambda e: (e.inheritor, e.donor)))
+
+
+# -- export-comparing reference for replay-check --------------------------------------
+# `replay-check` compared the canonical export of the store with that of its
+# rebuild before it compared the rebuilt quantities, kept as a differential check.
+
+
+def reference_replay_check(kb: KnowledgeBase) -> str:
+    """The stdout of ``replay-check`` on ``kb``."""
+    before = export_document(kb)
+    try:
+        rebuilt = replay(kb)
+    except EngineError as exc:
+        return f"replay-check: FAILED ({exc})\n"
+    if export_document(rebuilt) == before:
+        return f"replay-check: OK ({len(kb.events)} events, {len(before)} bytes)\n"
+    return "replay-check: FAILED (re-applied log exports differently)\n"
 
 
 def random_write(kb: KnowledgeBase, rng: random.Random, label: str) -> bool:

@@ -3,6 +3,7 @@
 import gc
 import json
 import random
+import re
 from pathlib import Path
 from unittest import mock
 
@@ -406,6 +407,18 @@ class TestDiagnosticsGolden:
 
     def test_every_message_family_is_covered(self):
         assert all(any(f in r["stderr"] for r in DIAGNOSTICS) for f in self.FAMILIES)
+
+    def test_no_stderr_echoes_a_control_character(self):
+        """A TAB stays; a newline only ends a line of stderr."""
+        control = re.compile("[\x00-\x08\x0b-\x1f\x7f]")
+        assert [r["name"] for r in DIAGNOSTICS if control.search(r["stderr"])] == []
+
+    @pytest.mark.parametrize("ch, shown", [("\x1b", "\\x1b"), ("\x7f", "\\x7f"), ("\x00", "\\x00")])
+    def test_snippet_shows_control_characters_escaped(self, ch, shown, tmp_path, capsys):
+        path = tmp_path / "scenario.mp"
+        path.write_text(f"object-kind G{ch}\n", encoding="utf-8")
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err.endswith(f"error: unexpected character {ch!r}\n  | object-kind G{shown}\n")
 
     @pytest.mark.parametrize("record", DIAGNOSTICS, ids=[r["name"] for r in DIAGNOSTICS])
     def test_validate_matches_golden(self, record, tmp_path, capsys):

@@ -1,16 +1,22 @@
 """The history rule replays the event log: `validate` OK implies `replay-check` OK."""
 
+import contextlib
 import copy
+import io
+import json
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matterkb import case_study_path, export_document, kb_to_doc, load, parse, replay, validate_all
+from matterkb import canonical, case_study_path, export_document, kb_to_doc, load, parse, replay, validate_all
 from matterkb.canonical import doc_to_kb
 from matterkb.cli import main
+from matterkb.errors import DocumentError
 
-from helpers import build_random_kb, random_write
+from helpers import build_random_kb, random_write, reference_replay_check
+from test_import import mutated_documents
 
 WORLD_RULES = {"CONNECTIVITY", "EXTERNAL_CONNECTION", "MAXIMALITY_SAME_KIND"}
 
@@ -36,6 +42,10 @@ def second_open_interval(doc):
 def discard_free_grain(doc):
     _free_grains(doc)
     _event(doc, "transfer1")["discarded"] = ["grain7"]
+
+
+def creation_discards(doc):
+    _event(doc, "create-rock1")["discarded"] = ["grain1"]
 
 
 def grain_created_late(doc):
@@ -68,6 +78,7 @@ def subquantity_without_overlap(doc):
 REPLAY_GAPS = [
     (second_open_interval, ("grain1", "grain2"), "would overlap"),
     (discard_free_grain, ("transfer1",), "not a granule of any donor"),
+    (creation_discards, ("create-rock1",), "malformed creation event"),
     (grain_created_late, ("create-rock1",), "does not exist at t0"),
     (unrelated_creation_in_transfer, ("transfer2",), "inherits no granule"),
     (subquantity_without_overlap, ("silt1", "rock1"), "do not overlap"),
@@ -160,12 +171,17 @@ MUTATIONS = (add_interval, add_discard, move_created_at, add_created, add_subqua
 BASE_DOCS = [CASE_DOC] + [kb_to_doc(build_random_kb(seed)) for seed in range(30)]
 
 
+@st.composite
+def history_mutated_documents(draw):
+    doc = copy.deepcopy(draw(st.sampled_from(BASE_DOCS)))
+    for mutate in draw(st.lists(st.sampled_from(MUTATIONS), min_size=1, max_size=3)):
+        mutate(doc, draw)
+    return doc
+
+
 @settings(derandomize=True, max_examples=1000, deadline=None)
-@given(st.data())
-def test_validate_ok_implies_replay_reproduces_the_store(data):
-    doc = copy.deepcopy(data.draw(st.sampled_from(BASE_DOCS)))
-    for mutate in data.draw(st.lists(st.sampled_from(MUTATIONS), min_size=1, max_size=3)):
-        mutate(doc, data.draw)
+@given(history_mutated_documents())
+def test_validate_ok_implies_replay_reproduces_the_store(doc):
     kb = doc_to_kb(doc)
     if validate_all(kb).ok:
         assert export_document(replay(kb)) == export_document(kb)
@@ -181,3 +197,59 @@ def test_engine_writes_break_no_rule_over_the_log(seed, n_writes):
         random_write(kb, rng, f"w{step}")
     fired = {v.rule for v in validate_all(kb).violations}
     assert fired <= WORLD_RULES
+
+
+# -- replay-check against the export comparison it replaced ----------------------------
+
+
+@pytest.fixture(scope="module")
+def doc_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("replay") / "doc.mpkb"
+
+
+def replay_check(path):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["replay-check", str(path)])
+    return code, out.getvalue()
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(doc=st.one_of(history_mutated_documents(), mutated_documents()))
+def test_replay_check_matches_export_comparison(doc, doc_path):
+    try:
+        kb = doc_to_kb(doc)
+    except DocumentError:
+        return
+    doc_path.write_text(json.dumps(doc), encoding="utf-8")
+    expected = reference_replay_check(kb)
+    assert replay_check(doc_path) == (0 if expected.startswith("replay-check: OK") else 1, expected)
+
+
+def test_replay_check_counts_canonical_bytes_not_file_bytes(tmp_path):
+    """Sections out of order and without indentation: the OK line counts the export."""
+    path = tmp_path / "doc.mpkb"
+    path.write_text(json.dumps(dict(reversed(CASE_DOC.items()))), encoding="utf-8")
+    size = len(export_document(doc_to_kb(CASE_DOC)))
+    assert path.stat().st_size != size
+    assert replay_check(path) == (0, f"replay-check: OK (3 events, {size} bytes)\n")
+
+
+def _terminated_late(doc):
+    quantity = next(q for q in doc["quantities"] if "terminated_at" in q)
+    quantity["terminated_at"] += 1
+
+
+@pytest.mark.parametrize(
+    "mutate, code",
+    [(lambda doc: None, 0), (_terminated_late, 1), (REPLAY_GAPS[0][0], 1)],
+    ids=["ok", "quantities_differ", "replay_fails"],
+)
+def test_replay_check_exports_once_on_ok_and_never_on_failed(mutate, code, tmp_path):
+    doc = copy.deepcopy(CASE_DOC)
+    mutate(doc)
+    path = tmp_path / "doc.mpkb"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with mock.patch.object(canonical, "export_document", wraps=canonical.export_document) as export:
+        assert replay_check(path)[0] == code
+    assert export.call_count == (1 if code == 0 else 0)
