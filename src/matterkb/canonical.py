@@ -76,29 +76,16 @@ def kb_to_doc(kb: KnowledgeBase) -> dict[str, Any]:
         {"part": s.part, "whole": s.whole}
         for s in sorted(kb.subquantities, key=lambda s: (s.part, s.whole))
     ]
-    events = []
-    for ev in kb.events:
-        events.append(
-            {
-                "id": ev.id,
-                "at": ev.at,
-                "kind": ev.kind,
-                "donors": sorted(ev.donors),
-                "created": [
-                    {"id": e.id, "kind": e.kind, "granules": sorted(e.granules)}
-                    for e in sorted(ev.created, key=lambda e: e.id)
-                ],
-                "discarded": sorted(ev.discarded),
-            }
-        )
-    return {
-        "kinds": kinds,
-        "objects": objects,
-        "quantities": quantities,
-        "adjacency": adjacency,
-        "subquantities": subquantities,
-        "events": events,
-    }
+    events = [
+        {
+            "id": ev.id, "at": ev.at, "kind": ev.kind, "donors": sorted(ev.donors),
+            "created": [{"id": e.id, "kind": e.kind, "granules": sorted(e.granules)}
+                        for e in sorted(ev.created, key=_BY_ID)],
+            "discarded": sorted(ev.discarded),
+        }
+        for ev in kb.events
+    ]
+    return dict(zip(_SECTIONS, (kinds, objects, quantities, adjacency, subquantities, events)))
 
 
 def export_document(kb: KnowledgeBase) -> str:
@@ -170,13 +157,41 @@ def import_document(text: str) -> KnowledgeBase:
     """Parse a document and build a knowledge base without engine checks.
 
     Raises DocumentError with a path to the offending field on any structural
-    problem. The result may violate semantic rules; run the validators.
+    problem, a repeated key first. The result may violate semantic rules; run
+    the validators.
     """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError("$", f"not a well-formed document: {exc}") from exc
-    return doc_to_kb(doc)
+    try:
+        kb = doc_to_kb(doc)
+    except DocumentError:
+        _reject_repeated_keys(text)
+        raise
+    # A key is followed by one ':' outside strings, and a loaded document holds no ':' in
+    # a string, so there are more colons than keys exactly when json.loads dropped a repeat.
+    created = chain.from_iterable(map(itemgetter("created"), doc["events"]))
+    if text.count(":") != sum(map(len, chain([doc], *map(doc.get, _SECTIONS), created))):
+        _reject_repeated_keys(text)
+    return kb
+
+
+def _reject_repeated_keys(text: str) -> None:
+    """Raise a DocumentError at a repeated key, if any: in an object before any in its values."""
+    pending = [("$", json.loads(text, object_pairs_hook=tuple))]  # an object is a tuple of pairs
+    while pending:
+        path, value = pending.pop()
+        if isinstance(value, list):
+            pending += reversed([(f"{path}[{i}]", v) for i, v in enumerate(value)])
+        elif isinstance(value, tuple):
+            children = [(key if path == "$" else f"{path}.{key}", v) for key, v in value]
+            seen: set[str] = set()
+            for (child, _), (key, _) in zip(children, value):
+                if key in seen:
+                    raise DocumentError(child, f"repeated key '{key}'")
+                seen.add(key)
+            pending += reversed(children)
 
 
 def doc_to_kb(doc: Any) -> KnowledgeBase:
@@ -396,12 +411,9 @@ def _read_quantities(kb: KnowledgeBase, items: list) -> None:
             raise DocumentError(f"{path}.id", f"id '{qid}' is already used by an object")
         terminated = _time(rec, "terminated_at", path) if "terminated_at" in rec else None
         kb.quantities[qid] = QuantityInst(
-            id=qid,
-            kind=_identifier(rec, "kind", path),
-            created_at=_time(rec, "created_at", path),
-            granules=frozenset(_id_list(rec["granules"], f"{path}.granules")),
-            creation_event=_identifier(rec, "creation_event", path),
-            terminated_at=terminated,
+            qid, _identifier(rec, "kind", path), _time(rec, "created_at", path),
+            frozenset(_id_list(rec["granules"], f"{path}.granules")), _identifier(rec, "creation_event", path),
+            terminated,
         )
 
 
@@ -425,9 +437,8 @@ def _read_subquantities(kb: KnowledgeBase, items: list) -> None:
     for i, item in enumerate(items):
         path = f"subquantities[{i}]"
         rec = _record(item, path, required=("part", "whole"))
-        kb.subquantities.add(
-            SubQuantityAssertion(_identifier(rec, "part", path), _identifier(rec, "whole", path))
-        )
+        part, whole = _identifier(rec, "part", path), _identifier(rec, "whole", path)
+        kb.subquantities.add(SubQuantityAssertion(part, whole))
 
 
 def _read_events(kb: KnowledgeBase, items: list) -> None:
@@ -450,27 +461,18 @@ def _read_events(kb: KnowledgeBase, items: list) -> None:
         for j, sub in enumerate(created_raw):
             sub_path = f"{path}.created[{j}]"
             sub_rec = _record(sub, sub_path, required=("id", "kind", "granules"))
-            created.append(
-                CreatedEntry(
-                    _identifier(sub_rec, "id", sub_path),
-                    _identifier(sub_rec, "kind", sub_path),
-                    frozenset(_id_list(sub_rec["granules"], f"{sub_path}.granules")),
-                )
-            )
+            created.append(CreatedEntry(
+                _identifier(sub_rec, "id", sub_path), _identifier(sub_rec, "kind", sub_path),
+                frozenset(_id_list(sub_rec["granules"], f"{sub_path}.granules")),
+            ))
         if kind == CREATION and (donors or len(created) != 1):
             raise DocumentError(path, "a creation event has no donors and exactly one created quantity")
         if kind == GRANULE_TRANSFER and (not donors or not created):
             raise DocumentError(path, "a granule transfer has at least one donor and one created quantity")
-        kb.events.append(
-            EventRec(
-                ev_id,
-                _time(rec, "at", path),
-                kind,
-                frozenset(donors),
-                tuple(sorted(created, key=lambda e: e.id)),
-                frozenset(_id_list(rec["discarded"], f"{path}.discarded")),
-            )
-        )
+        kb.events.append(EventRec(
+            ev_id, _time(rec, "at", path), kind, frozenset(donors), tuple(sorted(created, key=_BY_ID)),
+            frozenset(_id_list(rec["discarded"], f"{path}.discarded")),
+        ))
 
 
 def _array(doc: dict, key: str) -> list:

@@ -48,8 +48,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Pos:
+class Pos(NamedTuple):
     line: int
     column: int
 
@@ -65,24 +64,21 @@ class ParseDiagnostic:
         return f"{self.line}:{self.column}: error: {self.message}"
 
 
-@dataclass(frozen=True)
-class KindStmt:
+class KindStmt(NamedTuple):
     name: str
     meta: str
     requires: tuple[str, ...]
     pos: Pos
 
 
-@dataclass(frozen=True)
-class ObjectStmt:
+class ObjectStmt(NamedTuple):
     id: str
     kind: str
     at: int
     pos: Pos
 
 
-@dataclass(frozen=True)
-class QuantityStmt:
+class QuantityStmt(NamedTuple):
     id: str
     kind: str
     at: int
@@ -90,8 +86,7 @@ class QuantityStmt:
     pos: Pos
 
 
-@dataclass(frozen=True)
-class AdjacencyStmt:
+class AdjacencyStmt(NamedTuple):
     a: str
     b: str
     at: int
@@ -99,23 +94,20 @@ class AdjacencyStmt:
     pos: Pos
 
 
-@dataclass(frozen=True)
-class SubquantityStmt:
+class SubquantityStmt(NamedTuple):
     part: str
     whole: str
     pos: Pos
 
 
-@dataclass(frozen=True)
-class CreateClause:
+class CreateClause(NamedTuple):
     id: str
     kind: str
     granules: tuple[str, ...]
     pos: Pos
 
 
-@dataclass(frozen=True)
-class EventStmt:
+class EventStmt(NamedTuple):
     name: str
     at: int
     donors: tuple[str, ...]
@@ -320,9 +312,7 @@ class _Parser:
         self.expect("granules")
         granules = self.name_block()
         self.end_statement()
-        self.scenario.quantity_creations.append(
-            QuantityStmt(name, kind, at, granules, Pos(kw.line, kw.column))
-        )
+        self.scenario.quantity_creations.append(QuantityStmt(name, kind, at, granules, Pos(kw.line, kw.column)))
 
     def adjacency_stmt(self, kw: _Token) -> None:
         a = self.expect_name("an object name")
@@ -330,18 +320,14 @@ class _Parser:
         self.expect("at")
         at = self.expect_time()
         self.end_statement()
-        self.scenario.adjacency.append(
-            AdjacencyStmt(a, b, at, kw.value == "connect", Pos(kw.line, kw.column))
-        )
+        self.scenario.adjacency.append(AdjacencyStmt(a, b, at, kw.value == "connect", Pos(kw.line, kw.column)))
 
     def subquantity_stmt(self, kw: _Token) -> None:
         part = self.expect_name("a quantity name")
         self.expect("of")
         whole = self.expect_name("a quantity name")
         self.end_statement()
-        self.scenario.subquantity_assertions.append(
-            SubquantityStmt(part, whole, Pos(kw.line, kw.column))
-        )
+        self.scenario.subquantity_assertions.append(SubquantityStmt(part, whole, Pos(kw.line, kw.column)))
 
     def event_stmt(self, kw: _Token) -> None:
         name = self.expect_name("an event name")
@@ -538,33 +524,30 @@ def load(scenario: Scenario) -> KnowledgeBase:
     of the offending statement.
     """
     kb = KnowledgeBase()
-
-    def run(pos: Pos, fn, *args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except (EngineError, ValueError) as exc:
-            raise ScenarioLoadError(str(exc), pos.line, pos.column, exc) from exc
-
     # Object kinds first, since a quantity kind requires them; the sort is stable.
-    for st in sorted(scenario.kind_decls, key=lambda st: st.meta != OBJECT_KIND):
-        run(st.pos, kb.declare_kind, KindDecl(st.name, st.meta, frozenset(st.requires)))
-    for st in scenario.object_decls:
-        run(st.pos, kb.create_object, st.id, st.kind, st.at)
-
+    kinds = sorted(scenario.kind_decls, key=lambda st: st.meta != OBJECT_KIND)
     # A quantity statement is a donor-less event named create-NAME; the sort is
     # stable, so statements at one time point keep their source order.
     timeline = [(q.at, f"create-{q.id}", (), (q,), (), q.pos) for q in scenario.quantity_creations]
     timeline += [(ev.at, ev.name, ev.donors, ev.creates, ev.discard, ev.pos) for ev in scenario.events]
-    for at, event_id, donors, creates, discard, pos in sorted(timeline, key=lambda step: step[0]):
-        created = tuple(CreatedEntry.of(c.id, c.kind, c.granules) for c in creates)
-        kind = GRANULE_TRANSFER if donors else CREATION
-        run(pos, apply_event, kb, EventRec(event_id, at, kind, frozenset(donors), created, frozenset(discard)))
-
-    for order, st in sorted(enumerate(scenario.adjacency), key=lambda io: (io[1].at, io[0])):
-        if st.connect:
-            run(st.pos, kb.assert_adjacency, st.a, st.b, st.at)
-        else:
-            run(st.pos, kb.retract_adjacency, st.a, st.b, st.at)
-    for st in scenario.subquantity_assertions:
-        run(st.pos, kb.assert_subquantity, st.part, st.whole)
+    timeline.sort(key=lambda step: step[0])
+    try:  # each loop binds pos, the position of the statement being loaded
+        for st in kinds:
+            pos = st.pos
+            kb.declare_kind(KindDecl(st.name, st.meta, frozenset(st.requires)))
+        for st in scenario.object_decls:
+            pos = st.pos
+            kb.create_object(st.id, st.kind, st.at)
+        for at, event_id, donors, creates, discard, pos in timeline:
+            created = tuple(CreatedEntry.of(c.id, c.kind, c.granules) for c in creates)
+            kind = GRANULE_TRANSFER if donors else CREATION
+            apply_event(kb, EventRec(event_id, at, kind, frozenset(donors), created, frozenset(discard)))
+        for st in sorted(scenario.adjacency, key=lambda st: st.at):
+            pos = st.pos
+            (kb.assert_adjacency if st.connect else kb.retract_adjacency)(st.a, st.b, st.at)
+        for st in scenario.subquantity_assertions:
+            pos = st.pos
+            kb.assert_subquantity(st.part, st.whole)
+    except (EngineError, ValueError) as exc:
+        raise ScenarioLoadError(str(exc), pos.line, pos.column, exc) from exc
     return kb

@@ -8,8 +8,8 @@ historical relation derived later points back at one of these records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from operator import attrgetter
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     DonorNotLive,
@@ -27,8 +27,7 @@ CREATION = "creation"
 GRANULE_TRANSFER = "granuleTransfer"
 
 
-@dataclass(frozen=True)
-class CreatedEntry:
+class CreatedEntry(NamedTuple):
     """Description of one quantity to create: id, kind, and its granule set."""
 
     id: str
@@ -40,8 +39,7 @@ class CreatedEntry:
         return CreatedEntry(quantity_id, kind, frozenset(granules))
 
 
-@dataclass(frozen=True)
-class EventRec:
+class EventRec(NamedTuple):
     """One record of the append-only log; timestamps strictly increase."""
 
     id: str
@@ -63,14 +61,15 @@ def apply_creation(
     _check_monotonic(kb, at)
     if event_id is None:
         event_id = f"create-{entry.id}"
-    kb._check_fresh(event_id)
-    _check_entry(kb, entry, at)
-    for g in sorted(entry.granules):
-        holder = _same_kind_holder(kb, g, entry.kind, at, exclude=frozenset())
-        if holder is not None:
-            raise GranuleNotFree(
-                f"object '{g}' is already a granule of live quantity '{holder.id}' of kind '{entry.kind}'"
-            )
+    kb._check_fresh(event_id)  # the write's one catch-up
+    with kb.store_index:
+        _check_entry(kb, entry, at)
+        for g in sorted(entry.granules):
+            holder = _same_kind_holder(kb, g, entry.kind, at, exclude=frozenset())
+            if holder is not None:
+                raise GranuleNotFree(
+                    f"object '{g}' is already a granule of live quantity '{holder.id}' of kind '{entry.kind}'"
+                )
 
     event = EventRec(event_id, at, CREATION, frozenset(), (entry,), frozenset())
     kb.events.append(event)
@@ -102,7 +101,7 @@ def apply_transfer(
         raise ValueError("a transfer needs at least one created quantity")
     if event_id is None:
         event_id = f"e{len(kb.events)}"
-    kb._check_fresh(event_id)
+    kb._check_fresh(event_id)  # the write's one catch-up
 
     donor_insts = []
     for did in sorted(donors):
@@ -112,45 +111,46 @@ def apply_transfer(
         donor_insts.append(d)
     donor_granules = frozenset().union(*(d.granules for d in donor_insts))
 
-    created = tuple(sorted(created, key=lambda e: e.id))
-    seen_ids = set()
-    for entry in created:
-        if entry.id in seen_ids:
-            raise DuplicateGranuleAssignment(f"quantity '{entry.id}' created twice in one event")
-        seen_ids.add(entry.id)
-        _check_entry(kb, entry, at)
-        if not (entry.granules & donor_granules):
-            raise GranuleProvenanceViolation(
-                f"created quantity '{entry.id}' inherits no granule from any donor; "
-                "unrelated creations belong in a separate creation event"
-            )
+    with kb.store_index:
+        created = tuple(sorted(created, key=lambda e: e.id))
+        seen_ids = set()
+        for entry in created:
+            if entry.id in seen_ids:
+                raise DuplicateGranuleAssignment(f"quantity '{entry.id}' created twice in one event")
+            seen_ids.add(entry.id)
+            _check_entry(kb, entry, at)
+            if not (entry.granules & donor_granules):
+                raise GranuleProvenanceViolation(
+                    f"created quantity '{entry.id}' inherits no granule from any donor; "
+                    "unrelated creations belong in a separate creation event"
+                )
 
-    assigned: dict[str, str] = {}
-    for entry in created:
-        for g in sorted(entry.granules):
+        assigned: dict[str, str] = {}
+        for entry in created:
+            for g in sorted(entry.granules):
+                if g in assigned:
+                    raise DuplicateGranuleAssignment(
+                        f"granule '{g}' assigned to both '{assigned[g]}' and '{entry.id}'"
+                    )
+                assigned[g] = entry.id
+        for g in sorted(discarded):
             if g in assigned:
                 raise DuplicateGranuleAssignment(
-                    f"granule '{g}' assigned to both '{assigned[g]}' and '{entry.id}'"
+                    f"granule '{g}' both discarded and assigned to '{assigned[g]}'"
                 )
-            assigned[g] = entry.id
-    for g in sorted(discarded):
-        if g in assigned:
-            raise DuplicateGranuleAssignment(
-                f"granule '{g}' both discarded and assigned to '{assigned[g]}'"
-            )
-        if g not in donor_granules:
-            raise GranuleProvenanceViolation(
-                f"discarded object '{g}' is not a granule of any donor"
-            )
-
-    for entry in created:
-        for g in sorted(entry.granules - donor_granules):
-            holder = _same_kind_holder(kb, g, entry.kind, at, exclude=donors)
-            if holder is not None:
+            if g not in donor_granules:
                 raise GranuleProvenanceViolation(
-                    f"granule '{g}' of '{entry.id}' is neither donated nor free: "
-                    f"it belongs to live quantity '{holder.id}'"
+                    f"discarded object '{g}' is not a granule of any donor"
                 )
+
+        for entry in created:
+            for g in sorted(entry.granules - donor_granules):
+                holder = _same_kind_holder(kb, g, entry.kind, at, exclude=donors)
+                if holder is not None:
+                    raise GranuleProvenanceViolation(
+                        f"granule '{g}' of '{entry.id}' is neither donated nor free: "
+                        f"it belongs to live quantity '{holder.id}'"
+                    )
 
     event = EventRec(event_id, at, GRANULE_TRANSFER, donors, created, discarded)
     kb.events.append(event)
@@ -189,26 +189,38 @@ def replay(kb: KnowledgeBase) -> KnowledgeBase:
     assertions of the source, so only the quantities it derives can differ.
     """
     fresh = KnowledgeBase()
-    for decl in sorted(kb.kinds.values(), key=lambda d: (d.meta != OBJECT_KIND, d.name)):
-        _replayed(None, (decl.name,), fresh.declare_kind, decl)
-    for oid, obj in sorted(kb.objects.items()):
-        _replayed(None, (oid,), fresh.create_object, oid, obj.kind, obj.created_at)
-    for index, event in enumerate(kb.events):
-        _replayed(index, (event.id,), apply_event, fresh, event)
-    for iv in sorted(kb.adjacency, key=lambda i: (i.a, i.b, i.start)):
-        _replayed(None, (iv.a, iv.b), fresh.assert_adjacency, iv.a, iv.b, iv.start)
-        if iv.end is not None:
-            _replayed(None, (iv.a, iv.b), fresh.retract_adjacency, iv.a, iv.b, iv.end)
-    for s in sorted(kb.subquantities, key=lambda s: (s.part, s.whole)):
-        _replayed(None, (s.part, s.whole), fresh.assert_subquantity, s.part, s.whole)
-    return fresh
-
-
-def _replayed(index: int | None, subjects: tuple[str, ...], fn, *args):
+    kinds = sorted(kb.kinds.values(), key=lambda d: (d.meta != OBJECT_KIND, d.name))
     try:
-        return fn(*args)
+        for decl in kinds:
+            fresh.declare_kind(decl)
     except Exception as exc:
-        raise ReplayError(index, exc, subjects) from exc
+        raise ReplayError(None, exc, (decl.name,)) from exc
+    objects = sorted(kb.objects.items())
+    try:
+        for oid, obj in objects:
+            fresh.create_object(oid, obj.kind, obj.created_at)
+    except Exception as exc:
+        raise ReplayError(None, exc, (oid,)) from exc
+    try:
+        for index, event in enumerate(kb.events):
+            apply_event(fresh, event)
+    except Exception as exc:
+        raise ReplayError(index, exc, (event.id,)) from exc
+    intervals = sorted(kb.adjacency, key=attrgetter("a", "b", "start"))
+    try:
+        for iv in intervals:
+            fresh.assert_adjacency(iv.a, iv.b, iv.start)
+            if iv.end is not None:
+                fresh.retract_adjacency(iv.a, iv.b, iv.end)
+    except Exception as exc:
+        raise ReplayError(None, exc, (iv.a, iv.b)) from exc
+    assertions = sorted(kb.subquantities, key=lambda s: (s.part, s.whole))
+    try:
+        for s in assertions:
+            fresh.assert_subquantity(s.part, s.whole)
+    except Exception as exc:
+        raise ReplayError(None, exc, (s.part, s.whole)) from exc
+    return fresh
 
 
 def _check_monotonic(kb: KnowledgeBase, at: int) -> None:
@@ -224,7 +236,7 @@ def _check_entry(kb: KnowledgeBase, entry: CreatedEntry, at: int) -> None:
     if not kb.has_kind(entry.kind, QUANTITY_KIND):
         raise UnknownKind(f"'{entry.kind}' is not a declared quantity kind")
     for g in sorted(entry.granules):
-        kb._object_at(g, at)
+        kb._object(g, at)
     if len(entry.granules) < MIN_GRANULES:
         raise TooFewGranules(
             f"quantity '{entry.id}' needs at least {MIN_GRANULES} granules, got {len(entry.granules)}"
@@ -234,9 +246,9 @@ def _check_entry(kb: KnowledgeBase, entry: CreatedEntry, at: int) -> None:
 def _same_kind_holder(
     kb: KnowledgeBase, granule: str, kind: str, at: int, exclude: frozenset[str]
 ) -> QuantityInst | None:
-    # Cross-kind sharing is allowed (a sub-quantity holds granules of its
-    # whole); only a live same-kind holder makes a granule unavailable.
-    for q in kb.holders_of(granule, at):
-        if q.id not in exclude and q.kind == kind:
-            return q
-    return None
+    # Cross-kind sharing is allowed (a sub-quantity holds granules of its whole); only a
+    # live same-kind holder makes a granule unavailable, and the first by id is named.
+    quantities = kb.quantities
+    found = [qid for qid in kb.store_index.catch_up(kb).holders.get(granule, ())
+             if qid not in exclude and quantities[qid].kind == kind and quantities[qid].live_at(at)]
+    return quantities[min(found)] if found else None

@@ -9,8 +9,8 @@ in the store with historical status and keep answering queries about the past.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
-from typing import TYPE_CHECKING, Iterable
+from itertools import chain, islice
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .errors import (
     DuplicateId,
@@ -55,8 +55,7 @@ class KindDecl:
     requires: frozenset[str] = frozenset()
 
 
-@dataclass(frozen=True)
-class ObjectInst:
+class ObjectInst(NamedTuple):
     id: str
     kind: str
     created_at: int
@@ -171,22 +170,36 @@ class StoreIndex:
     change, in place, and lookups read them afresh. So the index is current
     exactly while ``counts`` equals the lengths of ``kb.events``,
     ``kb.quantities`` and ``kb.adjacency``; otherwise ``catch_up`` indexes the
-    unseen tails only.
+    unseen tails only. One catch-up per kernel write, at its first lookup: an
+    event write then holds the index (``with index:``), so that ``catch_up``
+    returns at once for its inner lookups. The kernel's own appends, made
+    after its checks, are seen at the next catch-up, as are outside appends.
     """
 
     event_ids: set[str] = field(default_factory=set)
     holders: dict[str, list[str]] = field(default_factory=dict)
     intervals: dict[tuple[str, str], list[AdjacencyInterval]] = field(default_factory=dict)
     counts: tuple[int, int, int] = (0, 0, 0)
+    held: bool = False
+
+    def __enter__(self) -> None:
+        self.held = True
+
+    def __exit__(self, *exc_info) -> None:
+        self.held = False
 
     def catch_up(self, kb: "KnowledgeBase") -> "StoreIndex":
+        if self.held:
+            return self
         lengths = (len(kb.events), len(kb.quantities), len(kb.adjacency))
         if lengths != self.counts:
             n_events, n_quantities, n_intervals = self.counts
-            self.event_ids.update(ev.id for ev in kb.events[n_events:])
-            for qid in islice(reversed(kb.quantities), lengths[1] - n_quantities):
-                for g in kb.quantities[qid].granules:
-                    self.holders.setdefault(g, []).append(qid)
+            if lengths[0] != n_events:
+                self.event_ids.update(ev.id for ev in kb.events[n_events:])
+            if lengths[1] != n_quantities:
+                for qid in islice(reversed(kb.quantities), lengths[1] - n_quantities):
+                    for g in kb.quantities[qid].granules:
+                        self.holders.setdefault(g, []).append(qid)
             for iv in kb.adjacency[n_intervals:]:
                 self.intervals.setdefault((iv.a, iv.b), []).append(iv)
             self.counts = lengths
@@ -245,8 +258,7 @@ class KnowledgeBase:
         self._check_fresh(object_id)
         if not self.has_kind(kind, OBJECT_KIND):
             raise UnknownKind(f"'{kind}' is not a declared object kind")
-        obj = ObjectInst(object_id, kind, at)
-        self.objects[object_id] = obj
+        self.objects[object_id] = obj = ObjectInst(object_id, kind, at)
         return obj
 
     # -- adjacency ---------------------------------------------------------
@@ -256,10 +268,10 @@ class KnowledgeBase:
         self._check_time(start)
         if a == b:
             raise SelfAdjacency(f"object '{a}' cannot be adjacent to itself")
-        for oid in (a, b):
-            self._object_at(oid, start)
-        a, b = sorted((a, b))
-        for iv in self._intervals(a, b):
+        self._object(a, start)
+        self._object(b, start)
+        a, b, intervals = self._pair(a, b)
+        for iv in intervals:
             # a new interval is open-ended, so it overlaps anything not closed by start
             if iv.end is None or iv.end > start:
                 raise OverlappingInterval(
@@ -271,18 +283,17 @@ class KnowledgeBase:
     def retract_adjacency(self, a: str, b: str, end: int) -> None:
         """Close the open adjacency interval for the pair at ``end``."""
         self._check_time(end)
-        for oid in (a, b):
-            self._object(oid)
-        a, b = sorted((a, b))
-        for iv in self._intervals(a, b):
+        self._object(a)
+        self._object(b)
+        a, b, intervals = self._pair(a, b)
+        for iv in intervals:
             if iv.end is None and iv.start < end:
                 iv.end = end
                 return
         raise UnknownAdjacency(f"no open adjacency {a}-{b} active before t{end}")
 
     def adjacent_at(self, a: str, b: str, t: int) -> bool:
-        a, b = sorted((a, b))
-        return any(iv.active_at(t) for iv in self._intervals(a, b))
+        return any(iv.active_at(t) for iv in self._pair(a, b)[2])
 
     def adjacency_at(self, t: int) -> list[tuple[str, str]]:
         """Normalized pairs active at ``t``, sorted and deduplicated.
@@ -383,19 +394,11 @@ class KnowledgeBase:
 
     def change_points(self) -> list[int]:
         """Sorted distinct time points at which any stored state changes."""
-        points: set[int] = set()
-        for ev in self.events:
-            points.add(ev.at)
-        for iv in self.adjacency:
-            points.add(iv.start)
-            if iv.end is not None:
-                points.add(iv.end)
-        for o in self.objects.values():
-            points.add(o.created_at)
-        for q in self.quantities.values():
-            points.add(q.created_at)
-            if q.terminated_at is not None:
-                points.add(q.terminated_at)
+        spans = [(iv.start, iv.end) for iv in self.adjacency]
+        spans += [(q.created_at, q.terminated_at) for q in self.quantities.values()]
+        points = {ev.at for ev in self.events} | {o.created_at for o in self.objects.values()}
+        points.update(chain.from_iterable(spans))
+        points.discard(None)  # an open end
         return sorted(points)
 
     # -- internals -----------------------------------------------------------
@@ -406,20 +409,20 @@ class KnowledgeBase:
             raise UnknownQuantity(f"unknown quantity '{quantity_id}'")
         return q
 
-    def _object(self, object_id: str) -> ObjectInst:
+    def _object(self, object_id: str, t: int | None = None) -> ObjectInst:
+        """The object, which must exist, and exist at ``t`` when that is given."""
         o = self.objects.get(object_id)
         if o is None:
             raise UnknownObject(f"unknown object '{object_id}'")
-        return o
-
-    def _object_at(self, object_id: str, t: int) -> ObjectInst:
-        o = self._object(object_id)
-        if o.created_at > t:
+        if t is not None and o.created_at > t:
             raise UnknownObject(f"object '{object_id}' does not exist at t{t}")
         return o
 
-    def _intervals(self, a: str, b: str) -> list[AdjacencyInterval]:
-        return self.store_index.catch_up(self).intervals.get((a, b), [])
+    def _pair(self, a: str, b: str) -> tuple[str, str, Iterable[AdjacencyInterval]]:
+        """The pair as stored (a < b) and its intervals."""
+        if b < a:
+            a, b = b, a
+        return a, b, self.store_index.catch_up(self).intervals.get((a, b), ())
 
     def _check_fresh(self, entity_id: str) -> None:
         if entity_id in self.objects or entity_id in self.quantities or (

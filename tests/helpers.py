@@ -354,7 +354,7 @@ def reference_assert_adjacency(kb: KnowledgeBase, a: str, b: str, start: int) ->
     if a == b:
         raise SelfAdjacency(f"object '{a}' cannot be adjacent to itself")
     for oid in (a, b):
-        kb._object_at(oid, start)
+        kb._object(oid, start)
     a, b = sorted((a, b))
     for iv in kb.adjacency:
         if (iv.a, iv.b) == (a, b) and (iv.end is None or iv.end > start):

@@ -22,12 +22,16 @@ from matterkb.errors import (
     NonMonotonicTime,
     OverlappingInterval,
     ReplayError,
+    SameKindSubQuantity,
     TooFewGranules,
+    UnknownAdjacency,
+    UnknownGranuleKind,
     UnknownKind,
     UnknownObject,
     UnknownQuantity,
 )
-from matterkb.model import AdjacencyInterval, ObjectInst
+from matterkb.events import EventRec
+from matterkb.model import QUANTITY_KIND, AdjacencyInterval, KindDecl, ObjectInst, SubQuantityAssertion
 
 from helpers import build_random_kb
 
@@ -41,6 +45,10 @@ def kb():
     for i in range(1, 9):
         kb.create_object(f"g{i}", "Grain", 0)
     return kb
+
+
+def discarding(ev, granule):
+    return EventRec(ev.id, ev.at, ev.kind, ev.donors, ev.created, frozenset({granule}))
 
 
 def rock(kb, qid, granules, at, **kw):
@@ -271,6 +279,65 @@ class TestLogAndReplay:
             replay(kb)
         assert (exc_info.value.index, exc_info.value.subjects) == (None, ("p1",))
         assert isinstance(exc_info.value.cause, UnknownKind)
+
+    # One rejected record per replay section, pinned before replay caught errors
+    # once per section: the record's index and subjects, the message, the cause.
+    REJECTED = {
+        "kind": (
+            lambda kb: kb.kinds.update(Mud=KindDecl("Mud", QUANTITY_KIND, frozenset({"Pebble"}))),
+            None, ("Mud",), "kind 'Mud' requires 'Pebble', which is not a declared object kind",
+            UnknownGranuleKind,
+        ),
+        "object": (
+            lambda kb: kb.objects.update(p1=ObjectInst("p1", "Pebble", 0)),
+            None, ("p1",), "'Pebble' is not a declared object kind", UnknownKind,
+        ),
+        "object time": (
+            lambda kb: kb.objects.update(p1=ObjectInst("p1", "Grain", -1)),
+            None, ("p1",), "time points are non-negative integers, got -1", ValueError,
+        ),
+        "event": (
+            lambda kb: kb.events.append(
+                EventRec("again", 9, "creation", frozenset(), (CreatedEntry.of("r9", "Rock", ["g1", "g5"]),),
+                         frozenset())
+            ),
+            2, ("again",), "event #2 failed to replay: object 'g1' is already a granule of live "
+            "quantity 'r2' of kind 'Rock'", GranuleNotFree,
+        ),
+        "malformed event": (
+            lambda kb: kb.events.__setitem__(0, discarding(kb.events[0], "g1")),
+            0, ("create-r1",), "event #0 failed to replay: malformed creation event 'create-r1'",
+            ValueError,
+        ),
+        "interval assert": (
+            lambda kb: kb.adjacency.append(AdjacencyInterval("g1", "g2", 1)),
+            None, ("g1", "g2"), "adjacency g1-g2 from t1 would overlap the interval starting at t0",
+            OverlappingInterval,
+        ),
+        "interval retract": (
+            lambda kb: kb.adjacency.append(AdjacencyInterval("g5", "g6", 4, 2)),
+            None, ("g5", "g6"), "no open adjacency g5-g6 active before t2", UnknownAdjacency,
+        ),
+        "sub-quantity assertion": (
+            lambda kb: kb.subquantities.add(SubQuantityAssertion("r2", "r3")),
+            None, ("r2", "r3"), "sub-quantity requires distinct kinds; 'r2' and 'r3' are both 'Rock'",
+            SameKindSubQuantity,
+        ),
+    }
+
+    @pytest.mark.parametrize("section", sorted(REJECTED))
+    def test_replay_error_names_the_rejected_record(self, kb, section):
+        rock(kb, "r1", ["g1", "g2", "g3", "g4"], 0)
+        kb.assert_adjacency("g1", "g2", 0)
+        apply_transfer(kb, ["r1"], [CreatedEntry.of("r2", "Rock", ["g1", "g2"]),
+                                    CreatedEntry.of("r3", "Rock", ["g3", "g4"])], 1)
+        corrupt, index, subjects, message, cause = self.REJECTED[section]
+        corrupt(kb)
+        with pytest.raises(ReplayError) as exc_info:
+            replay(kb)
+        error = exc_info.value
+        assert (error.index, error.subjects, str(error), type(error.cause)) == (index, subjects, message, cause)
+        assert error.__cause__ is error.cause
 
     def test_replay_fuzzed(self):
         rng = random.Random(99)

@@ -1,13 +1,15 @@
 """The bulk-checked importer accepts and rejects exactly what the record-by-record
-reader did: the same export bytes, or the same DocumentError path and message."""
+reader did: the same export bytes, or the same DocumentError path and message.
+A document text that repeats a key is rejected at that key."""
 
 import copy
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from matterkb import case_study_path, export_document, kb_to_doc, load, parse
-from matterkb.canonical import doc_to_kb
+from matterkb.canonical import doc_to_kb, import_document
 from matterkb.errors import DocumentError
 
 from helpers import build_random_kb, messy_world_kb, reference_doc_to_kb
@@ -146,3 +148,57 @@ def test_readers_agree_on_bad_identifiers_at_column_ends(where, bad):
 @given(mutated_documents())
 def test_readers_agree_on_mutated_documents(doc):
     assert outcome(doc_to_kb, doc) == outcome(reference_doc_to_kb, doc)
+
+
+def _objects(value, path="$"):
+    """Every object under ``value`` with the path a DocumentError gives it, in document order."""
+    if isinstance(value, dict):
+        yield value, path
+        children = [(key if path == "$" else f"{path}.{key}", v) for key, v in value.items()]
+    elif isinstance(value, list):
+        children = [(f"{path}[{i}]", v) for i, v in enumerate(value)]
+    else:
+        return
+    for child, v in children:
+        yield from _objects(v, child)
+
+
+@st.composite
+def repeated_key_documents(draw):
+    """A document's text with one key of one object, at any depth, written twice:
+    once more at a drawn position, with its own or an odd value. Returns the text
+    and the path of the repeated key."""
+    doc = draw(st.sampled_from(BASES))
+    target, path = draw(st.sampled_from(list(_objects(doc))))
+    key = draw(st.sampled_from(sorted(target)))
+    pairs = list(target.items())
+    pairs.insert(draw(st.integers(0, len(pairs))), (key, draw(st.sampled_from([target[key], *ODD_VALUES]))))
+    colon = draw(st.sampled_from([":", ": ", " : ", "\n:\t"]))
+
+    def render(value):
+        if isinstance(value, dict):
+            items = pairs if value is target else value.items()
+            return "{" + ", ".join(f"{json.dumps(k)}{colon}{render(v)}" for k, v in items) + "}"
+        if isinstance(value, list):
+            return "[" + ", ".join(map(render, value)) + "]"
+        return json.dumps(value)
+
+    return render(doc), key if path == "$" else f"{path}.{key}"
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(repeated_key_documents())
+def test_repeated_key_is_rejected_with_its_path(case):
+    text, path = case
+    with pytest.raises(DocumentError) as exc_info:
+        import_document(text)
+    assert (exc_info.value.path, exc_info.value.message) == (path, f"repeated key '{path.rpartition('.')[2]}'")
+
+
+def test_colon_in_a_string_is_not_a_repeated_key():
+    doc = copy.deepcopy(BASES[0])
+    doc["objects"][0]["kind"] = "Grain:fine"
+    with pytest.raises(DocumentError) as exc_info:
+        import_document(json.dumps(doc))
+    assert exc_info.value.path == "objects[0].kind"
+    assert "is not a valid identifier" in exc_info.value.message
