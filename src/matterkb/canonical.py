@@ -160,10 +160,7 @@ def import_document(text: str) -> KnowledgeBase:
     problem, a repeated key first. The result may violate semantic rules; run
     the validators.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DocumentError("$", f"not a well-formed document: {exc}") from exc
+    doc = _loads(text)
     try:
         kb = doc_to_kb(doc)
     except DocumentError:
@@ -177,9 +174,18 @@ def import_document(text: str) -> KnowledgeBase:
     return kb
 
 
+def _loads(text: str, **options: Any) -> Any:
+    try:
+        return json.loads(text, **options)
+    except json.JSONDecodeError as exc:
+        raise DocumentError("$", f"not a well-formed document: {exc}") from exc
+    except RecursionError as exc:  # the parser recurses once per nested array or object
+        raise DocumentError("$", "nested too deeply to read") from exc
+
+
 def _reject_repeated_keys(text: str) -> None:
     """Raise a DocumentError at a repeated key, if any: in an object before any in its values."""
-    pending = [("$", json.loads(text, object_pairs_hook=tuple))]  # an object is a tuple of pairs
+    pending = [("$", _loads(text, object_pairs_hook=tuple))]  # an object is a tuple of pairs
     while pending:
         path, value = pending.pop()
         if isinstance(value, list):

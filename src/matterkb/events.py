@@ -4,6 +4,12 @@ Events are the sole mutation path for quantities: a creation event brings one
 quantity into existence from free objects, a granule transfer terminates its
 donor quantities and creates inheritor quantities from their granules. Every
 historical relation derived later points back at one of these records.
+
+Both go through one checked write, ``_write``, in which a creation is the
+event without donors: it needs no donor and inherits no granule, and a
+granule that a live quantity of its kind holds makes it ``GranuleNotFree``
+instead of a provenance violation. The record's kind is read only to refuse
+a transfer that names no donor or no created quantity.
 """
 
 from __future__ import annotations
@@ -57,24 +63,9 @@ def apply_creation(
     event_id: str | None = None,
 ) -> EventRec:
     """Create one quantity from free objects; appends a creation event."""
-    kb._check_time(at)
-    _check_monotonic(kb, at)
     if event_id is None:
         event_id = f"create-{entry.id}"
-    kb._check_fresh(event_id)  # the write's one catch-up
-    with kb.store_index:
-        _check_entry(kb, entry, at)
-        for g in sorted(entry.granules):
-            holder = _same_kind_holder(kb, g, entry.kind, at, exclude=frozenset())
-            if holder is not None:
-                raise GranuleNotFree(
-                    f"object '{g}' is already a granule of live quantity '{holder.id}' of kind '{entry.kind}'"
-                )
-
-    event = EventRec(event_id, at, CREATION, frozenset(), (entry,), frozenset())
-    kb.events.append(event)
-    kb.quantities[entry.id] = QuantityInst(entry.id, entry.kind, at, entry.granules, event_id)
-    return event
+    return _write(kb, EventRec(event_id, at, CREATION, frozenset(), (entry,), frozenset()))
 
 
 def apply_transfer(
@@ -91,16 +82,29 @@ def apply_transfer(
     free object; each donor granule lands in at most one created set (or in
     ``discarded``, or is implicitly freed).
     """
-    kb._check_time(at)
-    _check_monotonic(kb, at)
-    donors = frozenset(donors)
-    discarded = frozenset(discarded)
-    if not donors:
-        raise ValueError("a transfer needs at least one donor; use a creation event instead")
-    if not created:
-        raise ValueError("a transfer needs at least one created quantity")
     if event_id is None:
         event_id = f"e{len(kb.events)}"
+    created = tuple(sorted(created, key=attrgetter("id")))
+    event = EventRec(event_id, at, GRANULE_TRANSFER, frozenset(donors), created, frozenset(discarded))
+    return _write(kb, event)
+
+
+def _write(kb: KnowledgeBase, event: EventRec) -> EventRec:
+    """Check one event against the store, then append it and apply it.
+
+    The engine's only append to ``kb.events``; on any error the store is
+    left as it was. A creation is the event without donors.
+    """
+    event_id, at, kind, donors, created, discarded = event
+    kb._check_time(at)
+    if kb.events and at <= kb.events[-1].at:
+        raise NonMonotonicTime(
+            f"event at t{at} does not follow the last event at t{kb.events[-1].at}"
+        )
+    if kind == GRANULE_TRANSFER and not donors:
+        raise ValueError("a transfer needs at least one donor; use a creation event instead")
+    if kind == GRANULE_TRANSFER and not created:
+        raise ValueError("a transfer needs at least one created quantity")
     kb._check_fresh(event_id)  # the write's one catch-up
 
     donor_insts = []
@@ -112,14 +116,21 @@ def apply_transfer(
     donor_granules = frozenset().union(*(d.granules for d in donor_insts))
 
     with kb.store_index:
-        created = tuple(sorted(created, key=lambda e: e.id))
         seen_ids = set()
         for entry in created:
             if entry.id in seen_ids:
                 raise DuplicateGranuleAssignment(f"quantity '{entry.id}' created twice in one event")
             seen_ids.add(entry.id)
-            _check_entry(kb, entry, at)
-            if not (entry.granules & donor_granules):
+            kb._check_fresh(entry.id)
+            if not kb.has_kind(entry.kind, QUANTITY_KIND):
+                raise UnknownKind(f"'{entry.kind}' is not a declared quantity kind")
+            for g in sorted(entry.granules):
+                kb._object(g, at)
+            if len(entry.granules) < MIN_GRANULES:
+                raise TooFewGranules(
+                    f"quantity '{entry.id}' needs at least {MIN_GRANULES} granules, got {len(entry.granules)}"
+                )
+            if donors and not (entry.granules & donor_granules):
                 raise GranuleProvenanceViolation(
                     f"created quantity '{entry.id}' inherits no granule from any donor; "
                     "unrelated creations belong in a separate creation event"
@@ -146,13 +157,17 @@ def apply_transfer(
         for entry in created:
             for g in sorted(entry.granules - donor_granules):
                 holder = _same_kind_holder(kb, g, entry.kind, at, exclude=donors)
-                if holder is not None:
-                    raise GranuleProvenanceViolation(
-                        f"granule '{g}' of '{entry.id}' is neither donated nor free: "
-                        f"it belongs to live quantity '{holder.id}'"
+                if holder is None:
+                    continue
+                if not donors:
+                    raise GranuleNotFree(
+                        f"object '{g}' is already a granule of live quantity '{holder.id}' of kind '{entry.kind}'"
                     )
+                raise GranuleProvenanceViolation(
+                    f"granule '{g}' of '{entry.id}' is neither donated nor free: "
+                    f"it belongs to live quantity '{holder.id}'"
+                )
 
-    event = EventRec(event_id, at, GRANULE_TRANSFER, donors, created, discarded)
     kb.events.append(event)
     for d in donor_insts:
         d.terminated_at = at
@@ -221,26 +236,6 @@ def replay(kb: KnowledgeBase) -> KnowledgeBase:
     except Exception as exc:
         raise ReplayError(None, exc, (s.part, s.whole)) from exc
     return fresh
-
-
-def _check_monotonic(kb: KnowledgeBase, at: int) -> None:
-    if kb.events and at <= kb.events[-1].at:
-        raise NonMonotonicTime(
-            f"event at t{at} does not follow the last event at t{kb.events[-1].at}"
-        )
-
-
-def _check_entry(kb: KnowledgeBase, entry: CreatedEntry, at: int) -> None:
-    """The checks every created quantity passes, in a creation or a transfer."""
-    kb._check_fresh(entry.id)
-    if not kb.has_kind(entry.kind, QUANTITY_KIND):
-        raise UnknownKind(f"'{entry.kind}' is not a declared quantity kind")
-    for g in sorted(entry.granules):
-        kb._object(g, at)
-    if len(entry.granules) < MIN_GRANULES:
-        raise TooFewGranules(
-            f"quantity '{entry.id}' needs at least {MIN_GRANULES} granules, got {len(entry.granules)}"
-        )
 
 
 def _same_kind_holder(

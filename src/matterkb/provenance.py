@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 from .errors import NotAGranuleAt
-from .events import GRANULE_TRANSFER, EventRec
+from .events import EventRec
 from .model import KnowledgeBase, connected_components
 
 ORIGINAL_PORTION = "OriginalPortion"
@@ -98,10 +98,8 @@ class _Index:
 def _derive(kb: KnowledgeBase, events: list[EventRec]) -> list[ProvenanceEdge]:
     edges = []
     for ev in events:
-        if ev.kind != GRANULE_TRANSFER:
-            continue
         for entry in ev.created:
-            for did in sorted(ev.donors):
+            for did in sorted(ev.donors):  # none in a creation
                 donor = kb.quantities.get(did)
                 if donor is None:
                     continue

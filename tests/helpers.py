@@ -19,13 +19,21 @@ from matterkb import (
 )
 from matterkb.canonical import doc_to_kb
 from matterkb.dsl import ParseDiagnostic, _Token
+from matterkb import events
 from matterkb.errors import (
     DocumentError,
+    DonorNotLive,
+    DuplicateGranuleAssignment,
     DuplicateId,
     EngineError,
+    GranuleNotFree,
+    GranuleProvenanceViolation,
+    NonMonotonicTime,
     OverlappingInterval,
     SelfAdjacency,
+    TooFewGranules,
     UnknownAdjacency,
+    UnknownKind,
 )
 from matterkb.events import CREATION, GRANULE_TRANSFER, EventRec
 from matterkb.model import (
@@ -470,6 +478,131 @@ def reference_derive_edges(kb: KnowledgeBase) -> tuple[ProvenanceEdge, ...]:
                     )
                 )
     return tuple(sorted(edges, key=lambda e: (e.inheritor, e.donor)))
+
+
+# -- separate creation and transfer writes ---------------------------------------------
+# The two event writes `events._write` replaced, each with its own copy of the
+# time, id, entry and holder checks, kept as differential checks.
+
+
+def reference_apply_creation(
+    kb: KnowledgeBase, entry: CreatedEntry, at: int, event_id: str | None = None
+) -> EventRec:
+    kb._check_time(at)
+    _ref_check_monotonic(kb, at)
+    if event_id is None:
+        event_id = f"create-{entry.id}"
+    kb._check_fresh(event_id)
+    with kb.store_index:
+        _ref_check_entry(kb, entry, at)
+        for g in sorted(entry.granules):
+            holder = events._same_kind_holder(kb, g, entry.kind, at, exclude=frozenset())
+            if holder is not None:
+                raise GranuleNotFree(
+                    f"object '{g}' is already a granule of live quantity '{holder.id}' of kind '{entry.kind}'"
+                )
+
+    event = EventRec(event_id, at, CREATION, frozenset(), (entry,), frozenset())
+    kb.events.append(event)
+    kb.quantities[entry.id] = QuantityInst(entry.id, entry.kind, at, entry.granules, event_id)
+    return event
+
+
+def reference_apply_transfer(
+    kb: KnowledgeBase,
+    donors,
+    created,
+    at: int,
+    discarded=(),
+    event_id: str | None = None,
+) -> EventRec:
+    kb._check_time(at)
+    _ref_check_monotonic(kb, at)
+    donors = frozenset(donors)
+    discarded = frozenset(discarded)
+    if not donors:
+        raise ValueError("a transfer needs at least one donor; use a creation event instead")
+    if not created:
+        raise ValueError("a transfer needs at least one created quantity")
+    if event_id is None:
+        event_id = f"e{len(kb.events)}"
+    kb._check_fresh(event_id)
+
+    donor_insts = []
+    for did in sorted(donors):
+        d = kb._quantity(did)
+        if d.terminated_at is not None or d.created_at >= at:
+            raise DonorNotLive(f"donor '{did}' is not live immediately before t{at}")
+        donor_insts.append(d)
+    donor_granules = frozenset().union(*(d.granules for d in donor_insts))
+
+    with kb.store_index:
+        created = tuple(sorted(created, key=lambda e: e.id))
+        seen_ids = set()
+        for entry in created:
+            if entry.id in seen_ids:
+                raise DuplicateGranuleAssignment(f"quantity '{entry.id}' created twice in one event")
+            seen_ids.add(entry.id)
+            _ref_check_entry(kb, entry, at)
+            if not (entry.granules & donor_granules):
+                raise GranuleProvenanceViolation(
+                    f"created quantity '{entry.id}' inherits no granule from any donor; "
+                    "unrelated creations belong in a separate creation event"
+                )
+
+        assigned: dict[str, str] = {}
+        for entry in created:
+            for g in sorted(entry.granules):
+                if g in assigned:
+                    raise DuplicateGranuleAssignment(
+                        f"granule '{g}' assigned to both '{assigned[g]}' and '{entry.id}'"
+                    )
+                assigned[g] = entry.id
+        for g in sorted(discarded):
+            if g in assigned:
+                raise DuplicateGranuleAssignment(
+                    f"granule '{g}' both discarded and assigned to '{assigned[g]}'"
+                )
+            if g not in donor_granules:
+                raise GranuleProvenanceViolation(
+                    f"discarded object '{g}' is not a granule of any donor"
+                )
+
+        for entry in created:
+            for g in sorted(entry.granules - donor_granules):
+                holder = events._same_kind_holder(kb, g, entry.kind, at, exclude=donors)
+                if holder is not None:
+                    raise GranuleProvenanceViolation(
+                        f"granule '{g}' of '{entry.id}' is neither donated nor free: "
+                        f"it belongs to live quantity '{holder.id}'"
+                    )
+
+    event = EventRec(event_id, at, GRANULE_TRANSFER, donors, created, discarded)
+    kb.events.append(event)
+    for d in donor_insts:
+        d.terminated_at = at
+    for entry in created:
+        kb.quantities[entry.id] = QuantityInst(entry.id, entry.kind, at, entry.granules, event_id)
+    return event
+
+
+def _ref_check_monotonic(kb: KnowledgeBase, at: int) -> None:
+    if kb.events and at <= kb.events[-1].at:
+        raise NonMonotonicTime(
+            f"event at t{at} does not follow the last event at t{kb.events[-1].at}"
+        )
+
+
+def _ref_check_entry(kb: KnowledgeBase, entry: CreatedEntry, at: int) -> None:
+    kb._check_fresh(entry.id)
+    if not kb.has_kind(entry.kind, QUANTITY_KIND):
+        raise UnknownKind(f"'{entry.kind}' is not a declared quantity kind")
+    for g in sorted(entry.granules):
+        kb._object(g, at)
+    if len(entry.granules) < MIN_GRANULES:
+        raise TooFewGranules(
+            f"quantity '{entry.id}' needs at least {MIN_GRANULES} granules, got {len(entry.granules)}"
+        )
 
 
 # -- export-comparing reference for replay-check --------------------------------------

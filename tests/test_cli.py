@@ -346,6 +346,28 @@ def test_console_entry_point_runs():
     assert proc.stdout == "0 violations\n"
 
 
+DEEP_KINDS = (
+    '{"kinds": ' + "[" * 993 + "]" * 993
+    + ', "objects": [], "quantities": [], "adjacency": [], "subquantities": [], "events": []}'
+)
+
+
+@pytest.mark.parametrize("text", ["[" * 5000, "[" * 100_000, DEEP_KINDS])
+def test_deep_document_is_one_error_line(tmp_path, text):
+    path = tmp_path / "deep.mpkb"
+    path.write_text(text, encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "matterkb", "validate", str(path)],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    lines = proc.stderr.splitlines()
+    assert (proc.returncode, proc.stdout, len(lines)) == (2, "", 1)
+    # json's C parser counts against the recursion limit up to CPython 3.11
+    assert lines[0] == f"{path}: $: nested too deeply to read" or sys.version_info >= (3, 12)
+
+
 def test_usage_error_exits_2():
     proc = subprocess.run(
         [sys.executable, "-m", "matterkb", "frobnicate"],

@@ -11,6 +11,7 @@ from matterkb import (
     apply_transfer,
     event_log,
     export_document,
+    import_document,
     replay,
 )
 from matterkb.errors import (
@@ -33,7 +34,7 @@ from matterkb.errors import (
 from matterkb.events import EventRec
 from matterkb.model import QUANTITY_KIND, AdjacencyInterval, KindDecl, ObjectInst, SubQuantityAssertion
 
-from helpers import build_random_kb
+from helpers import build_random_kb, reference_apply_creation, reference_apply_transfer
 
 
 @pytest.fixture()
@@ -344,3 +345,115 @@ class TestLogAndReplay:
         for seed in rng.sample(range(1000), 25):
             kb = build_random_kb(seed)
             assert export_document(replay(kb)) == export_document(kb)
+
+
+class TestOneWrite:
+    """Both engine writes against the separate creation and transfer they replaced."""
+
+    # (write, error class, a phrase of its message): every error either write raises
+    ERRORS = [
+        *[(op, cls, phrase) for op in ("create", "transfer") for cls, phrase in [
+            ("ValueError", "time points are non-negative"),
+            ("NonMonotonicTime", "does not follow the last event"),
+            ("DuplicateId", "is already in use"),
+            ("UnknownKind", "is not a declared quantity kind"),
+            ("UnknownObject", "unknown object"),
+            ("UnknownObject", "does not exist at"),
+            ("TooFewGranules", "needs at least"),
+        ]],
+        ("create", "GranuleNotFree", "is already a granule of live quantity"),
+        ("transfer", "ValueError", "needs at least one donor"),
+        ("transfer", "ValueError", "needs at least one created quantity"),
+        ("transfer", "UnknownQuantity", "unknown quantity"),
+        ("transfer", "DonorNotLive", "is not live immediately before"),
+        ("transfer", "DuplicateGranuleAssignment", "created twice in one event"),
+        ("transfer", "DuplicateGranuleAssignment", "assigned to both"),
+        ("transfer", "DuplicateGranuleAssignment", "both discarded and assigned"),
+        ("transfer", "GranuleProvenanceViolation", "inherits no granule from any donor"),
+        ("transfer", "GranuleProvenanceViolation", "is not a granule of any donor"),
+        ("transfer", "GranuleProvenanceViolation", "is neither donated nor free"),
+    ]
+
+    @staticmethod
+    def outcome(fn, *args):
+        try:
+            return ("ok", fn(*args))
+        except Exception as exc:  # compared by type and message below
+            return ("raised", type(exc).__name__, str(exc))
+
+    @staticmethod
+    def random_write(kb, rng, step):
+        """One seeded creation or transfer call on ``kb``, valid or not, as (op, args)."""
+        last = kb.events[-1].at if kb.events else 0
+        at = rng.choice([last + 1] * 12 + [last, -1])
+        objects = sorted(kb.objects) + ["ghost"] * (rng.random() < 0.03)
+        used = sorted(kb.objects) + sorted(kb.quantities) + [ev.id for ev in kb.events]
+        kinds = sorted(k for k, d in kb.kinds.items() if d.meta == QUANTITY_KIND)
+
+        def new_id(k=""):
+            return f"n{step}{k}" if rng.random() < 0.9 else rng.choice(used)
+
+        def kind(default):
+            return rng.choice(["Grain", "Nope"]) if rng.random() < 0.04 else default
+
+        event_id = rng.choice(used) if rng.random() < 0.08 else rng.choice([None, f"ev{step}"])
+        if rng.random() < 0.3:
+            granules = rng.sample(objects, min(len(objects), rng.choice([1, 2, 2, 3])))
+            entry = CreatedEntry.of(new_id(), kind(rng.choice(kinds)), granules)
+            return "create", (entry, at, event_id)
+        live = sorted(q.id for q in kb.quantities.values() if q.terminated_at is None)
+        donors = rng.sample(live, min(len(live), rng.choice([0] + [1] * 6 + [2] * 3)))
+        if rng.random() < 0.06:
+            donors.append(rng.choice(sorted(kb.quantities)))  # perhaps terminated
+        if rng.random() < 0.03:
+            donors.append("ghostq")
+        pool = sorted({g for d in donors if d in kb.quantities for g in kb.quantities[d].granules})
+        rng.shuffle(pool)
+        n_parts = rng.choice([0] + [1] * 5 + [2] * 3 + [3])
+        parts = [pool[i::n_parts] for i in range(n_parts)]
+        discarded = parts.pop() if len(parts) > 1 and rng.random() < 0.3 else []
+        if parts and parts[0] and rng.random() < 0.06:
+            discarded = [*discarded, parts[0][0]]
+        if rng.random() < 0.05:
+            discarded = [*discarded, rng.choice(objects)]
+        created = []
+        for k, part in enumerate(parts):
+            if rng.random() < 0.2:
+                part = [*part, rng.choice(objects)]
+            if k and parts[0] and rng.random() < 0.1:
+                part = [*part, parts[0][0]]
+            if rng.random() < 0.05:
+                part = rng.sample(objects, 2)
+            if rng.random() < 0.04:
+                part = part[:1]
+            qid = created[-1].id if created and rng.random() < 0.1 else new_id(k)
+            default = kb.quantities[donors[0]].kind if donors and donors[0] in kb.quantities else kinds[0]
+            created.append(CreatedEntry.of(qid, kind(default if rng.random() < 0.6 else rng.choice(kinds)), part))
+        return "transfer", (donors, created, at, discarded, event_id)
+
+    def test_matches_separate_creation_and_transfer(self):
+        """Same event record and store, or the same error class and message, write by write."""
+        writes = {"create": (apply_creation, reference_apply_creation),
+                  "transfer": (apply_transfer, reference_apply_transfer)}
+        seen = set()
+        for seed in range(60):
+            for make in (lambda: build_random_kb(seed),
+                         lambda: import_document(export_document(build_random_kb(seed)))):
+                rng = random.Random(seed)
+                kb, ref = make(), make()
+                for step in range(50):
+                    if rng.random() < 0.15:  # new objects, some born after the next write
+                        for store in (kb, ref):
+                            store.create_object(f"o{step}", "Grain", kb.events[-1].at if kb.events else 0)
+                            store.create_object(f"late{step}", "Grain", len(kb.events) + 100)
+                    op, args = self.random_write(kb, rng, step)
+                    write, reference = writes[op]
+                    result = self.outcome(write, kb, *args)
+                    assert result == self.outcome(reference, ref, *args), (seed, step, op, args)
+                    if result[0] == "raised":
+                        seen.add((op, result[1], result[2]))
+                assert kb.events == ref.events
+                assert kb.quantities == ref.quantities
+                assert export_document(kb) == export_document(ref)
+        for op, cls, phrase in self.ERRORS:
+            assert any(s[:2] == (op, cls) and phrase in s[2] for s in seen), (op, cls, phrase)

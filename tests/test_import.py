@@ -1,9 +1,11 @@
 """The bulk-checked importer accepts and rejects exactly what the record-by-record
 reader did: the same export bytes, or the same DocumentError path and message.
-A document text that repeats a key is rejected at that key."""
+A document text that repeats a key is rejected at that key, and one nested too
+deeply to parse is rejected at its root."""
 
 import copy
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -202,3 +204,31 @@ def test_colon_in_a_string_is_not_a_repeated_key():
         import_document(json.dumps(doc))
     assert exc_info.value.path == "objects[0].kind"
     assert "is not a valid identifier" in exc_info.value.message
+
+
+def deep_kinds(depth: int) -> str:
+    """A document whose kinds section is ``depth`` nested arrays."""
+    sections = ', "objects": [], "quantities": [], "adjacency": [], "subquantities": [], "events": []}'
+    return '{"kinds": ' + "[" * depth + "]" * depth + sections
+
+
+@pytest.mark.parametrize("text", ["[" * 100_000, '{"a": ' * 100_000, deep_kinds(100_000)])
+def test_deep_nesting_is_a_document_error(text):
+    with pytest.raises(DocumentError) as err:
+        import_document(text)
+    assert (err.value.path, err.value.message) == ("$", "nested too deeply to read")
+
+
+def test_nesting_near_the_recursion_limit_is_read_or_rejected():
+    """The re-parse that looks for a repeated key runs a few frames deeper than the
+    first parse, so at some depth only the re-parse runs out of stack."""
+    limit = sys.getrecursionlimit()
+    outcomes = set()
+    for depth in range(limit - 400, limit + 5):
+        with pytest.raises(DocumentError) as err:
+            import_document(deep_kinds(depth))
+        outcomes.add((err.value.path, err.value.message))
+    too_deep = ("$", "nested too deeply to read")
+    assert outcomes <= {("kinds[0]", "expected an object, got list"), too_deep}
+    # json's C parser counts against the recursion limit up to CPython 3.11
+    assert too_deep in outcomes or sys.version_info >= (3, 12)
