@@ -3,8 +3,9 @@
 Export is canonical: fixed section order (kinds, objects, quantities,
 adjacency, subquantities, events), fixed field order, all id lists sorted,
 optional fields omitted when absent. Equal knowledge bases therefore yield
-byte-identical documents. ``dumps`` decides the indent-2 layout of every
-canonical output: documents here, query payloads and reports in ``cli``.
+byte-identical documents. ``export_document`` writes a document straight from
+the records; ``dumps`` writes query payloads and reports for ``cli``. Tests pin
+both to ``json.dumps(indent=2)``.
 
 Import checks structure only (field types, id shapes, duplicates within a
 section); semantic problems in hand-written documents are left for the
@@ -19,7 +20,7 @@ from __future__ import annotations
 import json
 import re
 from itertools import chain, islice
-from json.encoder import encode_basestring_ascii
+from json.encoder import encode_basestring_ascii as _str
 from operator import attrgetter, eq, itemgetter
 from typing import Any
 
@@ -47,77 +48,83 @@ _SECTIONS = ("kinds", "objects", "quantities", "adjacency", "subquantities", "ev
 
 
 def kb_to_doc(kb: KnowledgeBase) -> dict[str, Any]:
-    """Plain-data form of the knowledge base, already normalized."""
-    kinds = []
-    for decl in sorted(kb.kinds.values(), key=lambda d: d.name):
-        rec: dict[str, Any] = {"name": decl.name, "meta": decl.meta}
-        if decl.meta == QUANTITY_KIND:
-            rec["requires"] = sorted(decl.requires)
-        kinds.append(rec)
-    objects = [
-        {"id": o.id, "kind": o.kind, "created_at": o.created_at}
-        for o in sorted(kb.objects.values(), key=lambda o: o.id)
-    ]
-    quantities = []
-    for q in sorted(kb.quantities.values(), key=lambda q: q.id):
-        rec = {"id": q.id, "kind": q.kind, "created_at": q.created_at}
-        if q.terminated_at is not None:
-            rec["terminated_at"] = q.terminated_at
-        rec["granules"] = sorted(q.granules)
-        rec["creation_event"] = q.creation_event
-        quantities.append(rec)
-    adjacency = []
-    for iv in sorted(kb.adjacency, key=lambda i: (i.a, i.b, i.start, i.end is None, i.end)):
-        rec = {"a": iv.a, "b": iv.b, "from": iv.start}
-        if iv.end is not None:
-            rec["to"] = iv.end
-        adjacency.append(rec)
-    subquantities = [
-        {"part": s.part, "whole": s.whole}
-        for s in sorted(kb.subquantities, key=lambda s: (s.part, s.whole))
-    ]
-    events = [
-        {
-            "id": ev.id, "at": ev.at, "kind": ev.kind, "donors": sorted(ev.donors),
-            "created": [{"id": e.id, "kind": e.kind, "granules": sorted(e.granules)}
-                        for e in sorted(ev.created, key=_BY_ID)],
-            "discarded": sorted(ev.discarded),
-        }
-        for ev in kb.events
-    ]
-    return dict(zip(_SECTIONS, (kinds, objects, quantities, adjacency, subquantities, events)))
+    """Plain-data form of the knowledge base, already normalized: its document, read back."""
+    return json.loads(export_document(kb))
 
 
 def export_document(kb: KnowledgeBase) -> str:
     """Canonical text rendering; equal knowledge bases export identical bytes."""
-    return dumps(kb_to_doc(kb)) + "\n"
+    # json.dumps(kb_to_doc(kb), indent=2) + "\n", from one template per record shape. All
+    # records go into one list, joined once: a section joined alone would raise peak memory.
+    sections = (
+        (f'\n    {{{_NL6}"name": {_str(d.name)},{_NL6}"meta": {_str(d.meta)}'
+         f'{_optional("requires", sorted(d.requires) if d.meta == QUANTITY_KIND else None)}\n    }},'
+         for d in sorted(kb.kinds.values(), key=attrgetter("name"))),
+        (f'\n    {{{_NL6}"id": {_str(o.id)},{_NL6}"kind": {_str(o.kind)},'
+         f'{_NL6}"created_at": {_encode(o.created_at)}\n    }},' for o in sorted(kb.objects.values(), key=_BY_ID)),
+        (f'\n    {{{_NL6}"id": {_str(q.id)},{_NL6}"kind": {_str(q.kind)},{_NL6}"created_at": {_encode(q.created_at)}'
+         f'{_optional("terminated_at", q.terminated_at)},{_NL6}"granules": {_encode(sorted(q.granules), _NL6)},'
+         f'{_NL6}"creation_event": {_str(q.creation_event)}\n    }},'
+         for q in sorted(kb.quantities.values(), key=_BY_ID)),
+        (f'\n    {{{_NL6}"a": {_str(i.a)},{_NL6}"b": {_str(i.b)},{_NL6}"from": {_encode(i.start)}'
+         f'{_optional("to", i.end)}\n    }},'
+         for i in sorted(kb.adjacency, key=lambda i: (i.a, i.b, i.start, i.end is None, i.end))),
+        (f'\n    {{{_NL6}"part": {_str(s.part)},{_NL6}"whole": {_str(s.whole)}\n    }},'
+         for s in sorted(kb.subquantities, key=attrgetter("part", "whole"))),
+        (f'\n    {{{_NL6}"id": {_str(e.id)},{_NL6}"at": {_encode(e.at)},{_NL6}"kind": {_str(e.kind)},'
+         f'{_NL6}"donors": {_encode(sorted(e.donors), _NL6)},{_NL6}"created": {_created(e.created)},'
+         f'{_NL6}"discarded": {_encode(sorted(e.discarded), _NL6)}\n    }},' for e in kb.events),
+    )
+    parts = ["{"]  # a record's text ends in a comma, which its section's last record drops
+    for name, records in zip(_SECTIONS, sections):
+        parts.append(f'\n  "{name}": [')
+        size = len(parts)
+        parts += records
+        parts[-1] = parts[-1] + "]," if len(parts) == size else parts[-1][:-1] + "\n  ],"
+    parts[-1] = parts[-1][:-1] + "\n}\n"
+    return "".join(parts)
+
+
+_NL6, _NL10 = "\n      ", "\n          "  # the line break before a record's field, an entry's field
+
+
+def _created(entries: tuple[CreatedEntry, ...]) -> str:
+    return "[" + ",".join(
+        f'\n        {{{_NL10}"id": {_str(c.id)},{_NL10}"kind": {_str(c.kind)},'
+        f'{_NL10}"granules": {_encode(sorted(c.granules), _NL10)}\n        }}' for c in sorted(entries, key=_BY_ID)
+    ) + (_NL6 + "]" if entries else "]")
+
+
+def _optional(key: str, value: Any) -> str:
+    return "" if value is None else f',{_NL6}"{key}": {_encode(value, _NL6)}'
 
 
 def dumps(value: Any) -> str:
-    """Exactly ``json.dumps(value, indent=2)`` for plain JSON data.
+    """Exactly ``json.dumps(value, indent=2)`` for plain JSON data: query payloads and reports.
 
-    ``json.dumps`` falls back to a pure-Python encoder whenever it indents;
-    this writer leaves every string to the C string encoder and joins a list
-    of strings in one pass. Dict keys must be strings. A leaf other than a
-    str, int, bool or None (a float, say) is rendered by ``json.dumps``,
-    which gives the same bytes at any depth.
+    ``json.dumps`` encodes in pure Python whenever it indents; this writer leaves every
+    string to the C string encoder and joins a list of strings in one pass. Dict keys must
+    be strings. A leaf other than a str, int, bool or None (a float, say) is rendered by
+    ``json.dumps``, which gives the same bytes at any depth.
     """
     return _encode(value, "\n")
 
 
-def _encode(value: Any, newline: str) -> str:
+def _encode(value: Any, newline: str = "\n") -> str:
     # A dict or a list of containers is one join over its parts, with no
     # string per field or body: a large section is then copied only into its
     # parent, and large short-lived strings raise the process's peak memory.
+    if type(value) is int:  # first, for the times of a document
+        return int.__repr__(value)
     if isinstance(value, str):
-        return encode_basestring_ascii(value)
+        return _str(value)
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
         inner = newline + "  "
         sep = "," + inner
         try:
-            return f"[{inner}{sep.join(map(encode_basestring_ascii, value))}{newline}]"
+            return f"[{inner}{sep.join(map(_str, value))}{newline}]"
         except TypeError:  # not a list of strings
             pass
         parts = [sep] * (2 * len(value) + 1)
@@ -134,22 +141,18 @@ def _encode(value: Any, newline: str) -> str:
         for key, v in value.items():
             t = type(v)
             if t is str:
-                text = encode_basestring_ascii(v)
+                text = _str(v)
             elif t is int:
                 text = int.__repr__(v)
             else:
                 text = _encode(v, inner)
-            parts += (encode_basestring_ascii(key), ": ", text, sep)
+            parts += (_str(key), ": ", text, sep)
         parts[-1] = newline + "}"
         return "".join(parts)
     if value is None:
         return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
+    if value is True or value is False:
+        return "true" if value else "false"
     return json.dumps(value)
 
 
@@ -379,14 +382,11 @@ def _read_kinds(kb: KnowledgeBase, items: list) -> None:
         meta = _string(rec, "meta", path)
         if meta not in (QUANTITY_KIND, OBJECT_KIND):
             raise DocumentError(f"{path}.meta", f"expected '{QUANTITY_KIND}' or '{OBJECT_KIND}', got '{meta}'")
-        if meta == QUANTITY_KIND:
-            if "requires" not in rec:
-                raise DocumentError(f"{path}.requires", "quantity kinds must carry a requires list")
-            requires = _id_list(rec["requires"], f"{path}.requires")
-        else:
-            if "requires" in rec:
-                raise DocumentError(f"{path}.requires", "object kinds must not carry a requires list")
-            requires = []
+        if meta == QUANTITY_KIND and "requires" not in rec:
+            raise DocumentError(f"{path}.requires", "quantity kinds must carry a requires list")
+        if meta == OBJECT_KIND and "requires" in rec:
+            raise DocumentError(f"{path}.requires", "object kinds must not carry a requires list")
+        requires = _id_list(rec["requires"], f"{path}.requires") if "requires" in rec else []
         if name in kb.kinds:
             raise DocumentError(f"{path}.name", f"duplicate kind '{name}'")
         kb.kinds[name] = KindDecl(name, meta, frozenset(requires))

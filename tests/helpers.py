@@ -54,8 +54,6 @@ from matterkb.validation import Violation
 
 TOP_KINDS = ("RockA", "RockB", "Mud")
 SUB_KIND = "Brine"
-MAX_EVENTS = 8
-MAX_OBJECTS = 20
 
 
 class _Gen:
@@ -67,8 +65,9 @@ class _Gen:
     same-kind quantities is retracted.
     """
 
-    def __init__(self, rng: random.Random):
+    def __init__(self, rng: random.Random, max_objects: int):
         self.rng = rng
+        self.max_objects = max_objects
         self.kb = KnowledgeBase()
         self.kb.declare_object_kind("Grain")
         for kind in TOP_KINDS:
@@ -92,7 +91,7 @@ class _Gen:
     def step(self, t: int) -> bool:
         donors_possible = bool(self.donor_candidates())
         hosts_possible = bool(self.host_candidates())
-        budget = MAX_OBJECTS - self.next_object
+        budget = self.max_objects - self.next_object
         moves = []
         if budget >= 2:
             moves += ["create"] * 4
@@ -113,7 +112,7 @@ class _Gen:
         return True
 
     def do_create(self, t: int) -> None:
-        budget = MAX_OBJECTS - self.next_object
+        budget = self.max_objects - self.next_object
         m = self.rng.randint(2, min(4, budget))
         granules = [self.new_object(t) for _ in range(m)]
         qid = self.new_quantity_id()
@@ -206,10 +205,11 @@ class _Gen:
                         self.kb.retract_adjacency(a, b, t)
 
 
-def build_random_kb(seed: int) -> KnowledgeBase:
+def build_random_kb(seed: int, max_events: int = 8, max_objects: int = 20) -> KnowledgeBase:
+    """A valid store of 1 to ``max_events`` steps over at most ``max_objects`` objects."""
     rng = random.Random(seed)
-    gen = _Gen(rng)
-    kb = gen.run(rng.randint(1, MAX_EVENTS))
+    gen = _Gen(rng, max_objects)
+    kb = gen.run(rng.randint(1, max_events))
     kb.subquantity_pairs = list(gen.subquantity_pairs)  # stashed for tests
     return kb
 
@@ -913,6 +913,52 @@ def moved_chains_kb(n: int) -> KnowledgeBase:
     for i, chain in enumerate(chains):
         apply_transfer(kb, [f"q{i}"], [CreatedEntry.of(f"m{i}", "Rock", chain)], n + i)
     return kb
+
+
+# -- reference canonical writer ----------------------------------------------------
+# The plain-data document that `canonical.export_document` used to build and hand
+# to `json.dumps(indent=2)`, kept as a differential check of its record templates.
+
+
+def reference_kb_to_doc(kb: KnowledgeBase) -> dict[str, Any]:
+    kinds = []
+    for decl in sorted(kb.kinds.values(), key=lambda d: d.name):
+        rec: dict[str, Any] = {"name": decl.name, "meta": decl.meta}
+        if decl.meta == QUANTITY_KIND:
+            rec["requires"] = sorted(decl.requires)
+        kinds.append(rec)
+    objects = [
+        {"id": o.id, "kind": o.kind, "created_at": o.created_at}
+        for o in sorted(kb.objects.values(), key=lambda o: o.id)
+    ]
+    quantities = []
+    for q in sorted(kb.quantities.values(), key=lambda q: q.id):
+        rec = {"id": q.id, "kind": q.kind, "created_at": q.created_at}
+        if q.terminated_at is not None:
+            rec["terminated_at"] = q.terminated_at
+        rec["granules"] = sorted(q.granules)
+        rec["creation_event"] = q.creation_event
+        quantities.append(rec)
+    adjacency = []
+    for iv in sorted(kb.adjacency, key=lambda i: (i.a, i.b, i.start, i.end is None, i.end)):
+        rec = {"a": iv.a, "b": iv.b, "from": iv.start}
+        if iv.end is not None:
+            rec["to"] = iv.end
+        adjacency.append(rec)
+    subquantities = [
+        {"part": s.part, "whole": s.whole}
+        for s in sorted(kb.subquantities, key=lambda s: (s.part, s.whole))
+    ]
+    events = [
+        {
+            "id": ev.id, "at": ev.at, "kind": ev.kind, "donors": sorted(ev.donors),
+            "created": [{"id": e.id, "kind": e.kind, "granules": sorted(e.granules)}
+                        for e in sorted(ev.created, key=lambda e: e.id)],
+            "discarded": sorted(ev.discarded),
+        }
+        for ev in kb.events
+    ]
+    return dict(zip(_REF_SECTIONS, (kinds, objects, quantities, adjacency, subquantities, events)))
 
 
 # -- reference canonical reader ----------------------------------------------------

@@ -1,6 +1,9 @@
 """Canonical documents: byte-stable export, lenient import, schema errors."""
 
+import gc
 import json
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,8 +17,19 @@ from matterkb import (
 )
 from matterkb.canonical import doc_to_kb, dumps
 from matterkb.errors import DocumentError
+from matterkb.events import CREATION, GRANULE_TRANSFER, CreatedEntry, EventRec
+from matterkb.model import (
+    OBJECT_KIND,
+    QUANTITY_KIND,
+    AdjacencyInterval,
+    KindDecl,
+    ObjectInst,
+    QuantityInst,
+    SubQuantityAssertion,
+)
 
-from helpers import build_random_kb, moved_chains_kb
+from helpers import build_random_kb, messy_world_kb, moved_chains_kb, reference_kb_to_doc
+from test_world import append_by_hand
 
 EMPTY_DOC = """{
   "kinds": [],
@@ -235,6 +249,76 @@ def test_dumps_matches_json_dumps_on_empty_and_float_values(value):
 
 
 def test_export_matches_json_dumps(case_kb):
-    kbs = [case_kb, moved_chains_kb(200), *map(build_random_kb, range(50))]
+    """Byte for byte the indent-2 ``json.dumps`` of the plain-data document
+    built the old way, on engine-built, imported, field-by-field and
+    hand-built stores; ``kb_to_doc`` reads back that document."""
+    kbs = [
+        KnowledgeBase(), hand_built_kb(), case_kb, moved_chains_kb(200), *map(build_random_kb, range(50)),
+        *map(messy_world_kb, range(10)), *(build_random_kb(seed, max_events=60, max_objects=150) for seed in range(10)),
+    ]
+    for seed in range(20):
+        rng = random.Random(seed)
+        for kb in (
+            build_random_kb(seed),
+            import_document(export_document(build_random_kb(seed))),
+            moved_chains_kb(1 + seed % 8),
+        ):
+            append_by_hand(kb, rng, seed)
+            kbs.append(kb)
     for kb in kbs:
-        assert export_document(kb) == json.dumps(kb_to_doc(kb), indent=2) + "\n"
+        assert export_document(kb) == json.dumps(reference_kb_to_doc(kb), indent=2) + "\n"
+        assert kb_to_doc(kb) == reference_kb_to_doc(kb)
+
+
+def hand_built_kb():
+    """Fields the engine never writes in this form: a quantity kind that
+    requires nothing, created entries out of id order, a non-ASCII id, and a
+    time stored as ``True``, which ``json.dumps`` writes ``true``."""
+    kb = KnowledgeBase()
+    kb.kinds["Sand"] = KindDecl("Sand", QUANTITY_KIND, frozenset())
+    kb.kinds["Rock"] = KindDecl("Rock", QUANTITY_KIND, frozenset({"Grain", "Clay"}))
+    kb.kinds["Grain"] = KindDecl("Grain", OBJECT_KIND)
+    for oid, at in (("g1", True), ("g0", 0), ("gr\u00e4n", 2)):
+        kb.objects[oid] = ObjectInst(oid, "Grain", at)
+    rock = CreatedEntry("q", "Rock", frozenset({"g1", "g0"}))
+    kb.quantities["q"] = QuantityInst("q", "Rock", 0, rock.granules, "e0", 3)
+    moved = (CreatedEntry("r2", "Rock", frozenset({"g1"})), CreatedEntry("r1", "Sand", frozenset({"g0"})))
+    for entry in moved:
+        kb.quantities[entry.id] = QuantityInst(entry.id, entry.kind, 3, entry.granules, "e1")
+    kb.adjacency += [AdjacencyInterval("g0", "g1", 1, 4), AdjacencyInterval("g0", "g1", 0)]
+    kb.subquantities.add(SubQuantityAssertion("r1", "r2"))
+    kb.events.append(EventRec("e0", 0, CREATION, frozenset(), (rock,), frozenset()))
+    kb.events.append(EventRec("e1", 3, GRANULE_TRANSFER, frozenset({"q"}), moved, frozenset({"gr\u00e4n"})))
+    return kb
+
+
+def test_hand_built_store_exports_its_odd_fields():
+    text = export_document(hand_built_kb())
+    doc = json.loads(text)
+    assert '"created_at": true' in text and doc["objects"][1]["created_at"] is True
+    assert doc["kinds"][2] == {"name": "Sand", "meta": "quantityKind", "requires": []}
+    assert [e["id"] for e in doc["events"][1]["created"]] == ["r1", "r2"]
+    assert doc["events"][0]["donors"] == doc["events"][0]["discarded"] == []
+    assert doc["adjacency"] == [{"a": "g0", "b": "g1", "from": 0}, {"a": "g0", "b": "g1", "from": 1, "to": 4}]
+    assert doc["quantities"][0]["terminated_at"] == 3
+    assert '"gr\\u00e4n"' in text
+
+
+def test_export_peak_memory_is_at_most_three_document_lengths():
+    """Every record string goes into one list joined once. The parts and the
+    document are alive together at the join, about 2.5 document lengths."""
+    kb = moved_chains_kb(800)
+    export_document(kb)
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        text = export_document(kb)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 3 * len(text), peak / len(text)

@@ -220,6 +220,27 @@ class TestExportAndReplay:
         code, out, _ = run_cli(capsys, "replay-check", str(path))
         assert code == 1 and "FAILED" in out
 
+    @pytest.mark.parametrize("layout", ["compact", "reordered keys"])
+    def test_replay_check_counts_canonical_bytes(self, capsys, case_file, tmp_path, layout):
+        """A valid document in another layout reports the length of its
+        canonical export, not the size of the file."""
+        canonical = _exported(capsys, case_file)
+        doc = json.loads(canonical)
+        text = json.dumps(doc) if layout == "compact" else json.dumps(_reversed_keys(doc), indent=2)
+        path = tmp_path / "other.mpkb"
+        path.write_text(text, encoding="utf-8")
+        assert text.encode() != canonical and json.loads(text) == doc
+        code, out, err = run_cli(capsys, "replay-check", str(path))
+        assert (code, out, err) == (0, f"replay-check: OK (3 events, {len(canonical)} bytes)\n", "")
+
+
+def _reversed_keys(value):
+    if isinstance(value, dict):
+        return {key: _reversed_keys(value[key]) for key in reversed(value)}
+    if isinstance(value, list):
+        return [_reversed_keys(v) for v in value]
+    return value
+
 
 def _exported(capsys, scenario) -> bytes:
     code, out, _ = run_cli(capsys, "export", scenario, "-")
