@@ -7,12 +7,13 @@ byte-identical documents. ``export_document`` writes a document straight from
 the records; ``dumps`` writes query payloads and reports for ``cli``. Tests pin
 both to ``json.dumps(indent=2)``.
 
-Import checks structure only (field types, id shapes, duplicates within a
-section); semantic problems in hand-written documents are left for the
-validators to report. Each section but the few kind declarations and
-sub-quantity assertions is checked in bulk, a column at a time. Only when a
-bulk check fails is the section read again record by record, to raise the
-first bad field's ``DocumentError`` in document order.
+Import checks structure only (field types, id shapes, duplicate ids);
+semantic problems in hand-written documents are left for the validators to
+report. Each section has one schema in ``_TABLE``: its fields, its checks in
+the order faults are reported, and one step that adds checked columns to the
+KB. A section is read in bulk, a column at a time. Only when a check fails is
+it read again record by record, with the same checks, to raise the first
+fault's ``DocumentError``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import re
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii as _str
 from operator import attrgetter, eq, itemgetter
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 from .errors import DocumentError
 from .events import CREATION, CreatedEntry, EventRec, GRANULE_TRANSFER
@@ -44,7 +45,6 @@ _ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*")
 # repeated group, which would cost memory per identifier.
 _ID_COLUMN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_\n-]*")
 _BAD_ID_START_RE = re.compile(r"\n(?![A-Za-z_])")
-_SECTIONS = ("kinds", "objects", "quantities", "adjacency", "subquantities", "events")
 
 
 def kb_to_doc(kb: KnowledgeBase) -> dict[str, Any]:
@@ -214,121 +214,97 @@ def doc_to_kb(doc: Any) -> KnowledgeBase:
         raise DocumentError("$", f"missing section(s): {', '.join(missing)}")
 
     kb = KnowledgeBase()
-    for key, bulk, walk in _READERS:
-        items = _array(doc, key)
-        if bulk is None or not bulk(kb, items):
-            walk(kb, items)
+    for name, section in _TABLE.items():
+        items = doc[name]
+        if not isinstance(items, list):
+            raise DocumentError(name, f"expected an array, got {type(items).__name__}")
+        columns = _bulk(section, kb, items)
+        if columns is None:
+            _locate(section, kb, items, name)
+        else:
+            section.add(kb, columns)
     return kb
 
 
-# -- bulk readers -------------------------------------------------------------------
-# Each checks a whole section and adds it to the KB only when every check
-# passes; otherwise it returns False and leaves the KB as it was. A check may
-# be stricter than the record-by-record reader (a dict subclass fails it), as
-# that reader then decides.
+# -- one schema per section -----------------------------------------------------------
 
 
-_OBJECT_KEYS = frozenset(("id", "kind", "created_at"))
-_QUANTITY_KEYS = frozenset(("id", "kind", "created_at", "granules", "creation_event"))
-_ADJACENCY_KEYS = frozenset(("a", "b", "from"))
-_EVENT_KEYS = frozenset(("id", "at", "kind", "donors", "created", "discarded"))
-_CREATED_KEYS = frozenset(("id", "kind", "granules"))
-_EVENT_KINDS = frozenset((CREATION, GRANULE_TRANSFER))
-_BY_ID = attrgetter("id")
+class _Type(NamedTuple):
+    column: Callable[[list], list | None]  # a column's checked values, or None
+    value: Callable[[Any, str], Any]  # one value checked, or a DocumentError at the path given
 
 
-def _bulk_objects(kb: KnowledgeBase, items: list) -> bool:
-    if not _shaped(items, _OBJECT_KEYS):
-        return False
-    ids, kinds, times = _columns(items, "id", "kind", "created_at")
-    if not (_ids(ids) and _distinct(ids) and _ids(kinds) and _times(times)):
-        return False
-    kb.objects.update(zip(ids, map(ObjectInst, ids, kinds, times)))
-    return True
+class _Rule(NamedTuple):
+    field: str  # where a fault is reported, under the record; "" for the record itself
+    message: str  # formatted from the record's values
+    holds: Callable[[KnowledgeBase, dict[str, list]], bool]  # over the columns checked so far
 
 
-def _bulk_quantities(kb: KnowledgeBase, items: list) -> bool:
-    if not _shaped(items, _QUANTITY_KEYS, "terminated_at"):
-        return False
-    ids, kinds, created, granules, events = _columns(
-        items, "id", "kind", "created_at", "granules", "creation_event"
-    )
-    if not (
-        _ids(ids) and _distinct(ids) and kb.objects.keys().isdisjoint(ids)
-        and _ids(kinds) and _times(created) and _ids(events)
-        and _times([r["terminated_at"] for r in items if "terminated_at" in r])
-    ):
-        return False
-    granule_sets = _id_sets(granules)
-    if granule_sets is None:
-        return False
-    ends = [r.get("terminated_at") for r in items]
-    kb.quantities.update(zip(ids, map(QuantityInst, ids, kinds, created, granule_sets, events, ends)))
-    return True
+class _Section(NamedTuple):
+    fields: dict[str, _Type]  # in document order
+    optional: str | None  # the one field a record may lack
+    checks: tuple[str | _Rule, ...]  # fields and rules, in the order faults are reported
+    add: Callable[[KnowledgeBase, dict[str, list]], Any]  # puts checked columns into the KB
 
 
-def _bulk_adjacency(kb: KnowledgeBase, items: list) -> bool:
-    if not _shaped(items, _ADJACENCY_KEYS, "to"):
-        return False
-    a, b, starts = _columns(items, "a", "b", "from")
-    if not (
-        _ids(a) and _ids(b) and not any(map(eq, a, b)) and _times(starts)
-        and _times([r["to"] for r in items if "to" in r])
-    ):
-        return False
-    ends = [r.get("to") for r in items]
-    if any(end is not None and end <= start for start, end in zip(starts, ends)):
-        return False
-    kb.adjacency += [
-        AdjacencyInterval(x, y, start, end) if x < y else AdjacencyInterval(y, x, start, end)
-        for x, y, start, end in zip(a, b, starts, ends)
-    ]
-    return True
+_ABSENT = object()  # the optional field's value where a record lacks it, until that field is checked
 
 
-def _bulk_events(kb: KnowledgeBase, items: list) -> bool:
-    if not _shaped(items, _EVENT_KEYS):
-        return False
-    ids, ats, kinds, donors, created, discarded = _columns(
-        items, "id", "at", "kind", "donors", "created", "discarded"
-    )
-    if not (
-        _ids(ids) and _distinct(ids) and _times(ats)
-        and _types(kinds, str) and _EVENT_KINDS.issuperset(kinds) and _types(created, list)
-    ):
-        return False
-    entries = list(chain.from_iterable(created))
-    if not _shaped(entries, _CREATED_KEYS):
-        return False
-    entry_ids, entry_kinds, entry_granules = _columns(entries, "id", "kind", "granules")
-    if not (_ids(entry_ids) and _ids(entry_kinds)):
-        return False
-    donor_sets, discarded_sets, granule_sets = map(_id_sets, (donors, discarded, entry_granules))
-    if donor_sets is None or discarded_sets is None or granule_sets is None:
-        return False
-    if not all([
-        (not d and len(c) == 1) if kind == CREATION else bool(d and c)
-        for kind, d, c in zip(kinds, donor_sets, created)
-    ]):
-        return False
-    built = iter(map(CreatedEntry, entry_ids, entry_kinds, granule_sets))
-    created_recs = [tuple(sorted(islice(built, len(c)), key=_BY_ID)) for c in created]
-    kb.events += map(EventRec, ids, ats, kinds, donor_sets, created_recs, discarded_sets)
-    return True
-
-
-def _shaped(items: list, keys: frozenset[str], optional: str | None = None) -> bool:
-    """Every item is a dict with exactly ``keys``, plus ``optional`` or not."""
+def _bulk(section: _Section, kb: KnowledgeBase | None, items: list) -> dict[str, list] | None:
+    """The section's checked columns, or None when a check fails. A column check may be stricter
+    than a value check (a dict subclass fails it), as the record-by-record read then decides."""
+    optional = section.optional
     if not _types(items, dict):
-        return False
-    if optional is None:
-        return all([r.keys() == keys for r in items])
-    longer = keys | {optional}
-    return all([r.keys() == keys or r.keys() == longer for r in items])
+        return None
+    try:  # a record that lacks a required field raises KeyError
+        columns = {key: [r.get(key, _ABSENT) for r in items] if key == optional
+                   else list(map(itemgetter(key), items)) for key in section.fields}
+    except KeyError:
+        return None
+    absent = columns[optional].count(_ABSENT) if optional else 0
+    if sum(map(len, items)) != len(items) * len(section.fields) - absent:
+        return None  # each record holds every required field, so one holds a field of another name
+    for check in section.checks:
+        if isinstance(check, _Rule):
+            if not check.holds(kb, columns):
+                return None
+            continue
+        column = columns[check]
+        present = [v for v in column if v is not _ABSENT] if check == optional else column
+        checked = section.fields[check].column(present)
+        if checked is None:
+            return None
+        if present is not column:  # from here on, a record that lacks the optional field reads None
+            values = iter(checked)
+            checked = [None if v is _ABSENT else next(values) for v in column]
+        columns[check] = checked
+    return columns
 
 
-def _columns(items: list, *keys: str) -> list[list]:
-    return [list(map(itemgetter(key), items)) for key in keys]
+def _locate(section: _Section, kb: KnowledgeBase | None, items: list, prefix: str) -> list:
+    """Add ``items`` record by record, each before the next is read, raising the first fault;
+    returns the add step's result for each."""
+    built = []
+    for i, item in enumerate(items):
+        path = f"{prefix}[{i}]"
+        if not isinstance(item, dict):
+            raise DocumentError(path, f"expected an object, got {type(item).__name__}")
+        unknown = sorted(set(item) - set(section.fields))
+        if unknown:
+            raise DocumentError(path, f"unexpected field(s): {', '.join(unknown)}")
+        missing = [f for f in section.fields if f not in item and f != section.optional]
+        if missing:
+            raise DocumentError(path, f"missing field(s): {', '.join(missing)}")
+        columns = {key: [item.get(key, _ABSENT)] for key in section.fields}
+        for check in section.checks:
+            if isinstance(check, str):
+                v = item.get(check, _ABSENT)
+                columns[check] = [None if v is _ABSENT else section.fields[check].value(v, f"{path}.{check}")]
+            elif not check.holds(kb, columns):
+                where = f"{path}.{check.field}" if check.field else path
+                raise DocumentError(where, check.message.format_map({key: c[0] for key, c in columns.items()}))
+        built.append(section.add(kb, columns))
+    return built
 
 
 def _types(column: list, kind: type) -> bool:
@@ -351,10 +327,6 @@ def _ids(column: list) -> bool:
     )
 
 
-def _distinct(ids: list[str]) -> bool:
-    return len(set(ids)) == len(ids)
-
-
 def _times(column: list) -> bool:
     """Every entry is a non-negative int; a bool is not one."""
     return not column or (_types(column, int) and min(column) >= 0)
@@ -364,164 +336,34 @@ def _id_sets(lists: list) -> list[frozenset[str]] | None:
     """Each list as a set, if each is a list of distinct identifiers."""
     if not (_types(lists, list) and _ids(list(chain.from_iterable(lists)))):
         return None
-    sets = list(map(frozenset, lists))
-    return sets if list(map(len, sets)) == list(map(len, lists)) else None
+    sets = list(map(frozenset, lists))  # no set is longer than its list
+    return sets if sum(map(len, sets)) == sum(map(len, lists)) else None
 
 
-# -- record-by-record readers ---------------------------------------------------------
-# They raise the first bad field's DocumentError in document order. A document
-# declares a handful of kinds and asserts few sub-quantities, so kinds and
-# sub-quantity assertions are only ever read this way.
+def _fresh(ids: list[str], taken: Any) -> bool:
+    """No id repeats within the column or one of ``taken``."""
+    return len(set(ids)) == len(ids) and taken.isdisjoint(ids)
 
 
-def _read_kinds(kb: KnowledgeBase, items: list) -> None:
-    for i, item in enumerate(items):
-        path = f"kinds[{i}]"
-        rec = _record(item, path, required=("name", "meta"), optional=("requires",))
-        name = _identifier(rec, "name", path)
-        meta = _string(rec, "meta", path)
-        if meta not in (QUANTITY_KIND, OBJECT_KIND):
-            raise DocumentError(f"{path}.meta", f"expected '{QUANTITY_KIND}' or '{OBJECT_KIND}', got '{meta}'")
-        if meta == QUANTITY_KIND and "requires" not in rec:
-            raise DocumentError(f"{path}.requires", "quantity kinds must carry a requires list")
-        if meta == OBJECT_KIND and "requires" in rec:
-            raise DocumentError(f"{path}.requires", "object kinds must not carry a requires list")
-        requires = _id_list(rec["requires"], f"{path}.requires") if "requires" in rec else []
-        if name in kb.kinds:
-            raise DocumentError(f"{path}.name", f"duplicate kind '{name}'")
-        kb.kinds[name] = KindDecl(name, meta, frozenset(requires))
-
-
-def _read_objects(kb: KnowledgeBase, items: list) -> None:
-    for i, item in enumerate(items):
-        path = f"objects[{i}]"
-        rec = _record(item, path, required=("id", "kind", "created_at"))
-        oid = _identifier(rec, "id", path)
-        if oid in kb.objects:
-            raise DocumentError(f"{path}.id", f"duplicate object '{oid}'")
-        kb.objects[oid] = ObjectInst(oid, _identifier(rec, "kind", path), _time(rec, "created_at", path))
-
-
-def _read_quantities(kb: KnowledgeBase, items: list) -> None:
-    for i, item in enumerate(items):
-        path = f"quantities[{i}]"
-        rec = _record(
-            item, path,
-            required=("id", "kind", "created_at", "granules", "creation_event"),
-            optional=("terminated_at",),
-        )
-        qid = _identifier(rec, "id", path)
-        if qid in kb.quantities:
-            raise DocumentError(f"{path}.id", f"duplicate quantity '{qid}'")
-        if qid in kb.objects:
-            raise DocumentError(f"{path}.id", f"id '{qid}' is already used by an object")
-        terminated = _time(rec, "terminated_at", path) if "terminated_at" in rec else None
-        kb.quantities[qid] = QuantityInst(
-            qid, _identifier(rec, "kind", path), _time(rec, "created_at", path),
-            frozenset(_id_list(rec["granules"], f"{path}.granules")), _identifier(rec, "creation_event", path),
-            terminated,
-        )
-
-
-def _read_adjacency(kb: KnowledgeBase, items: list) -> None:
-    for i, item in enumerate(items):
-        path = f"adjacency[{i}]"
-        rec = _record(item, path, required=("a", "b", "from"), optional=("to",))
-        a = _identifier(rec, "a", path)
-        b = _identifier(rec, "b", path)
-        if a == b:
-            raise DocumentError(f"{path}.b", "adjacency endpoints must differ")
-        start = _time(rec, "from", path)
-        end = _time(rec, "to", path) if "to" in rec else None
-        if end is not None and end <= start:
-            raise DocumentError(f"{path}.to", f"interval end t{end} must follow start t{start}")
-        a, b = sorted((a, b))
-        kb.adjacency.append(AdjacencyInterval(a, b, start, end))
-
-
-def _read_subquantities(kb: KnowledgeBase, items: list) -> None:
-    for i, item in enumerate(items):
-        path = f"subquantities[{i}]"
-        rec = _record(item, path, required=("part", "whole"))
-        part, whole = _identifier(rec, "part", path), _identifier(rec, "whole", path)
-        kb.subquantities.add(SubQuantityAssertion(part, whole))
-
-
-def _read_events(kb: KnowledgeBase, items: list) -> None:
-    seen = set()
-    for i, item in enumerate(items):
-        path = f"events[{i}]"
-        rec = _record(item, path, required=("id", "at", "kind", "donors", "created", "discarded"))
-        ev_id = _identifier(rec, "id", path)
-        if ev_id in seen:
-            raise DocumentError(f"{path}.id", f"duplicate event '{ev_id}'")
-        seen.add(ev_id)
-        kind = _string(rec, "kind", path)
-        if kind not in (CREATION, GRANULE_TRANSFER):
-            raise DocumentError(f"{path}.kind", f"expected '{CREATION}' or '{GRANULE_TRANSFER}', got '{kind}'")
-        donors = _id_list(rec["donors"], f"{path}.donors")
-        created_raw = rec["created"]
-        if not isinstance(created_raw, list):
-            raise DocumentError(f"{path}.created", "expected an array")
-        created = []
-        for j, sub in enumerate(created_raw):
-            sub_path = f"{path}.created[{j}]"
-            sub_rec = _record(sub, sub_path, required=("id", "kind", "granules"))
-            created.append(CreatedEntry(
-                _identifier(sub_rec, "id", sub_path), _identifier(sub_rec, "kind", sub_path),
-                frozenset(_id_list(sub_rec["granules"], f"{sub_path}.granules")),
-            ))
-        if kind == CREATION and (donors or len(created) != 1):
-            raise DocumentError(path, "a creation event has no donors and exactly one created quantity")
-        if kind == GRANULE_TRANSFER and (not donors or not created):
-            raise DocumentError(path, "a granule transfer has at least one donor and one created quantity")
-        kb.events.append(EventRec(
-            ev_id, _time(rec, "at", path), kind, frozenset(donors), tuple(sorted(created, key=_BY_ID)),
-            frozenset(_id_list(rec["discarded"], f"{path}.discarded")),
-        ))
-
-
-def _array(doc: dict, key: str) -> list:
-    value = doc[key]
-    if not isinstance(value, list):
-        raise DocumentError(key, f"expected an array, got {type(value).__name__}")
-    return value
-
-
-def _record(item: Any, path: str, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> dict:
-    if not isinstance(item, dict):
-        raise DocumentError(path, f"expected an object, got {type(item).__name__}")
-    unknown = sorted(set(item) - set(required) - set(optional))
-    if unknown:
-        raise DocumentError(path, f"unexpected field(s): {', '.join(unknown)}")
-    missing = [f for f in required if f not in item]
-    if missing:
-        raise DocumentError(path, f"missing field(s): {', '.join(missing)}")
-    return item
-
-
-def _string(rec: dict, key: str, path: str) -> str:
-    value = rec[key]
+def _string(value: Any, path: str) -> str:
     if not isinstance(value, str):
-        raise DocumentError(f"{path}.{key}", f"expected a string, got {type(value).__name__}")
+        raise DocumentError(path, f"expected a string, got {type(value).__name__}")
     return value
 
 
-def _identifier(rec: dict, key: str, path: str) -> str:
-    value = _string(rec, key, path)
-    if not _ID_RE.fullmatch(value):
-        raise DocumentError(f"{path}.{key}", f"'{value}' is not a valid identifier")
+def _identifier(value: Any, path: str) -> str:
+    if not _ID_RE.fullmatch(_string(value, path)):
+        raise DocumentError(path, f"'{value}' is not a valid identifier")
     return value
 
 
-def _time(rec: dict, key: str, path: str) -> int:
-    value = rec[key]
+def _time(value: Any, path: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise DocumentError(f"{path}.{key}", f"expected a non-negative integer, got {value!r}")
+        raise DocumentError(path, f"expected a non-negative integer, got {value!r}")
     return value
 
 
-def _id_list(value: Any, path: str) -> list[str]:
+def _id_set(value: Any, path: str) -> frozenset[str]:
     if not isinstance(value, list):
         raise DocumentError(path, f"expected an array, got {type(value).__name__}")
     seen = set()
@@ -531,14 +373,106 @@ def _id_list(value: Any, path: str) -> list[str]:
         if item in seen:
             raise DocumentError(f"{path}[{i}]", f"duplicate entry '{item}'")
         seen.add(item)
-    return value
+    return frozenset(seen)
 
 
-_READERS = (
-    ("kinds", None, _read_kinds),
-    ("objects", _bulk_objects, _read_objects),
-    ("quantities", _bulk_quantities, _read_quantities),
-    ("adjacency", _bulk_adjacency, _read_adjacency),
-    ("subquantities", None, _read_subquantities),
-    ("events", _bulk_events, _read_events),
+def _choice(a: str, b: str) -> _Type:
+    def value(v: Any, path: str) -> str:
+        if _string(v, path) not in (a, b):
+            raise DocumentError(path, f"expected '{a}' or '{b}', got '{v}'")
+        return v
+
+    return _Type(lambda column: column if _types(column, str) and {a, b}.issuperset(column) else None, value)
+
+
+def _records(section: _Section) -> _Type:
+    """Nested records, built by ``section``'s add step; those of each list are sorted by id."""
+
+    def column(lists: list) -> list | None:
+        checked = _bulk(section, None, list(chain.from_iterable(lists))) if _types(lists, list) else None
+        if checked is None:
+            return None
+        built = iter(section.add(None, checked))
+        return [tuple(sorted(islice(built, len(c)), key=_BY_ID)) for c in lists]
+
+    def value(v: Any, path: str) -> tuple:
+        if not isinstance(v, list):
+            raise DocumentError(path, "expected an array")
+        return tuple(sorted(chain.from_iterable(_locate(section, None, v, path)), key=_BY_ID))
+
+    return _Type(column, value)
+
+
+_ID = _Type(lambda column: column if _ids(column) else None, _identifier)
+_TIME = _Type(lambda column: column if _times(column) else None, _time)
+_ID_SET = _Type(_id_sets, _id_set)
+_BY_ID = attrgetter("id")
+_CREATED = _Section(
+    {"id": _ID, "kind": _ID, "granules": _ID_SET}, None, ("id", "kind", "granules"),
+    lambda kb, c: list(map(CreatedEntry, c["id"], c["kind"], c["granules"])),
 )
+_TABLE = {
+    "kinds": _Section(
+        {"name": _ID, "meta": _choice(QUANTITY_KIND, OBJECT_KIND), "requires": _ID_SET}, "requires", (
+            "name", "meta",
+            _Rule("requires", "quantity kinds must carry a requires list", lambda kb, c: all(
+                [r is not _ABSENT for m, r in zip(c["meta"], c["requires"]) if m == QUANTITY_KIND])),
+            _Rule("requires", "object kinds must not carry a requires list", lambda kb, c: all(
+                [r is _ABSENT for m, r in zip(c["meta"], c["requires"]) if m == OBJECT_KIND])),
+            "requires", _Rule("name", "duplicate kind '{name}'", lambda kb, c: _fresh(c["name"], kb.kinds.keys())),
+        ),
+        lambda kb, c: kb.kinds.update(
+            (n, KindDecl(n, m, r or frozenset())) for n, m, r in zip(c["name"], c["meta"], c["requires"])),
+    ),
+    "objects": _Section(
+        {"id": _ID, "kind": _ID, "created_at": _TIME}, None, (
+            "id", _Rule("id", "duplicate object '{id}'", lambda kb, c: _fresh(c["id"], kb.objects.keys())),
+            "kind", "created_at",
+        ),
+        lambda kb, c: kb.objects.update(zip(c["id"], map(ObjectInst, c["id"], c["kind"], c["created_at"]))),
+    ),
+    "quantities": _Section(
+        {"id": _ID, "kind": _ID, "created_at": _TIME, "terminated_at": _TIME, "granules": _ID_SET,
+         "creation_event": _ID}, "terminated_at", (
+            "id", _Rule("id", "duplicate quantity '{id}'", lambda kb, c: _fresh(c["id"], kb.quantities.keys())),
+            _Rule("id", "id '{id}' is already used by an object",
+                  lambda kb, c: kb.objects.keys().isdisjoint(c["id"])),
+            "terminated_at", "kind", "created_at", "granules", "creation_event",
+        ),
+        lambda kb, c: kb.quantities.update(zip(c["id"], map(
+            QuantityInst, c["id"], c["kind"], c["created_at"], c["granules"], c["creation_event"], c["terminated_at"]
+        ))),
+    ),
+    "adjacency": _Section(
+        {"a": _ID, "b": _ID, "from": _TIME, "to": _TIME}, "to", (
+            "a", "b", _Rule("b", "adjacency endpoints must differ", lambda kb, c: not any(map(eq, c["a"], c["b"]))),
+            "from", "to", _Rule("to", "interval end t{to} must follow start t{from}", lambda kb, c: all(
+                [end is None or end > start for start, end in zip(c["from"], c["to"])])),
+        ),
+        lambda kb, c: kb.adjacency.extend([
+            AdjacencyInterval(x, y, start, end) if x < y else AdjacencyInterval(y, x, start, end)
+            for x, y, start, end in zip(c["a"], c["b"], c["from"], c["to"])
+        ]),
+    ),
+    "subquantities": _Section(
+        {"part": _ID, "whole": _ID}, None, ("part", "whole"),
+        lambda kb, c: kb.subquantities.update(map(SubQuantityAssertion, c["part"], c["whole"])),
+    ),
+    "events": _Section(
+        {"id": _ID, "at": _TIME, "kind": _choice(CREATION, GRANULE_TRANSFER), "donors": _ID_SET,
+         "created": _records(_CREATED), "discarded": _ID_SET}, None, (
+            # no event is in the KB during the bulk read; record by record, the store index has those read
+            "id", _Rule("id", "duplicate event '{id}'", lambda kb, c: _fresh(
+                c["id"], kb.store_index.catch_up(kb).event_ids if kb.events else frozenset())),
+            "kind", "donors", "created",
+            _Rule("", "a creation event has no donors and exactly one created quantity", lambda kb, c: all(
+                [not d and len(e) == 1 for k, d, e in zip(c["kind"], c["donors"], c["created"]) if k == CREATION])),
+            _Rule("", "a granule transfer has at least one donor and one created quantity", lambda kb, c: all(
+                [d and e for k, d, e in zip(c["kind"], c["donors"], c["created"]) if k == GRANULE_TRANSFER])),
+            "at", "discarded",
+        ),
+        lambda kb, c: kb.events.extend(map(
+            EventRec, c["id"], c["at"], c["kind"], c["donors"], c["created"], c["discarded"])),
+    ),
+}
+_SECTIONS = tuple(_TABLE)

@@ -1,7 +1,10 @@
-"""The bulk-checked importer accepts and rejects exactly what the record-by-record
-reader did: the same export bytes, or the same DocumentError path and message.
-A document text that repeats a key is rejected at that key, and one nested too
-deeply to parse is rejected at its root."""
+"""The importer reads each section against one schema, in bulk and, when a check
+fails, again record by record. It accepts and rejects exactly what the
+record-by-record reference reader did, on small and large documents: the same
+export bytes, or the same DocumentError path and message. The order in which a
+record's checks run, which is not document order, is pinned on records with two
+faults. A document text that repeats a key is rejected at that key, and one
+nested too deeply to parse is rejected at its root."""
 
 import copy
 import json
@@ -14,13 +17,20 @@ from matterkb import case_study_path, export_document, kb_to_doc, load, parse
 from matterkb.canonical import doc_to_kb, import_document
 from matterkb.errors import DocumentError
 
-from helpers import build_random_kb, messy_world_kb, reference_doc_to_kb
+from helpers import build_random_kb, messy_world_kb, moved_chains_kb, reference_doc_to_kb
 
 BASES = [
     kb_to_doc(load(parse(case_study_path().read_text(encoding="utf-8")).scenario)),
     *(kb_to_doc(build_random_kb(seed)) for seed in range(20)),
     *(kb_to_doc(messy_world_kb(seed, n_quantities=6, n_objects=10)) for seed in range(3)),
 ]
+# Large enough that every section spans many records, so a fault can sit far
+# from both ends of its columns.
+LARGE_BASES = [
+    *(kb_to_doc(build_random_kb(seed, max_events=60, max_objects=150)) for seed in range(5)),
+    kb_to_doc(moved_chains_kb(200)),
+]
+ALL_BASES = BASES + LARGE_BASES
 
 # Values a mutation may write anywhere: every JSON type, bad and reserved
 # identifiers, bools, negative and huge numbers; ids and times of the
@@ -64,10 +74,10 @@ SECTIONS = ("kinds", "objects", "quantities", "adjacency", "subquantities", "eve
 
 
 @st.composite
-def mutated_documents(draw):
-    """One or two faults, each in a section drawn first so that no section's
-    faults crowd out the others'."""
-    doc = copy.deepcopy(draw(st.sampled_from(BASES)))
+def mutated_documents(draw, bases=BASES):
+    """One or two faults in one of ``bases``, each in a section drawn first so
+    that no section's faults crowd out the others'."""
+    doc = copy.deepcopy(draw(st.sampled_from(bases)))
     for _ in range(draw(st.integers(1, 2))):
         section = draw(st.sampled_from(SECTIONS))
         slots = _slots(doc.get(section), [(doc, section)] if section in doc else [])
@@ -100,7 +110,7 @@ def mutated_documents(draw):
     return doc
 
 
-@pytest.mark.parametrize("doc", BASES, ids=range(len(BASES)))
+@pytest.mark.parametrize("doc", ALL_BASES, ids=range(len(ALL_BASES)))
 def test_readers_agree_on_canonical_documents(doc):
     loaded = outcome(doc_to_kb, doc)
     assert loaded == outcome(reference_doc_to_kb, doc)
@@ -117,7 +127,7 @@ def _reverse_every_list(value):
             _reverse_every_list(v)
 
 
-@pytest.mark.parametrize("doc", BASES, ids=range(len(BASES)))
+@pytest.mark.parametrize("doc", ALL_BASES, ids=range(len(ALL_BASES)))
 def test_readers_agree_on_documents_out_of_order(doc):
     doc = copy.deepcopy(doc)
     _reverse_every_list(doc)
@@ -150,6 +160,89 @@ def test_readers_agree_on_bad_identifiers_at_column_ends(where, bad):
 @given(mutated_documents())
 def test_readers_agree_on_mutated_documents(doc):
     assert outcome(doc_to_kb, doc) == outcome(reference_doc_to_kb, doc)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(mutated_documents(LARGE_BASES))
+def test_readers_agree_on_mutated_large_documents(doc):
+    assert outcome(doc_to_kb, doc) == outcome(reference_doc_to_kb, doc)
+
+
+DELETE = object()
+
+
+def _put(doc, where, value):
+    """Write ``value`` at ``where``, or delete it; an index one past a list's end appends."""
+    *parents, last = where
+    for key in parents:
+        doc = doc[key]
+    if value is DELETE:
+        del doc[last]
+    elif isinstance(doc, list) and last == len(doc):
+        doc.append(value)
+    else:
+        doc[last] = value
+
+
+def _assert_rejected(faults, path, message):
+    doc = copy.deepcopy(BASES[0])
+    for where, value in faults.items():
+        _put(doc, where, value)
+    for reader in (doc_to_kb, reference_doc_to_kb):
+        with pytest.raises(DocumentError) as err:
+            reader(doc)
+        assert (err.value.path, err.value.message) == (path, message)
+
+
+# One fault for each section rule, and a bad time at both ends of each time
+# column, on the case study: six objects, five quantities and intervals, three events.
+CHECK_FAULTS = [
+    ({("kinds", 0, "requires"): DELETE}, "kinds[0].requires", "quantity kinds must carry a requires list"),
+    ({("kinds", 1, "requires"): []}, "kinds[1].requires", "object kinds must not carry a requires list"),
+    ({("kinds", 1, "meta"): "kind"}, "kinds[1].meta", "expected 'quantityKind' or 'objectKind', got 'kind'"),
+    ({("kinds", 2): {"name": "SedimentaryGrain", "meta": "objectKind"}},
+     "kinds[2].name", "duplicate kind 'SedimentaryGrain'"),
+    ({("objects", 6): {"id": "grain6", "kind": "SedimentaryGrain", "created_at": 0}},
+     "objects[6].id", "duplicate object 'grain6'"),
+    ({("quantities", 4, "id"): "rock1"}, "quantities[4].id", "duplicate quantity 'rock1'"),
+    ({("quantities", 4, "id"): "grain6"}, "quantities[4].id", "id 'grain6' is already used by an object"),
+    ({("adjacency", 4, "a"): "grain6"}, "adjacency[4].b", "adjacency endpoints must differ"),
+    ({("adjacency", 0, "to"): 0}, "adjacency[0].to", "interval end t0 must follow start t0"),
+    ({("events", 2, "id"): "create-rock1"}, "events[2].id", "duplicate event 'create-rock1'"),
+    ({("events", 0, "kind"): "split"}, "events[0].kind", "expected 'creation' or 'granuleTransfer', got 'split'"),
+    ({("events", 2, "donors"): []}, "events[2]", "a granule transfer has at least one donor and one created quantity"),
+    *(({(section, i, field): -1}, f"{section}[{i}].{field}", "expected a non-negative integer, got -1")
+      for section, i, field in [("objects", 0, "created_at"), ("objects", 5, "created_at"),
+                                ("quantities", 0, "created_at"), ("quantities", 4, "terminated_at"),
+                                ("adjacency", 0, "from"), ("adjacency", 4, "to"),
+                                ("events", 0, "at"), ("events", 2, "at")]),
+]
+
+
+@pytest.mark.parametrize("faults, path, message", CHECK_FAULTS, ids=[path for _, path, _ in CHECK_FAULTS])
+def test_each_check_rejects_its_fault(faults, path, message):
+    _assert_rejected(faults, path, message)
+
+
+# Two faults in one record, in fields whose check order differs from their
+# document order or from each other: the fault checked first is the one reported.
+@pytest.mark.parametrize("faults, path, message", [
+    ({("quantities", 0, "terminated_at"): -1, ("quantities", 0, "kind"): "9x"},
+     "quantities[0].terminated_at", "expected a non-negative integer, got -1"),
+    ({("events", 0, "at"): -1, ("events", 0, "donors"): ["rock9"]},
+     "events[0]", "a creation event has no donors and exactly one created quantity"),
+    ({("kinds", 2): {"name": "PortionOfRock", "meta": "quantityKind", "requires": ["bad id"]}},
+     "kinds[2].requires[0]", "'bad id' is not a valid identifier"),
+    ({("objects", 6): {"id": "grain1", "kind": "SedimentaryGrain", "created_at": True}},
+     "objects[6].id", "duplicate object 'grain1'"),
+    ({("events", 0, "kind"): "split", ("events", 0, "donors"): ["bad id"]},
+     "events[0].kind", "expected 'creation' or 'granuleTransfer', got 'split'"),
+    ({("events", 0, "created", 0, "kind"): "9x", ("events", 0, "created", 0, "granules"): ["bad id"]},
+     "events[0].created[0].kind", "'9x' is not a valid identifier"),
+], ids=["terminated_at-before-kind", "shape-before-at", "requires-before-duplicate-name", "duplicate-before-time",
+        "kind-before-donors", "entry-kind-before-granules"])
+def test_first_fault_in_check_order(faults, path, message):
+    _assert_rejected(faults, path, message)
 
 
 def _objects(value, path="$"):
