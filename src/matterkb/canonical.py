@@ -56,24 +56,28 @@ def export_document(kb: KnowledgeBase) -> str:
     """Canonical text rendering; equal knowledge bases export identical bytes."""
     # json.dumps(kb_to_doc(kb), indent=2) + "\n", from one template per record shape. All
     # records go into one list, joined once: a section joined alone would raise peak memory.
+    kinds = sorted(kb.kinds.values(), key=attrgetter("name"))
+    requires = [f',{_NL6}"requires": {_array(sorted(d.requires))}' if d.meta == QUANTITY_KIND else "" for d in kinds]
+    objects = sorted(kb.objects.values(), key=_BY_ID)
+    quantities = sorted(kb.quantities.values(), key=_BY_ID)
+    ends = _time_column(quantities, "terminated_at", "terminated_at")
+    intervals = sorted(kb.adjacency, key=lambda i: (i.a, i.b, i.start, i.end is None, i.end))
     sections = (
-        (f'\n    {{{_NL6}"name": {_str(d.name)},{_NL6}"meta": {_str(d.meta)}'
-         f'{_optional("requires", sorted(d.requires) if d.meta == QUANTITY_KIND else None)}\n    }},'
-         for d in sorted(kb.kinds.values(), key=attrgetter("name"))),
-        (f'\n    {{{_NL6}"id": {_str(o.id)},{_NL6}"kind": {_str(o.kind)},'
-         f'{_NL6}"created_at": {_encode(o.created_at)}\n    }},' for o in sorted(kb.objects.values(), key=_BY_ID)),
-        (f'\n    {{{_NL6}"id": {_str(q.id)},{_NL6}"kind": {_str(q.kind)},{_NL6}"created_at": {_encode(q.created_at)}'
-         f'{_optional("terminated_at", q.terminated_at)},{_NL6}"granules": {_encode(sorted(q.granules), _NL6)},'
-         f'{_NL6}"creation_event": {_str(q.creation_event)}\n    }},'
-         for q in sorted(kb.quantities.values(), key=_BY_ID)),
-        (f'\n    {{{_NL6}"a": {_str(i.a)},{_NL6}"b": {_str(i.b)},{_NL6}"from": {_encode(i.start)}'
-         f'{_optional("to", i.end)}\n    }},'
-         for i in sorted(kb.adjacency, key=lambda i: (i.a, i.b, i.start, i.end is None, i.end))),
+        (f'\n    {{{_NL6}"name": {_str(d.name)},{_NL6}"meta": {_str(d.meta)}{r}\n    }},'
+         for d, r in zip(kinds, requires)),
+        (f'\n    {{{_NL6}"id": {_str(o.id)},{_NL6}"kind": {_str(o.kind)},{_NL6}"created_at": {at}\n    }},'
+         for o, at in zip(objects, _time_column(objects, "created_at"))),
+        (f'\n    {{{_NL6}"id": {_str(q.id)},{_NL6}"kind": {_str(q.kind)},{_NL6}"created_at": {at}{to},'
+         f'{_NL6}"granules": {_array(sorted(q.granules))},{_NL6}"creation_event": {_str(q.creation_event)}\n    }},'
+         for q, at, to in zip(quantities, _time_column(quantities, "created_at"), ends)),
+        (f'\n    {{{_NL6}"a": {_str(i.a)},{_NL6}"b": {_str(i.b)},{_NL6}"from": {at}{to}\n    }},'
+         for i, at, to in zip(intervals, _time_column(intervals, "start"), _time_column(intervals, "end", "to"))),
         (f'\n    {{{_NL6}"part": {_str(s.part)},{_NL6}"whole": {_str(s.whole)}\n    }},'
          for s in sorted(kb.subquantities, key=attrgetter("part", "whole"))),
-        (f'\n    {{{_NL6}"id": {_str(e.id)},{_NL6}"at": {_encode(e.at)},{_NL6}"kind": {_str(e.kind)},'
-         f'{_NL6}"donors": {_encode(sorted(e.donors), _NL6)},{_NL6}"created": {_created(e.created)},'
-         f'{_NL6}"discarded": {_encode(sorted(e.discarded), _NL6)}\n    }},' for e in kb.events),
+        (f'\n    {{{_NL6}"id": {_str(e.id)},{_NL6}"at": {at},{_NL6}"kind": {_str(e.kind)},'
+         f'{_NL6}"donors": {_array(sorted(e.donors))},{_NL6}"created": {_created(e.created)},'
+         f'{_NL6}"discarded": {_array(sorted(e.discarded))}\n    }},'
+         for e, at in zip(kb.events, _time_column(kb.events, "at"))),
     )
     parts = ["{"]  # a record's text ends in a comma, which its section's last record drops
     for name, records in zip(_SECTIONS, sections):
@@ -88,15 +92,20 @@ def export_document(kb: KnowledgeBase) -> str:
 _NL6, _NL10 = "\n      ", "\n          "  # the line break before a record's field, an entry's field
 
 
+def _time_column(records: list, field: str, key: str = "") -> list:
+    """A time field of a section's records as its template writes it: bare if the column
+    holds only ints (``True`` is written ``true``). An optional field has a ``key``."""
+    times = list(map(attrgetter(field), records))
+    if not set(map(type, times)) <= ({int, type(None)} if key else {int}):
+        times = [t if key and t is None else _encode(t, _NL6) for t in times]
+    return [f',{_NL6}"{key}": {t}' if t is not None else "" for t in times] if key else times
+
+
 def _created(entries: tuple[CreatedEntry, ...]) -> str:
     return "[" + ",".join(
         f'\n        {{{_NL10}"id": {_str(c.id)},{_NL10}"kind": {_str(c.kind)},'
-        f'{_NL10}"granules": {_encode(sorted(c.granules), _NL10)}\n        }}' for c in sorted(entries, key=_BY_ID)
+        f'{_NL10}"granules": {_array(sorted(c.granules), _NL10)}\n        }}' for c in sorted(entries, key=_BY_ID)
     ) + (_NL6 + "]" if entries else "]")
-
-
-def _optional(key: str, value: Any) -> str:
-    return "" if value is None else f',{_NL6}"{key}": {_encode(value, _NL6)}'
 
 
 def dumps(value: Any) -> str:
@@ -119,19 +128,7 @@ def _encode(value: Any, newline: str = "\n") -> str:
     if isinstance(value, str):
         return _str(value)
     if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = newline + "  "
-        sep = "," + inner
-        try:
-            return f"[{inner}{sep.join(map(_str, value))}{newline}]"
-        except TypeError:  # not a list of strings
-            pass
-        parts = [sep] * (2 * len(value) + 1)
-        parts[1::2] = [_encode(v, inner) for v in value]
-        parts[0] = "[" + inner
-        parts[-1] = newline + "]"
-        return "".join(parts)
+        return _array(value, newline)
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -154,6 +151,23 @@ def _encode(value: Any, newline: str = "\n") -> str:
     if value is True or value is False:
         return "true" if value else "false"
     return json.dumps(value)
+
+
+def _array(values: list | tuple, newline: str = _NL6) -> str:
+    """A list as ``_encode`` writes it; a list of strings, such as an id array, in one join."""
+    if not values:
+        return "[]"
+    inner = newline + "  "
+    sep = "," + inner
+    try:
+        return f"[{inner}{sep.join(map(_str, values))}{newline}]"
+    except TypeError:  # not a list of strings
+        pass
+    parts = [sep] * (2 * len(values) + 1)
+    parts[1::2] = [_encode(v, inner) for v in values]
+    parts[0] = "[" + inner
+    parts[-1] = newline + "]"
+    return "".join(parts)
 
 
 def import_document(text: str) -> KnowledgeBase:

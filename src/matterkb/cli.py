@@ -258,43 +258,52 @@ def cmd_replay_check(args: argparse.Namespace) -> int:
     return OK
 
 
+_FORMAT = ("--format", {"choices": ("text", "canonical"), "default": "text"})
+# Each subcommand's line in the top-level help, its handler, and its arguments after FILE.
+SUBCOMMANDS = {
+    "validate": ("run every axiom check against a scenario or document", cmd_validate, [
+        _FORMAT, ("--at", {"metavar": "tN", "default": None, "help": "check one world only"})]),
+    "query": ("run a provenance or world query", cmd_query, [
+        ("query", {"choices": QUERIES}), ("args", {"nargs": "*"}),
+        ("--transitive", {"action": "store_true", "help": "close over chains of transfers"}),
+        _FORMAT, ("--at", {"metavar": "tN", "default": None})]),
+    "export": ("write the canonical document form", cmd_export, [("out", {"help": "output path, or - for stdout"})]),
+    "replay-check": ("verify the event log rebuilds the same state", cmd_replay_check, []),
+}
+
+
+def _subcommand(name: str, p: argparse.ArgumentParser | None = None) -> argparse.ArgumentParser:
+    """Give ``p`` the arguments and the handler of subcommand ``name``; without ``p``,
+    a parser of its own, named as in the whole tree, so that it prints the same."""
+    p = argparse.ArgumentParser(prog=f"matterkb {name}") if p is None else p
+    _, handler, arguments = SUBCOMMANDS[name]
+    p.add_argument("file")
+    for argument, options in arguments:
+        p.add_argument(argument, **options)
+    p.set_defaults(func=handler)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="matterkb",
         description="Temporal knowledge base for portions of matter and their granule-level provenance.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_validate = sub.add_parser("validate", help="run every axiom check against a scenario or document")
-    p_validate.add_argument("file")
-    p_validate.add_argument("--format", choices=("text", "canonical"), default="text")
-    p_validate.add_argument("--at", metavar="tN", default=None, help="check one world only")
-    p_validate.set_defaults(func=cmd_validate)
-
-    p_query = sub.add_parser("query", help="run a provenance or world query")
-    p_query.add_argument("file")
-    p_query.add_argument("query", choices=QUERIES)
-    p_query.add_argument("args", nargs="*")
-    p_query.add_argument("--transitive", action="store_true", help="close over chains of transfers")
-    p_query.add_argument("--format", choices=("text", "canonical"), default="text")
-    p_query.add_argument("--at", metavar="tN", default=None)
-    p_query.set_defaults(func=cmd_query)
-
-    p_export = sub.add_parser("export", help="write the canonical document form")
-    p_export.add_argument("file")
-    p_export.add_argument("out", help="output path, or - for stdout")
-    p_export.set_defaults(func=cmd_export)
-
-    p_replay = sub.add_parser("replay-check", help="verify the event log rebuilds the same state")
-    p_replay.add_argument("file")
-    p_replay.set_defaults(func=cmd_replay_check)
+    for name, (summary, _, _) in SUBCOMMANDS.items():
+        _subcommand(name, sub.add_parser(name, help=summary))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        # Build only the subcommand that runs; the whole tree parses anything else.
+        name = argv[0] if argv else None
+        if name in SUBCOMMANDS:
+            args, rest = _subcommand(name).parse_known_args(argv[1:])
+        if name not in SUBCOMMANDS or rest:
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return USAGE if exc.code not in (0, None) else 0
     try:

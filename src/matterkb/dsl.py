@@ -19,11 +19,16 @@ An `event` with donors is a granule transfer; an `event` without donors and
 with a single `create` clause is a named creation. Braced blocks may span
 lines. Forward references are allowed within a file; all references are
 resolved after the full parse.
+
+The lexer is one `findall` that yields each token as a plain string, with no
+position. A record's position comes from the parser's line count and the text of
+its line; a diagnostic's from a second pass, made only if a parse reports one.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import NamedTuple, NoReturn
 
@@ -33,19 +38,8 @@ from .model import KindDecl, KnowledgeBase, OBJECT_KIND, QUANTITY_KIND
 
 KEYWORDS = {
     "quantity-kind", "object-kind", "object", "quantity", "connect", "disconnect",
-    "subquantity", "event", "requires", "at", "granules", "of", "donor", "create",
-    "discard",
+    "subquantity", "event", "requires", "at", "granules", "of", "donor", "create", "discard",
 }
-
-# One token per match; whitespace and comments match no named group. A time is a
-# whole word: `t1x` is a word. `[0-9]`, not `\d`, which admits `١` and `²`.
-_TOKEN_RE = re.compile(
-    r"[ \t]+|#.*"
-    r"|(?P<punct>[:,;{}])"
-    r"|(?P<time>t(?P<number>[0-9]+))(?![A-Za-z0-9_-])"
-    r"|(?P<word>[A-Za-z_][A-Za-z0-9_-]*)"
-    r"|(?P<bad>.)"
-)
 
 
 class Pos(NamedTuple):
@@ -140,170 +134,180 @@ class ParseResult:
         return self.scenario is not None
 
 
-class _Token(NamedTuple):
-    kind: str  # word | time | punct | newline | eof
-    value: str
-    line: int
-    column: int
-    number: int = 0
-
-
 class _Bail(Exception):
     pass
 
 
-def _lex(text: str) -> tuple[list[_Token], list[ParseDiagnostic], list[str]]:
-    lines = text.split("\n")
-    tokens: list[_Token] = []
-    diags: list[ParseDiagnostic] = []
-    depth = 0  # newlines inside braces do not terminate statements
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\r")
-        for m in _TOKEN_RE.finditer(line):
-            kind = m.lastgroup
-            if kind is None:
-                continue
-            value = m.group(kind)
-            if kind == "bad":
-                diags.append(ParseDiagnostic(lineno, m.start() + 1, f"unexpected character {value!r}", line))
-                continue
-            if value == "{":
+# One match per character that starts a token: blanks and a comment are skipped,
+# then group 1 holds the token, or takes no part for a character that starts
+# none. The lexed text ends in a newline, so the match never reaches the end of
+# the text and never backtracks into what it skipped.
+_TOKEN_RE = re.compile(r"[ \t]*(?:#[^\n]*)?(?:([\n:,;{}]|[A-Za-z_][A-Za-z0-9_-]*)|.)")
+
+
+def _source(text: str) -> str:
+    """The text as lexed: without the CRs that end a line, and ending in a newline."""
+    if "\r" in text:
+        text = "\n".join([line.rstrip("\r") for line in text.split("\n")])
+    return text + "\n"
+
+
+# A name or keyword, not a time `tN`: only a word starts with 'A' to 'z', and a word is ASCII.
+def _is_word(tok: str) -> bool:
+    return "A" <= tok < "{" and not (tok[0] == "t" and tok[1:].isdigit())
+
+
+def _lex(text: str) -> tuple[list[str], list[int], bool]:
+    """The tokens: a word, time or punctuation mark, "\\n" for a line's end and "" for
+    the input's. A newline inside braces ends no statement and is dropped; ``breaks``
+    holds the index of the token after each. False if a character starts no token."""
+    found = _TOKEN_RE.findall(_source(text))
+    tokens: list[str] = []
+    breaks: list[int] = []
+    depth = 0
+    for tok in found:
+        if tok in "{}\n":  # or "", a character that starts no token
+            if tok == "{":
                 depth += 1
-            elif value == "}" and depth > 0:
-                depth -= 1
-            number = int(m.group("number")) if kind == "time" else 0
-            tokens.append(_Token(kind, value, lineno, m.start() + 1, number))
-        if depth == 0:
-            tokens.append(_Token("newline", "\n", lineno, len(line) + 1))
-    tokens.append(_Token("eof", "", len(lines), len(lines[-1]) + 1))
-    return tokens, diags, lines
+            elif tok == "}":
+                depth -= depth > 0
+            elif not tok:
+                continue
+            elif depth:
+                breaks.append(len(tokens))
+                continue
+        tokens.append(tok)
+    tokens.append("")
+    return tokens, breaks, "" not in found
 
 
-def _diagnostic(lines: list[str], at: _Token | Pos, message: str) -> ParseDiagnostic:
+def _located(text: str, lines: list[str], errors: list[tuple[int, str]]) -> list[ParseDiagnostic]:
+    """The lexer's diagnostics, and the parser's errors placed at their tokens. An
+    error names its token by its index among the tokens that are not newlines."""
+    places: list[Pos] = []
+    diags: list[ParseDiagnostic] = []
+    line, start = 1, 0  # the line, and the offset of its first character
+    for m in _TOKEN_RE.finditer(_source(text)):
+        tok = m.group(1)
+        if tok == "\n":
+            line, start = line + 1, m.end()
+        elif tok is None:  # the match ends in a character that starts no token
+            diags.append(_diagnostic(lines, Pos(line, m.end() - start), f"unexpected character {m.group()[-1]!r}"))
+        else:
+            places.append(Pos(line, m.start(1) - start + 1))
+    return diags + [_diagnostic(lines, places[at], message) for at, message in errors]
+
+
+def _diagnostic(lines: list[str], at: Pos, message: str) -> ParseDiagnostic:
     return ParseDiagnostic(at.line, at.column, message, lines[at.line - 1].rstrip("\r"))
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], lines: list[str]):
-        self.tokens = tokens
-        self.i = 0
-        self.lines = lines
-        self.last = tokens[0]
-        self.diags: list[ParseDiagnostic] = []
+    """Reads the token strings. A token is named by its index; a record's position
+    comes from the line count and its line's text, not from the lexer."""
+
+    def __init__(self, tokens: list[str], breaks: list[int], lines: list[str]):
+        self.tokens, self.breaks, self.lines = tokens, breaks, lines
+        self.i = self.newlines = 0  # the newline tokens read, all before the current statement
+        self.errors: list[tuple[int, str]] = []
         self.scenario = Scenario()
+        self.columns: tuple[int, list[int]] = (-1, [])  # one line's token columns
 
-    # -- token plumbing ----------------------------------------------------
-
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.i]
-        if tok.kind != "eof":
-            self.i += 1
-        if tok.kind not in ("newline", "eof"):
-            self.last = tok
-        return tok
-
-    def bail(self, message: str, at: _Token | Pos) -> NoReturn:
-        self.diags.append(_diagnostic(self.lines, at, message))
+    def bail(self, message: str, at: int) -> NoReturn:
+        self.errors.append((at - self.newlines, message))  # no newline lies before `at` in its statement
         raise _Bail()
 
     def expected(self, what: str) -> NoReturn:
         """Reject the next token; at the end of a line, point at the last token read."""
-        tok = self.peek()
-        if tok.kind in ("newline", "eof"):
-            self.bail(f"expected {what}", self.last)
-        self.bail(f"expected {what}, found {tok.value!r}", tok)
+        tok = self.tokens[self.i]
+        if tok < " ":  # a newline or the end of input
+            self.bail(f"expected {what}", self.i - 1)
+        self.bail(f"expected {what}, found {tok!r}", self.i)
 
     def expect_name(self, what: str) -> str:
-        tok = self.peek()
-        if tok.kind != "word":
+        tok = self.tokens[self.i]
+        if not _is_word(tok):
             self.expected(what)
-        if tok.value in KEYWORDS:
-            self.bail(f"keyword '{tok.value}' cannot be used as {what}", tok)
-        if "-" in tok.value:  # a word is a valid name unless it holds '-'
-            self.bail(f"'{tok.value}' is not a valid {what.partition(' ')[2]} (letters, digits, '_')", tok)
-        self.advance()
-        return tok.value
+        if tok in KEYWORDS:
+            self.bail(f"keyword '{tok}' cannot be used as {what}", self.i)
+        if "-" in tok:  # a word is a valid name unless it holds '-'
+            self.bail(f"'{tok}' is not a valid {what.partition(' ')[2]} (letters, digits, '_')", self.i)
+        self.i += 1
+        return tok
 
     def expect_time(self) -> int:
-        if self.peek().kind != "time":
+        tok = self.tokens[self.i]
+        if tok[:1] != "t" or not tok[1:].isdigit():
             self.expected("a time point like t0")
-        return self.advance().number
+        self.i += 1
+        return int(tok[1:])
 
     # Only a punctuation or keyword token can have a punctuation mark or a keyword
     # as its value, so the value alone tells it apart.
-    def at(self, value: str) -> bool:
-        return self.peek().value == value
+    def accept(self, value: str) -> bool:
+        if self.tokens[self.i] != value:
+            return False
+        self.i += 1
+        return True
 
-    def expect(self, value: str) -> _Token:
-        if not self.at(value):
+    def expect(self, value: str) -> None:
+        if not self.accept(value):
             self.expected(f"'{value}'")
-        return self.advance()
 
-    def end_statement(self) -> None:
-        tok = self.peek()
-        if tok.kind in ("newline", "eof"):
-            self.advance()
-            return
-        self.bail(f"unexpected {tok.value!r} after end of statement", tok)
-
-    def recover(self) -> None:
-        while self.peek().kind not in ("newline", "eof"):
-            self.advance()
-        if self.peek().kind == "newline":
-            self.advance()
-
-    # -- statements ----------------------------------------------------------
+    def pos(self, at: int, start: int) -> Pos:
+        """Where token ``at`` of the statement that starts at token ``start`` sits."""
+        breaks = self.breaks
+        n = bisect_right(breaks, at)  # the newlines dropped before `at`
+        line = self.newlines + n
+        text = self.lines[line]
+        if at == start or n and breaks[n - 1] == at:  # a statement that parses starts its line
+            return Pos(line + 1, len(text) - len(text.lstrip(" \t")) + 1)
+        if self.columns[0] != line:  # a mid-line create clause: lex that one line
+            self.columns = (line, [m.start(1) + 1 for m in _TOKEN_RE.finditer(_source(text)) if m.start(1) >= 0])
+        first = max(start, breaks[n - 1]) if n else start  # the first token on that line
+        return Pos(line + 1, self.columns[1][at - first])
 
     def parse(self) -> None:
-        while True:
-            tok = self.peek()
-            if tok.kind == "eof":
-                return
-            if tok.kind == "newline":
-                self.advance()
+        tokens = self.tokens
+        while tok := tokens[self.i]:
+            if tok == "\n":
+                self.i += 1
+                self.newlines += 1
                 continue
-            try:
-                self.statement(tok)
-            except _Bail:
-                self.recover()
+            try:  # a handler reads one statement, given its keyword and position
+                handler = self.HANDLERS.get(tok)
+                if handler is None and _is_word(tok):
+                    self.bail(f"unknown statement '{tok}'", self.i)
+                if handler is None:
+                    self.bail(f"a statement cannot start with {tok!r}", self.i)
+                self.i += 1
+                handler(self, self.i - 1, self.pos(self.i - 1, self.i - 1))
+                if tokens[self.i] >= " ":  # not a newline or the end of input
+                    self.bail(f"unexpected {tokens[self.i]!r} after end of statement", self.i)
+            except _Bail:  # a parse that reports something keeps no record
+                try:  # skip to the end of the line
+                    self.i = tokens.index("\n", self.i)
+                except ValueError:
+                    self.i = len(tokens) - 1
 
-    def statement(self, tok: _Token) -> None:
-        handler = self.HANDLERS.get(tok.value)
-        if handler is not None:
-            handler(self, self.advance())
-            return
-        if tok.kind == "word":
-            self.bail(f"unknown statement '{tok.value}'", tok)
-        self.bail(f"a statement cannot start with {tok.value!r}", tok)
-
-    def kind_stmt(self, kw: _Token) -> None:
+    def kind_stmt(self, kw: int, pos: Pos) -> None:
         name = self.expect_name("a kind name")
         requires: list[str] = []
-        if kw.value == "quantity-kind" and self.at("requires"):
-            self.advance()
+        meta = QUANTITY_KIND if self.tokens[kw] == "quantity-kind" else OBJECT_KIND
+        if meta == QUANTITY_KIND and self.accept("requires"):
             requires.append(self.expect_name("an object kind name"))
-            while self.at(","):
-                self.advance()
+            while self.accept(","):
                 requires.append(self.expect_name("an object kind name"))
-        meta = QUANTITY_KIND if kw.value == "quantity-kind" else OBJECT_KIND
-        self.end_statement()
-        self.scenario.kind_decls.append(KindStmt(name, meta, tuple(requires), Pos(kw.line, kw.column)))
+        self.scenario.kind_decls.append(KindStmt(name, meta, tuple(requires), pos))
 
-    def object_stmt(self, kw: _Token) -> None:
+    def object_stmt(self, kw: int, pos: Pos) -> None:
         name = self.expect_name("an object name")
         self.expect(":")
         kind = self.expect_name("a kind name")
-        at = 0
-        if self.at("at"):
-            self.advance()
-            at = self.expect_time()
-        self.end_statement()
-        self.scenario.object_decls.append(ObjectStmt(name, kind, at, Pos(kw.line, kw.column)))
+        at = self.expect_time() if self.accept("at") else 0
+        self.scenario.object_decls.append(ObjectStmt(name, kind, at, pos))
 
-    def quantity_stmt(self, kw: _Token) -> None:
+    def quantity_stmt(self, kw: int, pos: Pos) -> None:
         name = self.expect_name("a quantity name")
         self.expect(":")
         kind = self.expect_name("a kind name")
@@ -311,84 +315,67 @@ class _Parser:
         at = self.expect_time()
         self.expect("granules")
         granules = self.name_block()
-        self.end_statement()
-        self.scenario.quantity_creations.append(QuantityStmt(name, kind, at, granules, Pos(kw.line, kw.column)))
+        self.scenario.quantity_creations.append(QuantityStmt(name, kind, at, granules, pos))
 
-    def adjacency_stmt(self, kw: _Token) -> None:
+    def adjacency_stmt(self, kw: int, pos: Pos) -> None:
         a = self.expect_name("an object name")
         b = self.expect_name("an object name")
         self.expect("at")
         at = self.expect_time()
-        self.end_statement()
-        self.scenario.adjacency.append(AdjacencyStmt(a, b, at, kw.value == "connect", Pos(kw.line, kw.column)))
+        self.scenario.adjacency.append(AdjacencyStmt(a, b, at, self.tokens[kw] == "connect", pos))
 
-    def subquantity_stmt(self, kw: _Token) -> None:
+    def subquantity_stmt(self, kw: int, pos: Pos) -> None:
         part = self.expect_name("a quantity name")
         self.expect("of")
         whole = self.expect_name("a quantity name")
-        self.end_statement()
-        self.scenario.subquantity_assertions.append(SubquantityStmt(part, whole, Pos(kw.line, kw.column)))
+        self.scenario.subquantity_assertions.append(SubquantityStmt(part, whole, pos))
 
-    def event_stmt(self, kw: _Token) -> None:
+    def event_stmt(self, kw: int, pos: Pos) -> None:
         name = self.expect_name("an event name")
         self.expect("at")
         at = self.expect_time()
-        open_brace = self.expect("{")
+        open_brace = self.i
+        self.expect("{")
         donors: list[str] = []
         creates: list[CreateClause] = []
-        discard: list[str] = []
-        saw_discard = False
-        while True:
-            tok = self.peek()
-            if self.at("}"):
-                self.advance()
-                break
-            if tok.kind == "eof":
-                self.bail("unclosed event block", open_brace)
-            if self.at(";"):
-                self.advance()
-                continue
-            if self.at("donor"):
-                self.advance()
+        discard: tuple[str, ...] | None = None
+        while not self.accept("}"):  # no newline is left inside the block
+            clause, tok = self.i, self.tokens[self.i]
+            self.i += 1
+            if tok == "donor":
                 donors.append(self.expect_name("a quantity name"))
-                while self.peek().kind == "word" and self.peek().value not in KEYWORDS:
+                while _is_word(self.tokens[self.i]) and self.tokens[self.i] not in KEYWORDS:
                     donors.append(self.expect_name("a quantity name"))
-            elif self.at("create"):
-                create_kw = self.advance()
+            elif tok == "create":
                 cid = self.expect_name("a quantity name")
                 self.expect(":")
                 ckind = self.expect_name("a kind name")
                 self.expect("granules")
-                cgranules = self.name_block()
-                creates.append(CreateClause(cid, ckind, cgranules, Pos(create_kw.line, create_kw.column)))
-            elif self.at("discard"):
-                if saw_discard:
-                    self.bail("event block has more than one discard clause", tok)
-                saw_discard = True
-                self.advance()
-                discard.extend(self.name_block())
-            else:
-                self.bail(f"expected donor, create, discard or '}}', found {tok.value!r}", tok)
+                creates.append(CreateClause(cid, ckind, self.name_block(), self.pos(clause, kw)))
+            elif tok == "discard":
+                if discard is not None:
+                    self.bail("event block has more than one discard clause", clause)
+                discard = self.name_block()
+            elif not tok:
+                self.bail("unclosed event block", open_brace)
+            elif tok != ";":
+                self.bail(f"expected donor, create, discard or '}}', found {tok!r}", clause)
         if not creates:
             self.bail("event block needs at least one create clause", kw)
         if not donors and len(creates) > 1:
             self.bail("an event without donors can create only one quantity", kw)
         if not donors and discard:
             self.bail("an event without donors cannot discard granules", kw)
-        self.end_statement()
-        self.scenario.events.append(
-            EventStmt(name, at, tuple(donors), tuple(creates), tuple(discard), Pos(kw.line, kw.column))
-        )
+        self.scenario.events.append(EventStmt(name, at, tuple(donors), tuple(creates), discard or (), pos))
 
     def name_block(self) -> tuple[str, ...]:
         self.expect("{")
-        names: list[str] = []
-        if self.at("}"):
-            self.advance()
+        if self.accept("}"):
             return ()
-        names.append(self.expect_name("a name"))
-        while self.at(","):
-            self.advance()
+        names = [self.expect_name("a name")]
+        tokens = self.tokens
+        while tokens[self.i] == ",":
+            self.i += 1
             names.append(self.expect_name("a name"))
         self.expect("}")
         return tuple(names)
@@ -396,14 +383,10 @@ class _Parser:
     # Plain functions, built once: a dict of bound methods on the parser would form a
     # reference cycle that keeps every token alive until the cyclic collector runs.
     HANDLERS = {
-        "quantity-kind": kind_stmt,
-        "object-kind": kind_stmt,
-        "object": object_stmt,
-        "quantity": quantity_stmt,
-        "connect": adjacency_stmt,
-        "disconnect": adjacency_stmt,
-        "subquantity": subquantity_stmt,
-        "event": event_stmt,
+        "quantity-kind": kind_stmt, "object-kind": kind_stmt,
+        "object": object_stmt, "quantity": quantity_stmt,
+        "connect": adjacency_stmt, "disconnect": adjacency_stmt,
+        "subquantity": subquantity_stmt, "event": event_stmt,
     }
 
 
@@ -476,11 +459,9 @@ def _resolve(scenario: Scenario, lines: list[str]) -> list[ParseDiagnostic]:
             if g not in objects:
                 err(ev.pos, f"event '{ev.name}' discards undeclared object '{g}'")
 
-    timeline = sorted(
-        [(st.at, st.pos, f"creation of '{st.id}'") for st in scenario.quantity_creations]
-        + [(ev.at, ev.pos, f"event '{ev.name}'") for ev in scenario.events],
-        key=lambda item: (item[0], item[1].line, item[1].column),
-    )
+    timeline = [(st.at, st.pos, f"creation of '{st.id}'") for st in scenario.quantity_creations]
+    timeline += [(ev.at, ev.pos, f"event '{ev.name}'") for ev in scenario.events]
+    timeline.sort(key=lambda item: item[:2])  # by time, then position
     for (at1, _, label1), (at2, pos2, label2) in zip(timeline, timeline[1:]):
         if at1 == at2:
             err(pos2, f"{label2} shares time point t{at2} with {label1}; event times must strictly increase")
@@ -489,12 +470,11 @@ def _resolve(scenario: Scenario, lines: list[str]) -> list[ParseDiagnostic]:
 
 def parse(text: str) -> ParseResult:
     """Parse scenario source text; total over arbitrary input."""
-    tokens, diags, lines = _lex(text)
-    parser = _Parser(tokens, lines)
+    tokens, breaks, clean = _lex(text)
+    lines = text.split("\n")
+    parser = _Parser(tokens, breaks, lines)
     parser.parse()
-    diags = diags + parser.diags
-    if not diags:
-        diags = _resolve(parser.scenario, lines)
+    diags = _resolve(parser.scenario, lines) if clean and not parser.errors else _located(text, lines, parser.errors)
     if diags:
         diags.sort(key=lambda d: (d.line, d.column, d.message))
         return ParseResult(None, diags)
@@ -507,13 +487,9 @@ def parse_bytes(data: bytes) -> ParseResult:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         prefix = data[: exc.start].decode("utf-8", errors="replace")
-        line = prefix.count("\n") + 1
-        column = len(prefix) - (prefix.rfind("\n") + 1) + 1
-        snippet_line = prefix.split("\n")[-1]
-        diag = ParseDiagnostic(
-            line, column, f"invalid UTF-8 at byte offset {exc.start}: {exc.reason}", snippet_line
-        )
-        return ParseResult(None, [diag])
+        snippet = prefix.rpartition("\n")[2]
+        message = f"invalid UTF-8 at byte offset {exc.start}: {exc.reason}"
+        return ParseResult(None, [ParseDiagnostic(prefix.count("\n") + 1, len(snippet) + 1, message, snippet)])
     return parse(text)
 
 

@@ -3,9 +3,11 @@ independent graph/closure oracles, and the seeded-fault fixture corpus."""
 
 from __future__ import annotations
 
+import argparse
 import random
 import re
-from typing import Any
+import sys
+from typing import Any, NamedTuple, NoReturn
 
 from matterkb import (
     CreatedEntry,
@@ -13,12 +15,30 @@ from matterkb import (
     KnowledgeBase,
     apply_creation,
     apply_transfer,
+    case_study_path,
     export_document,
     kb_to_doc,
     replay,
 )
 from matterkb.canonical import doc_to_kb
-from matterkb.dsl import ParseDiagnostic, _Token
+from matterkb.cli import QUERIES, USAGE, _CliError, cmd_export, cmd_query, cmd_replay_check, cmd_validate
+from matterkb.dsl import (
+    KEYWORDS,
+    AdjacencyStmt,
+    CreateClause,
+    EventStmt,
+    KindStmt,
+    ObjectStmt,
+    ParseDiagnostic,
+    ParseResult,
+    Pos,
+    QuantityStmt,
+    Scenario,
+    SubquantityStmt,
+    _Bail,
+    _diagnostic,
+    _resolve,
+)
 from matterkb import events
 from matterkb.errors import (
     DocumentError,
@@ -1168,8 +1188,18 @@ def _ref_id_list(value: Any, path: str) -> list[str]:
 
 
 # -- reference scenario lexer ------------------------------------------------------
-# The character-loop lexer that `dsl._lex` replaced, kept as a differential
-# check: the same tokens, lexer diagnostics and split lines on any text.
+# A character-loop lexer that builds one positioned token per token, kept as a
+# differential check on any text: `dsl._lex` gives the same token values and
+# lines, and `dsl._located` the same positions and lexer diagnostics.
+
+
+class _Token(NamedTuple):
+    kind: str  # word | time | punct | newline | eof
+    value: str
+    line: int
+    column: int
+    number: int = 0
+
 
 _WORD_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*")
 _TIME_RE = re.compile(r"^t(\d+)$")
@@ -1214,3 +1244,370 @@ def reference_lex(text: str) -> tuple[list[_Token], list[ParseDiagnostic], list[
             tokens.append(_Token("newline", "\n", lineno, len(line) + 1))
     tokens.append(_Token("eof", "", len(lines), len(lines[-1]) + 1))
     return tokens, diags, lines
+
+
+# -- reference scenario parser -----------------------------------------------------
+# The parser that `dsl.parse` replaced, kept as a differential check: a
+# `finditer` lexer that builds one positioned token per match, and a parser
+# that reads those tokens. `_ref_lex` gives what `reference_lex` gives.
+
+# One token per match; whitespace and comments match no named group. A time is a
+# whole word: `t1x` is a word. `[0-9]`, not `\d`, which admits `١` and `²`.
+_REF_TOKEN_RE = re.compile(
+    r"[ \t]+|#.*"
+    r"|(?P<punct>[:,;{}])"
+    r"|(?P<time>t(?P<number>[0-9]+))(?![A-Za-z0-9_-])"
+    r"|(?P<word>[A-Za-z_][A-Za-z0-9_-]*)"
+    r"|(?P<bad>.)"
+)
+
+
+def _ref_lex(text: str) -> tuple[list[_Token], list[ParseDiagnostic], list[str]]:
+    lines = text.split("\n")
+    tokens: list[_Token] = []
+    diags: list[ParseDiagnostic] = []
+    depth = 0  # newlines inside braces do not terminate statements
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\r")
+        for m in _REF_TOKEN_RE.finditer(line):
+            kind = m.lastgroup
+            if kind is None:
+                continue
+            value = m.group(kind)
+            if kind == "bad":
+                diags.append(ParseDiagnostic(lineno, m.start() + 1, f"unexpected character {value!r}", line))
+                continue
+            if value == "{":
+                depth += 1
+            elif value == "}" and depth > 0:
+                depth -= 1
+            number = int(m.group("number")) if kind == "time" else 0
+            tokens.append(_Token(kind, value, lineno, m.start() + 1, number))
+        if depth == 0:
+            tokens.append(_Token("newline", "\n", lineno, len(line) + 1))
+    tokens.append(_Token("eof", "", len(lines), len(lines[-1]) + 1))
+    return tokens, diags, lines
+
+
+class _RefParser:
+    def __init__(self, tokens: list[_Token], lines: list[str]):
+        self.tokens = tokens
+        self.i = 0
+        self.lines = lines
+        self.last = tokens[0]
+        self.diags: list[ParseDiagnostic] = []
+        self.scenario = Scenario()
+
+    # -- token plumbing ----------------------------------------------------
+
+    def peek(self) -> _Token:
+        return self.tokens[self.i]
+
+    def advance(self) -> _Token:
+        tok = self.tokens[self.i]
+        if tok.kind != "eof":
+            self.i += 1
+        if tok.kind not in ("newline", "eof"):
+            self.last = tok
+        return tok
+
+    def bail(self, message: str, at: _Token | Pos) -> NoReturn:
+        self.diags.append(_diagnostic(self.lines, at, message))
+        raise _Bail()
+
+    def expected(self, what: str) -> NoReturn:
+        """Reject the next token; at the end of a line, point at the last token read."""
+        tok = self.peek()
+        if tok.kind in ("newline", "eof"):
+            self.bail(f"expected {what}", self.last)
+        self.bail(f"expected {what}, found {tok.value!r}", tok)
+
+    def expect_name(self, what: str) -> str:
+        tok = self.peek()
+        if tok.kind != "word":
+            self.expected(what)
+        if tok.value in KEYWORDS:
+            self.bail(f"keyword '{tok.value}' cannot be used as {what}", tok)
+        if "-" in tok.value:  # a word is a valid name unless it holds '-'
+            self.bail(f"'{tok.value}' is not a valid {what.partition(' ')[2]} (letters, digits, '_')", tok)
+        self.advance()
+        return tok.value
+
+    def expect_time(self) -> int:
+        if self.peek().kind != "time":
+            self.expected("a time point like t0")
+        return self.advance().number
+
+    # Only a punctuation or keyword token can have a punctuation mark or a keyword
+    # as its value, so the value alone tells it apart.
+    def at(self, value: str) -> bool:
+        return self.peek().value == value
+
+    def expect(self, value: str) -> _Token:
+        if not self.at(value):
+            self.expected(f"'{value}'")
+        return self.advance()
+
+    def end_statement(self) -> None:
+        tok = self.peek()
+        if tok.kind in ("newline", "eof"):
+            self.advance()
+            return
+        self.bail(f"unexpected {tok.value!r} after end of statement", tok)
+
+    def recover(self) -> None:
+        while self.peek().kind not in ("newline", "eof"):
+            self.advance()
+        if self.peek().kind == "newline":
+            self.advance()
+
+    # -- statements ----------------------------------------------------------
+
+    def parse(self) -> None:
+        while True:
+            tok = self.peek()
+            if tok.kind == "eof":
+                return
+            if tok.kind == "newline":
+                self.advance()
+                continue
+            try:
+                self.statement(tok)
+            except _Bail:
+                self.recover()
+
+    def statement(self, tok: _Token) -> None:
+        handler = self.HANDLERS.get(tok.value)
+        if handler is not None:
+            handler(self, self.advance())
+            return
+        if tok.kind == "word":
+            self.bail(f"unknown statement '{tok.value}'", tok)
+        self.bail(f"a statement cannot start with {tok.value!r}", tok)
+
+    def kind_stmt(self, kw: _Token) -> None:
+        name = self.expect_name("a kind name")
+        requires: list[str] = []
+        if kw.value == "quantity-kind" and self.at("requires"):
+            self.advance()
+            requires.append(self.expect_name("an object kind name"))
+            while self.at(","):
+                self.advance()
+                requires.append(self.expect_name("an object kind name"))
+        meta = QUANTITY_KIND if kw.value == "quantity-kind" else OBJECT_KIND
+        self.end_statement()
+        self.scenario.kind_decls.append(KindStmt(name, meta, tuple(requires), Pos(kw.line, kw.column)))
+
+    def object_stmt(self, kw: _Token) -> None:
+        name = self.expect_name("an object name")
+        self.expect(":")
+        kind = self.expect_name("a kind name")
+        at = 0
+        if self.at("at"):
+            self.advance()
+            at = self.expect_time()
+        self.end_statement()
+        self.scenario.object_decls.append(ObjectStmt(name, kind, at, Pos(kw.line, kw.column)))
+
+    def quantity_stmt(self, kw: _Token) -> None:
+        name = self.expect_name("a quantity name")
+        self.expect(":")
+        kind = self.expect_name("a kind name")
+        self.expect("at")
+        at = self.expect_time()
+        self.expect("granules")
+        granules = self.name_block()
+        self.end_statement()
+        self.scenario.quantity_creations.append(QuantityStmt(name, kind, at, granules, Pos(kw.line, kw.column)))
+
+    def adjacency_stmt(self, kw: _Token) -> None:
+        a = self.expect_name("an object name")
+        b = self.expect_name("an object name")
+        self.expect("at")
+        at = self.expect_time()
+        self.end_statement()
+        self.scenario.adjacency.append(AdjacencyStmt(a, b, at, kw.value == "connect", Pos(kw.line, kw.column)))
+
+    def subquantity_stmt(self, kw: _Token) -> None:
+        part = self.expect_name("a quantity name")
+        self.expect("of")
+        whole = self.expect_name("a quantity name")
+        self.end_statement()
+        self.scenario.subquantity_assertions.append(SubquantityStmt(part, whole, Pos(kw.line, kw.column)))
+
+    def event_stmt(self, kw: _Token) -> None:
+        name = self.expect_name("an event name")
+        self.expect("at")
+        at = self.expect_time()
+        open_brace = self.expect("{")
+        donors: list[str] = []
+        creates: list[CreateClause] = []
+        discard: list[str] = []
+        saw_discard = False
+        while True:
+            tok = self.peek()
+            if self.at("}"):
+                self.advance()
+                break
+            if tok.kind == "eof":
+                self.bail("unclosed event block", open_brace)
+            if self.at(";"):
+                self.advance()
+                continue
+            if self.at("donor"):
+                self.advance()
+                donors.append(self.expect_name("a quantity name"))
+                while self.peek().kind == "word" and self.peek().value not in KEYWORDS:
+                    donors.append(self.expect_name("a quantity name"))
+            elif self.at("create"):
+                create_kw = self.advance()
+                cid = self.expect_name("a quantity name")
+                self.expect(":")
+                ckind = self.expect_name("a kind name")
+                self.expect("granules")
+                cgranules = self.name_block()
+                creates.append(CreateClause(cid, ckind, cgranules, Pos(create_kw.line, create_kw.column)))
+            elif self.at("discard"):
+                if saw_discard:
+                    self.bail("event block has more than one discard clause", tok)
+                saw_discard = True
+                self.advance()
+                discard.extend(self.name_block())
+            else:
+                self.bail(f"expected donor, create, discard or '}}', found {tok.value!r}", tok)
+        if not creates:
+            self.bail("event block needs at least one create clause", kw)
+        if not donors and len(creates) > 1:
+            self.bail("an event without donors can create only one quantity", kw)
+        if not donors and discard:
+            self.bail("an event without donors cannot discard granules", kw)
+        self.end_statement()
+        self.scenario.events.append(
+            EventStmt(name, at, tuple(donors), tuple(creates), tuple(discard), Pos(kw.line, kw.column))
+        )
+
+    def name_block(self) -> tuple[str, ...]:
+        self.expect("{")
+        names: list[str] = []
+        if self.at("}"):
+            self.advance()
+            return ()
+        names.append(self.expect_name("a name"))
+        while self.at(","):
+            self.advance()
+            names.append(self.expect_name("a name"))
+        self.expect("}")
+        return tuple(names)
+
+    # Plain functions, built once: a dict of bound methods on the parser would form a
+    # reference cycle that keeps every token alive until the cyclic collector runs.
+    HANDLERS = {
+        "quantity-kind": kind_stmt,
+        "object-kind": kind_stmt,
+        "object": object_stmt,
+        "quantity": quantity_stmt,
+        "connect": adjacency_stmt,
+        "disconnect": adjacency_stmt,
+        "subquantity": subquantity_stmt,
+        "event": event_stmt,
+    }
+
+
+def reference_parse(text: str) -> ParseResult:
+    tokens, diags, lines = _ref_lex(text)
+    parser = _RefParser(tokens, lines)
+    parser.parse()
+    diags = diags + parser.diags
+    if not diags:
+        diags = _resolve(parser.scenario, lines)
+    if diags:
+        diags.sort(key=lambda d: (d.line, d.column, d.message))
+        return ParseResult(None, diags)
+    return ParseResult(parser.scenario, [])
+
+
+# -- a scenario corpus at scale ----------------------------------------------------
+
+_CASE_REFORMATS = (
+    # a granule list that spans lines, with a comment and a tab inside the braces
+    ("granules { grain1, grain2, grain3, grain4, grain5,",
+     "granules {\t# a { in a comment\n    grain1,\n\tgrain2, grain3, grain4, grain5,"),
+    # an event on one line, so that its two create clauses share it
+    (" {\n  donor rock1 ;\n  create rock2 : PortionOfRock granules { grain5, grain6 } ;\n  create rock3",
+     " { donor rock1 ; create rock2 : PortionOfRock granules { grain5, grain6 } ; create rock3"),
+    ("grain3, grain4 }\n}", "grain3, grain4 } }"),
+    # an indented statement
+    ("connect grain1 grain2", " \t connect grain1 grain2"),
+    # comments and tabs inside a block, a clause after a comment, a list that spans lines
+    ("{\n  donor rock3 ;\n", "{ # rock3 } ends here\n\tdonor rock3 ;\t# ;\n\n"),
+    ("granules { grain3, grain4 } ;\n  create rock5", "granules {\n\t\tgrain3,\n\t\tgrain4 } ; create rock5"),
+)
+
+
+def scenario_corpus(copies: int) -> str:
+    """``casestudy.mp`` ``copies`` times, each copy reformatted (see
+    ``_CASE_REFORMATS``), with its names suffixed and its times shifted, so that
+    the whole still parses. Every second copy ends its lines in CRLF."""
+    text = case_study_path().read_text(encoding="utf-8")
+    for old, new in _CASE_REFORMATS:
+        assert text.count(old) == 1, old
+        text = text.replace(old, new)
+    out = []
+    for k in range(copies):
+        names = (m.group() for m in re.finditer(r"[A-Za-z_][A-Za-z0-9_-]*", text))
+        renamed = {w: f"{w}_{k}" for w in names if w not in KEYWORDS and not re.fullmatch(r"t[0-9]+", w)}
+        copy = re.sub(r"[A-Za-z_][A-Za-z0-9_-]*", lambda m: renamed.get(m.group(), m.group()), text)
+        copy = re.sub(r"\bt([0-9]+)\b", lambda m: f"t{int(m.group(1)) + 3 * k}", copy)
+        out.append(copy.replace("\n", "\r\n") if k % 2 else copy)
+    return "".join(out)
+
+
+# -- reference command-line parser -------------------------------------------------
+
+
+def reference_build_parser() -> argparse.ArgumentParser:
+    """The whole ``argparse`` tree, written out by hand: the reference for the
+    parsers that ``cli.main`` builds from ``cli.SUBCOMMANDS``."""
+    parser = argparse.ArgumentParser(
+        prog="matterkb",
+        description="Temporal knowledge base for portions of matter and their granule-level provenance.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_validate = sub.add_parser("validate", help="run every axiom check against a scenario or document")
+    p_validate.add_argument("file")
+    p_validate.add_argument("--format", choices=("text", "canonical"), default="text")
+    p_validate.add_argument("--at", metavar="tN", default=None, help="check one world only")
+    p_validate.set_defaults(func=cmd_validate)
+
+    p_query = sub.add_parser("query", help="run a provenance or world query")
+    p_query.add_argument("file")
+    p_query.add_argument("query", choices=QUERIES)
+    p_query.add_argument("args", nargs="*")
+    p_query.add_argument("--transitive", action="store_true", help="close over chains of transfers")
+    p_query.add_argument("--format", choices=("text", "canonical"), default="text")
+    p_query.add_argument("--at", metavar="tN", default=None)
+    p_query.set_defaults(func=cmd_query)
+
+    p_export = sub.add_parser("export", help="write the canonical document form")
+    p_export.add_argument("file")
+    p_export.add_argument("out", help="output path, or - for stdout")
+    p_export.set_defaults(func=cmd_export)
+
+    p_replay = sub.add_parser("replay-check", help="verify the event log rebuilds the same state")
+    p_replay.add_argument("file")
+    p_replay.set_defaults(func=cmd_replay_check)
+    return parser
+
+
+def reference_main(argv: list[str]) -> int:
+    """``cli.main`` parsing every call with ``reference_build_parser``."""
+    try:
+        args = reference_build_parser().parse_args(argv)
+    except SystemExit as exc:
+        return USAGE if exc.code not in (0, None) else 0
+    try:
+        return args.func(args)
+    except _CliError as exc:
+        print(str(exc), file=sys.stderr)
+        return exc.code

@@ -292,6 +292,33 @@ def hand_built_kb():
     return kb
 
 
+@pytest.mark.parametrize("column, odd", [
+    ("objects", True), ("objects", None), ("quantities", True), ("terminated_at", True),
+    ("from", True), ("to", True), ("events", True), ("events", None),
+])
+def test_a_time_column_that_is_not_all_ints_is_written_as_json(column, odd):
+    """One time held as ``True`` or None sends its whole column through the JSON
+    writer; an optional column keeps leaving out the fields that are None."""
+    kb = hand_built_kb()
+    kb.objects["g1"] = ObjectInst("g1", "Grain", 1)
+    r1 = kb.quantities["r1"]
+    if column == "objects":
+        kb.objects["g0"] = ObjectInst("g0", "Grain", odd)
+    elif column == "quantities":
+        kb.quantities["r1"] = QuantityInst(r1.id, r1.kind, odd, r1.granules, r1.creation_event)
+    elif column == "terminated_at":
+        kb.quantities["r1"] = QuantityInst(r1.id, r1.kind, 3, r1.granules, r1.creation_event, odd)
+    elif column == "from":
+        kb.adjacency[1] = AdjacencyInterval("g0", "g1", odd)
+    elif column == "to":
+        kb.adjacency.append(AdjacencyInterval("g1", "gr\u00e4n", 0, odd))
+    else:
+        kb.events[0] = kb.events[0]._replace(at=odd)
+    text = export_document(kb)
+    assert text == json.dumps(reference_kb_to_doc(kb), indent=2) + "\n"
+    assert text.count(": true") + text.count(": null") == 1
+
+
 def test_hand_built_store_exports_its_odd_fields():
     text = export_document(hand_built_kb())
     doc = json.loads(text)

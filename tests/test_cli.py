@@ -397,3 +397,30 @@ def test_usage_error_exits_2():
         env=_child_env(),
     )
     assert proc.returncode == 2
+
+
+USAGE_CALLS = [
+    [], ["-h"], ["--help"], ["validate", "-h"], ["query", "--help"], ["export", "-h"], ["replay-check", "-h"],
+    ["validate"], ["query", "{case}"], ["export", "{case}"], ["replay-check"],
+    ["validate", "{missing}"], ["export", "{missing}", "-"],
+    ["validate", "{case}", "--format", "yaml"], ["query", "{case}", "classify", "--format=xml"],
+    ["frobnicate"], ["frobnicate", "{case}"], ["-x", "validate", "{case}"],
+    ["query", "{case}", "lineage"], ["validate", "{case}", "--at"], ["query", "{case}", "cohort", "grain1", "--at"],
+    ["validate", "{case}", "extra"], ["replay-check", "{case}", "--transitive"], ["export", "{case}", "-", "x"],
+    ["validate", "{case}", "--at", "t1"], ["query", "{case}", "provenance", "rock5", "--transitive"],
+    ["validate", "--form", "canonical", "{case}"], ["validate", "{case}", "-h", "--format", "yaml"],
+]
+
+
+@pytest.mark.parametrize("argv", USAGE_CALLS, ids=[" ".join(a) or "(none)" for a in USAGE_CALLS])
+def test_main_matches_the_whole_parser_tree(capsys, case_file, tmp_path, argv):
+    """Building only the subcommand that runs prints what the whole tree printed."""
+    from helpers import reference_main
+
+    argv = [a.format(case=case_file, missing=tmp_path / "missing.mp") for a in argv]
+    results = []
+    for run in (main, reference_main):
+        code = run(list(argv))
+        results.append((code, *capsys.readouterr()))
+    assert results[0] == results[1]
+    assert results[0][1] or results[0][2]  # every call prints something

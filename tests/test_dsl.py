@@ -4,8 +4,8 @@ import gc
 import json
 import random
 import re
+from bisect import bisect_right
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +14,7 @@ from matterkb import dsl, event_log, load, parse, parse_bytes
 from matterkb.cli import main
 from matterkb.errors import ScenarioLoadError
 
-from helpers import reference_lex
+from helpers import _ref_lex, reference_lex, reference_parse, scenario_corpus
 
 
 def diags(text):
@@ -318,8 +318,40 @@ class TestLoad:
 
 
 def lexed(text):
-    tokens, diagnostics, lines = dsl._lex(text)
-    return [(t.kind, t.value, t.line, t.column, t.number) for t in tokens], diagnostics, lines
+    """``dsl._lex`` and ``dsl._located`` as positioned tokens ``(kind, value,
+    line, column, number)``, lexer diagnostics and split lines. A newline is
+    given its line and no column, the end of input neither."""
+    tokens, breaks, clean = dsl._lex(text)
+    lines = text.split("\n")
+    words = [tok for tok in tokens if tok >= " "]
+    # One error at each token that is not a newline gives that token's position.
+    located = dsl._located(text, lines, [(k, "") for k in range(len(words))])
+    diagnostics, places = located[: len(located) - len(words)], located[len(located) - len(words):]
+    out, newlines, places = [], 0, iter(places)
+    for i, tok in enumerate(tokens):
+        line = newlines + bisect_right(breaks, i) + 1
+        if tok == "\n":
+            out.append(("newline", tok, line, 0, 0))
+            newlines += 1
+        elif not tok:
+            out.append(("eof", tok, 0, 0, 0))
+        else:
+            place = next(places)
+            assert place.line == line
+            time = re.fullmatch("t([0-9]+)", tok)
+            kind = "time" if time else "word" if tok[0].isalpha() or tok[0] == "_" else "punct"
+            out.append((kind, tok, line, place.column, int(time[1]) if time else 0))
+    assert clean == (diagnostics == [])
+    return out, diagnostics, lines
+
+
+def reference_lexed(text):
+    tokens, diagnostics, lines = reference_lex(text)
+    placed = [
+        (t.kind, t.value, t.line, t.column, t.number) if t.kind != "newline" else (t.kind, t.value, t.line, 0, 0)
+        for t in tokens[:-1]
+    ]
+    return placed + [("eof", "", 0, 0, 0)], diagnostics, lines
 
 
 def rendered(result):
@@ -329,7 +361,7 @@ def rendered(result):
 class TestLexer:
     def test_unicode_digit_after_t_is_not_a_time(self):
         tokens, (d,), _ = lexed("t\u0661")
-        assert tokens == [("word", "t", 1, 1, 0), ("newline", "\n", 1, 3, 0), ("eof", "", 1, 3, 0)]
+        assert tokens == [("word", "t", 1, 1, 0), ("newline", "\n", 1, 0, 0), ("eof", "", 0, 0, 0)]
         assert (d.line, d.column, d.message) == (1, 2, "unexpected character '\u0661'")
 
     def test_unicode_digit_ends_a_time(self):
@@ -346,7 +378,8 @@ class TestLexer:
     def test_stray_character_between_words(self, ch):
         tokens, (d,), lines = lexed(f"a{ch}b\n")
         assert [t[:4] for t in tokens] == [
-            ("word", "a", 1, 1), ("word", "b", 1, 3), ("newline", "\n", 1, 4), ("newline", "\n", 2, 1), ("eof", "", 2, 1),
+            ("word", "a", 1, 1), ("word", "b", 1, 3),
+            ("newline", "\n", 1, 0), ("newline", "\n", 2, 0), ("eof", "", 0, 0),
         ]
         assert (d.line, d.column, d.message, d.snippet) == (1, 2, f"unexpected character {ch!r}", f"a{ch}b")
         assert lines == [f"a{ch}b", ""]
@@ -354,8 +387,8 @@ class TestLexer:
     def test_last_line_ending_in_cr_without_newline(self):
         tokens, diagnostics, lines = lexed("a\nb\r")
         assert tokens == [
-            ("word", "a", 1, 1, 0), ("newline", "\n", 1, 2, 0),
-            ("word", "b", 2, 1, 0), ("newline", "\n", 2, 2, 0), ("eof", "", 2, 3, 0),
+            ("word", "a", 1, 1, 0), ("newline", "\n", 1, 0, 0),
+            ("word", "b", 2, 1, 0), ("newline", "\n", 2, 0, 0), ("eof", "", 0, 0, 0),
         ]
         assert diagnostics == [] and lines == ["a", "b\r"]
 
@@ -363,10 +396,18 @@ class TestLexer:
         tokens, diagnostics, _ = lexed("x { a # } b\n c }\n")
         assert [t[:4] for t in tokens] == [
             ("word", "x", 1, 1), ("punct", "{", 1, 3), ("word", "a", 1, 5),
-            ("word", "c", 2, 2), ("punct", "}", 2, 4), ("newline", "\n", 2, 5),
-            ("newline", "\n", 3, 1), ("eof", "", 3, 1),
+            ("word", "c", 2, 2), ("punct", "}", 2, 4), ("newline", "\n", 2, 0),
+            ("newline", "\n", 3, 0), ("eof", "", 0, 0),
         ]
         assert diagnostics == []
+
+    def test_trailing_blanks_and_comment_at_end_of_input(self):
+        tokens = [("word", "a", 1, 1, 0), ("newline", "\n", 1, 0, 0), ("eof", "", 0, 0, 0)]
+        assert lexed("a \t# c") == (tokens, [], ["a \t# c"])
+
+    @pytest.mark.parametrize("text", ["a\r\r\n b", "a\r \r\n", "{\r\n\r\n}\r", "a \r\rb\r"])
+    def test_only_the_crs_that_end_a_line_are_blank(self, text):
+        assert lexed(text) == reference_lexed(text)
 
 
 FRAGMENTS = sorted(dsl.KEYWORDS) + [
@@ -380,13 +421,37 @@ CHARS = "at01_- \t\r\f\u00a0\n#:,;{}\u0661\u00b2\u00e9"
 @settings(derandomize=True, max_examples=2500, deadline=None)
 @given(st.lists(st.one_of(st.sampled_from(FRAGMENTS), st.text(CHARS, max_size=4)), max_size=40).map("".join))
 def test_lexer_matches_reference(text):
-    tokens, diagnostics, lines = reference_lex(text)
-    assert lexed(text) == (
-        [(t.kind, t.value, t.line, t.column, t.number) for t in tokens], diagnostics, lines,
-    )
-    with mock.patch.object(dsl, "_lex", reference_lex):
-        expected = rendered(parse(text))
-    assert rendered(parse(text)) == expected
+    assert _ref_lex(text) == reference_lex(text)  # the lexer of reference_parse
+    assert lexed(text) == reference_lexed(text)
+    expected = reference_parse(text)
+    assert rendered(parse(text)) == rendered(expected)
+    assert parse(text) == expected
+
+
+class TestParseAtScale:
+    """``dsl.parse`` against ``reference_parse`` on the case study repeated and
+    reformatted: blocks that span lines, create clauses that share a line, CRLF,
+    comments and tabs inside braces (``helpers.scenario_corpus``)."""
+
+    def test_equal_records_and_positions(self):
+        text = scenario_corpus(60)
+        result = parse(text)
+        assert result.ok and len(result.scenario.events) == 120
+        assert result == reference_parse(text)
+
+    def test_equal_diagnostics_after_dropping_or_duplicating_one_token(self):
+        """Two copies, one with LF and one with CRLF line ends; every newline
+        counts as a token here, also one inside braces, which the lexer drops."""
+        text = scenario_corpus(2)
+        starts = [0] + [i + 1 for i, ch in enumerate(text) if ch == "\n"]
+        words = [t for t in reference_lex(text)[0] if t.kind not in ("newline", "eof")]
+        spans = {(starts[t.line - 1] + t.column - 1, len(t.value)) for t in words}
+        spans |= {(i, 1) for i, ch in enumerate(text) if ch == "\n"}
+        assert len(spans) > 300
+        for start, size in sorted(spans):
+            end = start + size
+            for edited in (text[:start] + text[end:], text[:end] + " " + text[start:]):
+                assert rendered(parse(edited)) == rendered(reference_parse(edited)), (start, edited[start - 20:end + 20])
 
 
 DIAGNOSTICS = json.loads((Path(__file__).parent / "golden" / "diagnostics.json").read_text(encoding="utf-8"))
