@@ -183,18 +183,20 @@ def _lex(text: str) -> tuple[list[str], list[int], bool]:
 
 def _located(text: str, lines: list[str], errors: list[tuple[int, str]]) -> list[ParseDiagnostic]:
     """The lexer's diagnostics, and the parser's errors placed at their tokens. An
-    error names its token by its index among the tokens that are not newlines."""
-    places: list[Pos] = []
+    error names its token by its rank, its index among the tokens that are not
+    newlines; only the ranks named get a position."""
+    wanted = {at for at, _ in errors}
+    places: dict[int, Pos] = {}
     diags: list[ParseDiagnostic] = []
-    line, start = 1, 0  # the line, and the offset of its first character
+    line, start, rank = 1, 0, -1  # the line, the offset of its first character, the last token's rank
     for m in _TOKEN_RE.finditer(_source(text)):
         tok = m.group(1)
         if tok == "\n":
             line, start = line + 1, m.end()
         elif tok is None:  # the match ends in a character that starts no token
             diags.append(_diagnostic(lines, Pos(line, m.end() - start), f"unexpected character {m.group()[-1]!r}"))
-        else:
-            places.append(Pos(line, m.start(1) - start + 1))
+        elif (rank := rank + 1) in wanted:
+            places[rank] = Pos(line, m.start(1) - start + 1)
     return diags + [_diagnostic(lines, places[at], message) for at, message in errors]
 
 

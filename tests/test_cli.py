@@ -1,6 +1,7 @@
 """Command-line behaviour: exit codes, determinism, output shapes."""
 
 import builtins
+import gc
 import io
 import json
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import matterkb
-from matterkb import case_study_path
+from matterkb import case_study_path, cli, export_document
 from matterkb.cli import main
 
 
@@ -424,3 +425,112 @@ def test_main_matches_the_whole_parser_tree(capsys, case_file, tmp_path, argv):
         results.append((code, *capsys.readouterr()))
     assert results[0] == results[1]
     assert results[0][1] or results[0][2]  # every call prints something
+
+
+
+# -- each command runs with the cyclic collector paused ----------------------------
+
+
+@pytest.fixture(scope="module")
+def documents(tmp_path_factory):
+    """Scenarios and canonical documents, small and large, and inputs that fail."""
+    from helpers import fixture_supplementation, moved_chains_kb, scenario_corpus
+
+    case = case_study_path()
+    texts = {
+        "case.mp": case.read_text(encoding="utf-8"),
+        "case.mpkb": export_document(cli.load_kb(str(case))),
+        "corpus.mp": scenario_corpus(20),
+        "chains400.mpkb": export_document(moved_chains_kb(400)),
+        "chains800.mpkb": export_document(moved_chains_kb(800)),
+        "violations.mpkb": export_document(fixture_supplementation()),
+        "broken.mpkb": '{"kinds": 1}',
+    }
+    work = tmp_path_factory.mktemp("documents")
+    for name, text in texts.items():
+        (work / name).write_text(text, encoding="utf-8")
+    return {name: str(work / name) for name in [*texts, "missing.mp"]}
+
+
+COLLECTOR_CALLS = {
+    "ok": (["validate", "case.mp"], 0),
+    "violations": (["validate", "violations.mpkb"], 1),
+    "missing file": (["validate", "missing.mp"], 2),
+    "document error": (["validate", "broken.mpkb"], 2),
+    "unknown object": (["query", "case.mp", "history", "nosuch"], 2),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("call", COLLECTOR_CALLS, ids=list(COLLECTOR_CALLS))
+def test_main_leaves_the_collector_as_it_found_it(capsys, documents, call, enabled):
+    argv, code = COLLECTOR_CALLS[call]
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert run_cli(capsys, *[documents.get(a, a) for a in argv])[0] == code
+        assert gc.isenabled() == enabled
+    finally:
+        gc.enable()
+
+
+def test_collector_enabled_again_after_an_unexpected_exception(monkeypatch, documents):
+    during = []
+
+    def handler(args):
+        during.append(gc.isenabled())
+        raise RuntimeError("unexpected")
+
+    summary, _, arguments = cli.SUBCOMMANDS["validate"]
+    monkeypatch.setitem(cli.SUBCOMMANDS, "validate", (summary, handler, arguments))
+    with pytest.raises(RuntimeError, match="unexpected"):
+        main(["validate", documents["case.mp"]])
+    assert (during, gc.isenabled()) == ([False], True)
+
+
+def test_no_collection_while_a_world_query_runs(capsys, monkeypatch, documents):
+    """Reading the document alone would set off young collections. What the command
+    allocated may set off one young collection, once the pause has ended."""
+    summary, query, arguments = cli.SUBCOMMANDS["query"]
+    returned, collections = [], []  # the collections, each with whether the handler had returned
+
+    def handler(args):
+        code = query(args)
+        returned.append(True)
+        return code
+
+    def count(phase, info):
+        if phase == "start":
+            collections.append((info["generation"], bool(returned)))
+
+    monkeypatch.setitem(cli.SUBCOMMANDS, "query", (summary, handler, arguments))
+    gc.collect()  # the next young collection is due after 700 more containers
+    gc.callbacks.append(count)
+    try:
+        code, out, _ = run_cli(capsys, "query", documents["chains400.mpkb"], "world", "t400", "--format", "canonical")
+    finally:
+        gc.callbacks.remove(count)
+    assert (code, json.loads(out)["at"]) == (0, 400)
+    assert collections in ([], [(0, True)])
+
+
+GARBAGE_CALLS = [
+    ["validate", "{file}"], ["query", "{file}", "classify"], ["query", "{file}", "world", "{t}", "--format", "canonical"],
+    ["export", "{file}", "-"], ["export", "{file}", "{out}"], ["replay-check", "{file}"],
+]
+
+
+@pytest.mark.parametrize("command", GARBAGE_CALLS, ids=[" ".join(a for a in c if a != "{file}") for c in GARBAGE_CALLS])
+def test_cyclic_garbage_a_command_leaves_does_not_grow_with_the_input(capsys, documents, tmp_path, command):
+    """With the collector paused, cyclic garbage built per record would pile up until
+    the command ends. What a command leaves (its argparse parser) must not grow."""
+    left = {}
+    for name, t in [("case.mp", "t2"), ("corpus.mp", "t30"), ("case.mpkb", "t2"), ("chains800.mpkb", "t800")]:
+        argv = [a.format(file=documents[name], t=t, out=tmp_path / "out.mpkb") for a in command]
+        gc.collect()
+        gc.disable()
+        try:
+            assert run_cli(capsys, *argv)[0] == 0
+            left[name] = gc.collect()
+        finally:
+            gc.enable()
+    assert left["corpus.mp"] <= left["case.mp"] and left["chains800.mpkb"] <= left["case.mpkb"], left

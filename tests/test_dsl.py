@@ -439,6 +439,22 @@ class TestParseAtScale:
         assert result.ok and len(result.scenario.events) == 120
         assert result == reference_parse(text)
 
+    def test_equal_diagnostics_at_both_ends_and_a_bad_character_between(self):
+        """Only the tokens the errors name are placed; the rest of the text is walked past."""
+        lines = scenario_corpus(60).split("\n")
+        first = next(i for i, line in enumerate(lines) if line[:1].isalpha())
+        lines[first] += " :"
+        text = "\n".join(lines)
+        middle = text.index("\nobject ", len(text) // 2) + 1
+        text = text[:middle] + "\f" + text[middle:].rstrip() + " extra\r\n"
+        result = parse(text)
+        assert [(d.line, d.message) for d in result.diagnostics] == [
+            (first + 1, "unexpected ':' after end of statement"),
+            (text.count("\n", 0, middle) + 1, "unexpected character '\\x0c'"),
+            (text.count("\n"), "unexpected 'extra' after end of statement"),
+        ]
+        assert result == reference_parse(text)
+
     def test_equal_diagnostics_after_dropping_or_duplicating_one_token(self):
         """Two copies, one with LF and one with CRLF line ends; every newline
         counts as a token here, also one inside braces, which the lexer drops."""
