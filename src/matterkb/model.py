@@ -8,9 +8,10 @@ in the store with historical status and keep answering queries about the past.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import chain, islice
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from itertools import chain, compress, islice
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .errors import (
     DuplicateId,
@@ -207,6 +208,85 @@ class StoreIndex:
 
 
 @dataclass
+class WorldColumns:
+    """Sorted columns for world reads, each a group of aligned lists: object ids
+    and their ``created_at``; quantity ids and their records; the granule rows
+    of every quantity (granules, holder ids), sorted by granule and then id;
+    and every interval with its pair, the store index's own key tuple, sorted
+    by pair and in list order within one.
+
+    Invalidation rule: the store only grows (see ``StoreIndex``), so a group is
+    current while it covers all of its source: ``kb.objects``,
+    ``kb.quantities`` or ``kb.adjacency``. A read rebuilds the groups it reads
+    after their source has grown; writes, catch-ups and loads build none. The
+    rows of a few new quantities are merged into a copy, not sorted again.
+    ``terminated_at`` and ``end`` change in place and are read afresh.
+    """
+
+    objects: tuple[Sequence[str], Sequence[int]] = ((), ())
+    quantities: tuple[Sequence[str], Sequence[QuantityInst]] = ((), ())
+    rows: tuple[Sequence[str], Sequence[str]] = ((), ())
+    rows_cover: int = 0  # how many of ``kb.quantities``, in store order, ``rows`` holds
+    pairs: tuple[Sequence[tuple[str, str]], Sequence[AdjacencyInterval]] = ((), ())
+
+    def object_columns(self, kb: "KnowledgeBase") -> tuple[Sequence[str], Sequence[int]]:
+        if len(kb.objects) != len(self.objects[0]):
+            ids = sorted(kb.objects)
+            self.objects = ids, [kb.objects[o].created_at for o in ids]
+        return self.objects
+
+    def quantity_columns(self, kb: "KnowledgeBase") -> tuple[Sequence[str], Sequence[QuantityInst]]:
+        quantities, ids = kb.quantities, self.quantities[0]
+        if len(quantities) != len(ids):
+            # the old ids are one sorted run, so sorting in the store's new tail is about linear
+            ids = sorted([*ids, *islice(reversed(quantities), len(quantities) - len(ids))])
+            self.quantities = ids, list(map(quantities.__getitem__, ids))
+        return self.quantities
+
+    def granule_rows(self, kb: "KnowledgeBase") -> tuple[Sequence[str], Sequence[str]]:
+        quantities, (granules, holders) = kb.quantities, self.rows
+        new = list(islice(reversed(quantities), len(quantities) - self.rows_cover))
+        if not new:
+            return self.rows
+        # merge new rows up to an eighth of the old ones; past that, sorting all is cheaper
+        if sum(len(quantities[qid].granules) for qid in new) * 8 <= len(granules):
+            # each new row goes after the rows that sort before it
+            old_granules, old_holders, granules, holders, done = granules, holders, [], [], 0
+            for g, qid in sorted((g, qid) for qid in new for g in quantities[qid].granules):
+                lo = bisect_left(old_granules, g, done)
+                at = bisect_right(old_holders, qid, lo, bisect_right(old_granules, g, lo))
+                granules += old_granules[done:at]
+                holders += old_holders[done:at]
+                granules.append(g)
+                holders.append(qid)
+                done = at
+            granules += old_granules[done:]
+            holders += old_holders[done:]
+        else:
+            granules, holders = [], []
+            for qid, q in zip(*self.quantity_columns(kb)):
+                granules += q.granules
+                holders += [qid] * len(q.granules)
+            # a stable sort by granule keeps each granule's holders in id order
+            order = sorted(range(len(granules)), key=granules.__getitem__)
+            granules, holders = [granules[i] for i in order], [holders[i] for i in order]
+        self.rows, self.rows_cover = (granules, holders), len(quantities)
+        return self.rows
+
+    def pair_columns(self, kb: "KnowledgeBase") -> tuple[Sequence[tuple[str, str]],
+                                                         Sequence[AdjacencyInterval]]:
+        if len(kb.adjacency) != len(self.pairs[0]):
+            by_pair = kb.store_index.catch_up(kb).intervals
+            keys = sorted(by_pair)
+            lists = list(map(by_pair.__getitem__, keys))
+            intervals = list(chain.from_iterable(lists))
+            if len(intervals) > len(keys):  # a pair's key, once for each of its intervals
+                keys = [pair for pair, pair_intervals in zip(keys, lists) for _ in pair_intervals]
+            self.pairs = keys, intervals
+        return self.pairs
+
+
+@dataclass
 class KnowledgeBase:
     """Typed entity store plus the append-only event log; world views are immutable snapshots.
 
@@ -222,6 +302,7 @@ class KnowledgeBase:
     events: list["EventRec"] = field(default_factory=list)
     provenance_index: "_Index | None" = field(default=None, init=False, repr=False, compare=False)
     store_index: StoreIndex = field(default_factory=StoreIndex, init=False, repr=False, compare=False)
+    world_columns: WorldColumns = field(default_factory=WorldColumns, init=False, repr=False, compare=False)
 
     # -- declarations ------------------------------------------------------
 
@@ -296,19 +377,14 @@ class KnowledgeBase:
         return any(iv.active_at(t) for iv in self._pair(a, b)[2])
 
     def adjacency_at(self, t: int) -> list[tuple[str, str]]:
-        """Normalized pairs active at ``t``, sorted and deduplicated.
-
-        The pairs are the index's own key tuples; its insertion order is
-        nearly sorted already, which the sort runs through in about linear time.
-        """
-        pairs = []
-        for pair, intervals in self.store_index.catch_up(self).intervals.items():
-            for iv in intervals:
-                if iv.start <= t and (iv.end is None or t < iv.end):
-                    pairs.append(pair)
-                    break
-        pairs.sort()
-        return pairs
+        """Normalized pairs active at ``t``, sorted and deduplicated: the
+        index's own key tuples, in the order of the world columns."""
+        pairs, intervals = self.world_columns.pair_columns(self)
+        active = [pair for pair, iv in zip(pairs, intervals)
+                  if iv.start <= t and (iv.end is None or t < iv.end)]
+        if len(self.store_index.intervals) < len(intervals):
+            active = list(dict.fromkeys(active))  # a pair's overlapping intervals, once
+        return active
 
     # -- sub-quantity assertions --------------------------------------------
 
@@ -350,7 +426,7 @@ class KnowledgeBase:
         return frozenset(kinds)
 
     def live_quantities_at(self, t: int) -> list[QuantityInst]:
-        return [q for _, q in sorted(self.quantities.items()) if q.live_at(t)]
+        return [q for q in self.world_columns.quantity_columns(self)[1] if q.live_at(t)]
 
     def holders_of(self, object_id: str, t: int) -> list[QuantityInst]:
         """Quantities live at ``t`` that have the object as a granule, in id order."""
@@ -371,22 +447,16 @@ class KnowledgeBase:
         world renders would set off full cyclic collections of the whole heap.
         """
         self._check_time(t)
-        objects, quantities = self.objects, self.quantities
-        object_ids, quantity_ids = sorted(objects), sorted(quantities)
-        statuses = [quantities[qid].status_at(t) for qid in quantity_ids]
-        live = [qid for qid, status in zip(quantity_ids, statuses) if status == STATUS_LIVE]
-        granules, holders = [], []
-        for qid in live:
-            granules += quantities[qid].granules
-            holders += [qid] * len(quantities[qid].granules)
-        # a stable sort by granule keeps each granule's holders in id order
-        order = sorted(range(len(granules)), key=granules.__getitem__)
-        live_ids = set(live)
+        object_ids, created = self.world_columns.object_columns(self)
+        quantity_ids, records = self.world_columns.quantity_columns(self)
+        granules, holders = self.world_columns.granule_rows(self)
+        statuses = [q.status_at(t) for q in records]
+        live_ids = {qid for qid, status in zip(quantity_ids, statuses) if status == STATUS_LIVE}
+        live_rows = list(map(live_ids.__contains__, holders))
         return (
-            zip(object_ids, [STATUS_LIVE if objects[o].created_at <= t else STATUS_NOT_YET_CREATED
-                             for o in object_ids]),
+            zip(object_ids, [STATUS_LIVE if c <= t else STATUS_NOT_YET_CREATED for c in created]),
             zip(quantity_ids, statuses),
-            zip([granules[i] for i in order], [holders[i] for i in order]),
+            zip(compress(granules, live_rows), compress(holders, live_rows)),
             self.adjacency_at(t),
             sorted((s.part, s.whole) for s in self.subquantities
                    if s.part in live_ids and s.whole in live_ids),

@@ -283,7 +283,7 @@ def reference_connectivity(kb: KnowledgeBase, t: int) -> list[Violation]:
     """Brute-force CONNECTIVITY/EXTERNAL_CONNECTION: every active edge per quantity."""
     out = []
     active = set(reference_adjacency_at(kb, t))
-    for q in kb.live_quantities_at(t):
+    for q in reference_live_quantities_at(kb, t):
         if len(q.granules) < MIN_GRANULES or any(g not in kb.objects for g in q.granules):
             continue
         edges = [(a, b) for a, b in active if a in q.granules and b in q.granules]
@@ -315,7 +315,7 @@ def reference_maximality(kb: KnowledgeBase, t: int) -> list[Violation]:
     """Brute-force MAXIMALITY_SAME_KIND: every pair of live quantities, every active edge."""
     out = []
     active = set(reference_adjacency_at(kb, t))
-    live = kb.live_quantities_at(t)
+    live = reference_live_quantities_at(kb, t)
     for i, q1 in enumerate(live):
         for q2 in live[i + 1:]:
             if q1.kind != q2.kind:
@@ -354,7 +354,8 @@ def reference_maximality(kb: KnowledgeBase, t: int) -> list[Violation]:
 
 # -- brute-force references for the store index -----------------------------------
 # The scans that `KnowledgeBase.store_index` replaced, kept as differential checks;
-# the world references are the whole-store scans `world_at` and `adjacency_at` ran.
+# the world references are the whole-store scans `world_at`, `adjacency_at` and
+# `live_quantities_at` ran, and read none of the world columns they check.
 
 
 def reference_check_fresh(kb: KnowledgeBase, entity_id: str) -> None:
@@ -365,13 +366,13 @@ def reference_check_fresh(kb: KnowledgeBase, entity_id: str) -> None:
 
 
 def reference_holders_of(kb: KnowledgeBase, object_id: str, t: int) -> list[QuantityInst]:
-    return [q for q in kb.live_quantities_at(t) if object_id in q.granules]
+    return [q for q in reference_live_quantities_at(kb, t) if object_id in q.granules]
 
 
 def reference_same_kind_holder(
     kb: KnowledgeBase, granule: str, kind: str, at: int, exclude: frozenset[str]
 ) -> QuantityInst | None:
-    for q in kb.live_quantities_at(at):
+    for q in reference_live_quantities_at(kb, at):
         if q.id not in exclude and q.kind == kind and granule in q.granules:
             return q
     return None
@@ -408,6 +409,10 @@ def reference_retract_adjacency(kb: KnowledgeBase, a: str, b: str, end: int) -> 
 def reference_adjacent_at(kb: KnowledgeBase, a: str, b: str, t: int) -> bool:
     a, b = sorted((a, b))
     return any((iv.a, iv.b) == (a, b) and iv.active_at(t) for iv in kb.adjacency)
+
+
+def reference_live_quantities_at(kb: KnowledgeBase, t: int) -> list[QuantityInst]:
+    return [q for _, q in sorted(kb.quantities.items()) if q.live_at(t)]
 
 
 def reference_adjacency_at(kb: KnowledgeBase, t: int) -> list[tuple[str, str]]:
