@@ -92,8 +92,9 @@ def apply_transfer(
 def _write(kb: KnowledgeBase, event: EventRec) -> EventRec:
     """Check one event against the store, then append it and apply it.
 
-    The engine's only append to ``kb.events``; on any error the store is
-    left as it was. A creation is the event without donors.
+    The engine's only append to ``kb.events``; on any error the store is left
+    as it was. A creation is the event without donors. The write keeps
+    ``kb.store_index`` current (see ``model.StoreIndex``).
     """
     event_id, at, kind, donors, created, discarded = event
     kb._check_time(at)
@@ -105,7 +106,8 @@ def _write(kb: KnowledgeBase, event: EventRec) -> EventRec:
         raise ValueError("a transfer needs at least one donor; use a creation event instead")
     if kind == GRANULE_TRANSFER and not created:
         raise ValueError("a transfer needs at least one created quantity")
-    kb._check_fresh(event_id)  # the write's one catch-up
+    index = kb.store_index.catch_up(kb)  # the write's one catch-up
+    kb._check_fresh(event_id)
 
     donor_insts = []
     for did in sorted(donors):
@@ -115,64 +117,64 @@ def _write(kb: KnowledgeBase, event: EventRec) -> EventRec:
         donor_insts.append(d)
     donor_granules = frozenset().union(*(d.granules for d in donor_insts))
 
-    with kb.store_index:
-        seen_ids = set()
-        for entry in created:
-            if entry.id in seen_ids:
-                raise DuplicateGranuleAssignment(f"quantity '{entry.id}' created twice in one event")
-            seen_ids.add(entry.id)
-            kb._check_fresh(entry.id)
-            if not kb.has_kind(entry.kind, QUANTITY_KIND):
-                raise UnknownKind(f"'{entry.kind}' is not a declared quantity kind")
-            for g in sorted(entry.granules):
-                kb._object(g, at)
-            if len(entry.granules) < MIN_GRANULES:
-                raise TooFewGranules(
-                    f"quantity '{entry.id}' needs at least {MIN_GRANULES} granules, got {len(entry.granules)}"
-                )
-            if donors and not (entry.granules & donor_granules):
-                raise GranuleProvenanceViolation(
-                    f"created quantity '{entry.id}' inherits no granule from any donor; "
-                    "unrelated creations belong in a separate creation event"
-                )
+    seen_ids = set()
+    for entry in created:
+        if entry.id in seen_ids:
+            raise DuplicateGranuleAssignment(f"quantity '{entry.id}' created twice in one event")
+        seen_ids.add(entry.id)
+        kb._check_fresh(entry.id)
+        if not kb.has_kind(entry.kind, QUANTITY_KIND):
+            raise UnknownKind(f"'{entry.kind}' is not a declared quantity kind")
+        for g in sorted(entry.granules):
+            kb._object(g, at)
+        if len(entry.granules) < MIN_GRANULES:
+            raise TooFewGranules(
+                f"quantity '{entry.id}' needs at least {MIN_GRANULES} granules, got {len(entry.granules)}"
+            )
+        if donors and not (entry.granules & donor_granules):
+            raise GranuleProvenanceViolation(
+                f"created quantity '{entry.id}' inherits no granule from any donor; "
+                "unrelated creations belong in a separate creation event"
+            )
 
-        assigned: dict[str, str] = {}
-        for entry in created:
-            for g in sorted(entry.granules):
-                if g in assigned:
-                    raise DuplicateGranuleAssignment(
-                        f"granule '{g}' assigned to both '{assigned[g]}' and '{entry.id}'"
-                    )
-                assigned[g] = entry.id
-        for g in sorted(discarded):
+    assigned: dict[str, str] = {}
+    for entry in created:
+        for g in sorted(entry.granules):
             if g in assigned:
                 raise DuplicateGranuleAssignment(
-                    f"granule '{g}' both discarded and assigned to '{assigned[g]}'"
+                    f"granule '{g}' assigned to both '{assigned[g]}' and '{entry.id}'"
                 )
-            if g not in donor_granules:
-                raise GranuleProvenanceViolation(
-                    f"discarded object '{g}' is not a granule of any donor"
-                )
+            assigned[g] = entry.id
+    for g in sorted(discarded):
+        if g in assigned:
+            raise DuplicateGranuleAssignment(
+                f"granule '{g}' both discarded and assigned to '{assigned[g]}'"
+            )
+        if g not in donor_granules:
+            raise GranuleProvenanceViolation(
+                f"discarded object '{g}' is not a granule of any donor"
+            )
 
-        for entry in created:
-            for g in sorted(entry.granules - donor_granules):
-                holder = _same_kind_holder(kb, g, entry.kind, at, exclude=donors)
-                if holder is None:
-                    continue
-                if not donors:
-                    raise GranuleNotFree(
-                        f"object '{g}' is already a granule of live quantity '{holder.id}' of kind '{entry.kind}'"
-                    )
-                raise GranuleProvenanceViolation(
-                    f"granule '{g}' of '{entry.id}' is neither donated nor free: "
-                    f"it belongs to live quantity '{holder.id}'"
+    for entry in created:
+        for g in sorted(entry.granules - donor_granules):
+            holder = _same_kind_holder(kb, g, entry.kind, at, exclude=donors)
+            if holder is None:
+                continue
+            if not donors:
+                raise GranuleNotFree(
+                    f"object '{g}' is already a granule of live quantity '{holder.id}' of kind '{entry.kind}'"
                 )
+            raise GranuleProvenanceViolation(
+                f"granule '{g}' of '{entry.id}' is neither donated nor free: "
+                f"it belongs to live quantity '{holder.id}'"
+            )
 
     kb.events.append(event)
     for d in donor_insts:
         d.terminated_at = at
     for entry in created:
         kb.quantities[entry.id] = QuantityInst(entry.id, entry.kind, at, entry.granules, event_id)
+    index.add(kb, (event,), created, ())
     return event
 
 
@@ -241,9 +243,9 @@ def replay(kb: KnowledgeBase) -> KnowledgeBase:
 def _same_kind_holder(
     kb: KnowledgeBase, granule: str, kind: str, at: int, exclude: frozenset[str]
 ) -> QuantityInst | None:
-    # Cross-kind sharing is allowed (a sub-quantity holds granules of its whole); only a
-    # live same-kind holder makes a granule unavailable, and the first by id is named.
+    # Cross-kind sharing is allowed (a sub-quantity holds granules of its whole); only a live same-kind
+    # holder makes a granule unavailable, and the first by id is named; the write caught the index up.
     quantities = kb.quantities
-    found = [qid for qid in kb.store_index.catch_up(kb).holders.get(granule, ())
+    found = [qid for qid in kb.store_index.holders.get(granule, ())
              if qid not in exclude and quantities[qid].kind == kind and quantities[qid].live_at(at)]
     return quantities[min(found)] if found else None

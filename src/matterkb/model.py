@@ -30,7 +30,7 @@ from .errors import (
 )
 
 if TYPE_CHECKING:
-    from .events import EventRec
+    from .events import CreatedEntry, EventRec
     from .provenance import _Index
 
 QUANTITY_KIND = "quantityKind"
@@ -166,45 +166,41 @@ class StoreIndex:
     """Lookups for the engine's writes: every event id, granule → ids of every
     quantity that ever held it, and stored pair → its intervals in list order.
 
-    Invalidation rule: the store only grows. Events, quantities and intervals
-    are appended, never replaced or removed; only ``terminated_at`` and ``end``
-    change, in place, and lookups read them afresh. So the index is current
-    exactly while ``counts`` equals the lengths of ``kb.events``,
-    ``kb.quantities`` and ``kb.adjacency``; otherwise ``catch_up`` indexes the
-    unseen tails only. One catch-up per kernel write, at its first lookup: an
-    event write then holds the index (``with index:``), so that ``catch_up``
-    returns at once for its inner lookups. The kernel's own appends, made
-    after its checks, are seen at the next catch-up, as are outside appends.
+    Invalidation rule, shared by every derived index of a knowledge base: the
+    store only grows. Events, quantities and intervals are appended, never
+    replaced or removed; only ``terminated_at`` and ``end`` change, in place,
+    and reads take them afresh. So an index is current while it has seen all of
+    each store part it derives from, and catching up derives the unseen tails
+    only. Here ``counts`` holds the lengths of ``kb.events``, ``kb.quantities``
+    and ``kb.adjacency`` seen. ``catch_up`` indexes appends made outside the
+    kernel (imports, stores built field by field). A kernel write catches up
+    once, before its checks, which read the index as it stands; after its last
+    check it appends and hands what it appended to ``add``.
     """
 
     event_ids: set[str] = field(default_factory=set)
     holders: dict[str, list[str]] = field(default_factory=dict)
     intervals: dict[tuple[str, str], list[AdjacencyInterval]] = field(default_factory=dict)
     counts: tuple[int, int, int] = (0, 0, 0)
-    held: bool = False
-
-    def __enter__(self) -> None:
-        self.held = True
-
-    def __exit__(self, *exc_info) -> None:
-        self.held = False
 
     def catch_up(self, kb: "KnowledgeBase") -> "StoreIndex":
-        if self.held:
-            return self
-        lengths = (len(kb.events), len(kb.quantities), len(kb.adjacency))
-        if lengths != self.counts:
+        if self.counts != (len(kb.events), len(kb.quantities), len(kb.adjacency)):
             n_events, n_quantities, n_intervals = self.counts
-            if lengths[0] != n_events:
-                self.event_ids.update(ev.id for ev in kb.events[n_events:])
-            if lengths[1] != n_quantities:
-                for qid in islice(reversed(kb.quantities), lengths[1] - n_quantities):
-                    for g in kb.quantities[qid].granules:
-                        self.holders.setdefault(g, []).append(qid)
-            for iv in kb.adjacency[n_intervals:]:
-                self.intervals.setdefault((iv.a, iv.b), []).append(iv)
-            self.counts = lengths
+            new = islice(reversed(kb.quantities.values()), len(kb.quantities) - n_quantities)
+            self.add(kb, kb.events[n_events:], new, kb.adjacency[n_intervals:])
         return self
+
+    def add(self, kb: "KnowledgeBase", events: Iterable["EventRec"],
+            quantities: Iterable["QuantityInst | CreatedEntry"], intervals: Iterable[AdjacencyInterval]) -> None:
+        """Index records just appended to ``kb``, its only unseen ones; a quantity as its record or entry."""
+        for ev in events:
+            self.event_ids.add(ev.id)
+        for q in quantities:
+            for g in q.granules:
+                self.holders.setdefault(g, []).append(q.id)
+        for iv in intervals:
+            self.intervals.setdefault((iv.a, iv.b), []).append(iv)
+        self.counts = (len(kb.events), len(kb.quantities), len(kb.adjacency))
 
 
 @dataclass
@@ -215,12 +211,11 @@ class WorldColumns:
     and every interval with its pair, the store index's own key tuple, sorted
     by pair and in list order within one.
 
-    Invalidation rule: the store only grows (see ``StoreIndex``), so a group is
-    current while it covers all of its source: ``kb.objects``,
-    ``kb.quantities`` or ``kb.adjacency``. A read rebuilds the groups it reads
-    after their source has grown; writes, catch-ups and loads build none. The
-    rows of a few new quantities are merged into a copy, not sorted again.
-    ``terminated_at`` and ``end`` change in place and are read afresh.
+    Invalidation rule: see ``StoreIndex``. A group is current while it covers
+    all of its source: ``kb.objects``, ``kb.quantities`` or ``kb.adjacency``.
+    A read rebuilds the groups it reads after their source has grown; writes,
+    catch-ups and loads build none. The rows of a few new quantities are
+    merged into a copy, not sorted again.
     """
 
     objects: tuple[Sequence[str], Sequence[int]] = ((), ())
@@ -290,8 +285,9 @@ class WorldColumns:
 class KnowledgeBase:
     """Typed entity store plus the append-only event log; world views are immutable snapshots.
 
-    The kernel methods here and the event engine check every write; `canonical.doc_to_kb` fills
-    the store directly, unchecked. Both only append, so the store only grows (see `StoreIndex`).
+    The kernel methods here and the event engine check every write and keep `store_index`
+    current; `canonical.doc_to_kb` fills the store directly, unchecked. Both only append, so the
+    store only grows, the invalidation rule of every derived index (see `StoreIndex`).
     """
 
     kinds: dict[str, KindDecl] = field(default_factory=dict)
@@ -336,6 +332,7 @@ class KnowledgeBase:
     def create_object(self, object_id: str, kind: str, at: int) -> ObjectInst:
         """Bring an object into existence from ``at`` onward."""
         self._check_time(at)
+        self.store_index.catch_up(self)  # the write's one catch-up
         self._check_fresh(object_id)
         if not self.has_kind(kind, OBJECT_KIND):
             raise UnknownKind(f"'{kind}' is not a declared object kind")
@@ -359,7 +356,9 @@ class KnowledgeBase:
                     f"adjacency {a}-{b} from t{start} would overlap the interval "
                     f"starting at t{iv.start}"
                 )
-        self.adjacency.append(AdjacencyInterval(a, b, start))
+        new = AdjacencyInterval(a, b, start)
+        self.adjacency.append(new)
+        self.store_index.add(self, (), (), (new,))
 
     def retract_adjacency(self, a: str, b: str, end: int) -> None:
         """Close the open adjacency interval for the pair at ``end``."""
@@ -489,15 +488,14 @@ class KnowledgeBase:
         return o
 
     def _pair(self, a: str, b: str) -> tuple[str, str, Iterable[AdjacencyInterval]]:
-        """The pair as stored (a < b) and its intervals."""
+        """The pair as stored (a < b) and its intervals, after a catch-up."""
         if b < a:
             a, b = b, a
         return a, b, self.store_index.catch_up(self).intervals.get((a, b), ())
 
     def _check_fresh(self, entity_id: str) -> None:
-        if entity_id in self.objects or entity_id in self.quantities or (
-            entity_id in self.store_index.catch_up(self).event_ids
-        ):
+        """Raise unless the id is unused; the write has caught the index up."""
+        if entity_id in self.objects or entity_id in self.quantities or entity_id in self.store_index.event_ids:
             raise DuplicateId(f"id '{entity_id}' is already in use")
 
     @staticmethod

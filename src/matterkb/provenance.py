@@ -66,11 +66,10 @@ class ConstitutionView:
 class _Index:
     """Edges of one knowledge base, by inheritor, and adjacency lists over them.
 
-    Invalidation rule: edges depend only on the event log and on the granule
-    sets of the quantities the log names. The log is append-only and, once
-    a knowledge base is built or imported, only events add quantities, so
-    the index is current exactly while ``length`` equals ``len(kb.events)``;
-    otherwise ``catch_up`` derives the edges of the unseen tail only.
+    Invalidation rule: see ``model.StoreIndex``. Edges depend only on the event
+    log and on the granule sets of the quantities it names, and once a knowledge
+    base is built or imported only events add quantities, so ``length`` counts
+    the events seen and ``catch_up`` derives the edges of the unseen tail.
     """
 
     def __init__(self, kb: KnowledgeBase):

@@ -7,6 +7,7 @@ import argparse
 import random
 import re
 import sys
+from functools import partial
 from typing import Any, NamedTuple, NoReturn
 
 from matterkb import (
@@ -507,7 +508,9 @@ def reference_derive_edges(kb: KnowledgeBase) -> tuple[ProvenanceEdge, ...]:
 
 # -- separate creation and transfer writes ---------------------------------------------
 # The two event writes `events._write` replaced, each with its own copy of the
-# time, id, entry and holder checks, kept as differential checks.
+# time, id, entry and holder checks, kept as differential checks. They index
+# none of their appends: each catches the store index up first, as it would
+# after any append made outside the kernel.
 
 
 def reference_apply_creation(
@@ -517,15 +520,15 @@ def reference_apply_creation(
     _ref_check_monotonic(kb, at)
     if event_id is None:
         event_id = f"create-{entry.id}"
+    kb.store_index.catch_up(kb)
     kb._check_fresh(event_id)
-    with kb.store_index:
-        _ref_check_entry(kb, entry, at)
-        for g in sorted(entry.granules):
-            holder = events._same_kind_holder(kb, g, entry.kind, at, exclude=frozenset())
-            if holder is not None:
-                raise GranuleNotFree(
-                    f"object '{g}' is already a granule of live quantity '{holder.id}' of kind '{entry.kind}'"
-                )
+    _ref_check_entry(kb, entry, at)
+    for g in sorted(entry.granules):
+        holder = events._same_kind_holder(kb, g, entry.kind, at, exclude=frozenset())
+        if holder is not None:
+            raise GranuleNotFree(
+                f"object '{g}' is already a granule of live quantity '{holder.id}' of kind '{entry.kind}'"
+            )
 
     event = EventRec(event_id, at, CREATION, frozenset(), (entry,), frozenset())
     kb.events.append(event)
@@ -551,6 +554,7 @@ def reference_apply_transfer(
         raise ValueError("a transfer needs at least one created quantity")
     if event_id is None:
         event_id = f"e{len(kb.events)}"
+    kb.store_index.catch_up(kb)
     kb._check_fresh(event_id)
 
     donor_insts = []
@@ -561,46 +565,45 @@ def reference_apply_transfer(
         donor_insts.append(d)
     donor_granules = frozenset().union(*(d.granules for d in donor_insts))
 
-    with kb.store_index:
-        created = tuple(sorted(created, key=lambda e: e.id))
-        seen_ids = set()
-        for entry in created:
-            if entry.id in seen_ids:
-                raise DuplicateGranuleAssignment(f"quantity '{entry.id}' created twice in one event")
-            seen_ids.add(entry.id)
-            _ref_check_entry(kb, entry, at)
-            if not (entry.granules & donor_granules):
-                raise GranuleProvenanceViolation(
-                    f"created quantity '{entry.id}' inherits no granule from any donor; "
-                    "unrelated creations belong in a separate creation event"
-                )
+    created = tuple(sorted(created, key=lambda e: e.id))
+    seen_ids = set()
+    for entry in created:
+        if entry.id in seen_ids:
+            raise DuplicateGranuleAssignment(f"quantity '{entry.id}' created twice in one event")
+        seen_ids.add(entry.id)
+        _ref_check_entry(kb, entry, at)
+        if not (entry.granules & donor_granules):
+            raise GranuleProvenanceViolation(
+                f"created quantity '{entry.id}' inherits no granule from any donor; "
+                "unrelated creations belong in a separate creation event"
+            )
 
-        assigned: dict[str, str] = {}
-        for entry in created:
-            for g in sorted(entry.granules):
-                if g in assigned:
-                    raise DuplicateGranuleAssignment(
-                        f"granule '{g}' assigned to both '{assigned[g]}' and '{entry.id}'"
-                    )
-                assigned[g] = entry.id
-        for g in sorted(discarded):
+    assigned: dict[str, str] = {}
+    for entry in created:
+        for g in sorted(entry.granules):
             if g in assigned:
                 raise DuplicateGranuleAssignment(
-                    f"granule '{g}' both discarded and assigned to '{assigned[g]}'"
+                    f"granule '{g}' assigned to both '{assigned[g]}' and '{entry.id}'"
                 )
-            if g not in donor_granules:
-                raise GranuleProvenanceViolation(
-                    f"discarded object '{g}' is not a granule of any donor"
-                )
+            assigned[g] = entry.id
+    for g in sorted(discarded):
+        if g in assigned:
+            raise DuplicateGranuleAssignment(
+                f"granule '{g}' both discarded and assigned to '{assigned[g]}'"
+            )
+        if g not in donor_granules:
+            raise GranuleProvenanceViolation(
+                f"discarded object '{g}' is not a granule of any donor"
+            )
 
-        for entry in created:
-            for g in sorted(entry.granules - donor_granules):
-                holder = events._same_kind_holder(kb, g, entry.kind, at, exclude=donors)
-                if holder is not None:
-                    raise GranuleProvenanceViolation(
-                        f"granule '{g}' of '{entry.id}' is neither donated nor free: "
-                        f"it belongs to live quantity '{holder.id}'"
-                    )
+    for entry in created:
+        for g in sorted(entry.granules - donor_granules):
+            holder = events._same_kind_holder(kb, g, entry.kind, at, exclude=donors)
+            if holder is not None:
+                raise GranuleProvenanceViolation(
+                    f"granule '{g}' of '{entry.id}' is neither donated nor free: "
+                    f"it belongs to live quantity '{holder.id}'"
+                )
 
     event = EventRec(event_id, at, GRANULE_TRANSFER, donors, created, discarded)
     kb.events.append(event)
@@ -938,6 +941,15 @@ def moved_chains_kb(n: int) -> KnowledgeBase:
     for i, chain in enumerate(chains):
         apply_transfer(kb, [f"q{i}"], [CreatedEntry.of(f"m{i}", "Rock", chain)], n + i)
     return kb
+
+
+# Stores for the write-path oracles at scale: 200 events of moved chains, and ten
+# random stores of up to 60 steps over up to 150 objects.
+SCALE_STORES = {
+    "moved_chains_kb(100)": lambda: moved_chains_kb(100),
+    **{f"build_random_kb({seed}, 60, 150)": partial(build_random_kb, seed, max_events=60, max_objects=150)
+       for seed in range(10)},
+}
 
 
 # -- reference canonical writer ----------------------------------------------------

@@ -34,7 +34,7 @@ from matterkb.errors import (
 from matterkb.events import EventRec
 from matterkb.model import QUANTITY_KIND, AdjacencyInterval, KindDecl, ObjectInst, SubQuantityAssertion
 
-from helpers import build_random_kb, reference_apply_creation, reference_apply_transfer
+from helpers import SCALE_STORES, build_random_kb, reference_apply_creation, reference_apply_transfer
 
 
 @pytest.fixture()
@@ -431,29 +431,38 @@ class TestOneWrite:
             created.append(CreatedEntry.of(qid, kind(default if rng.random() < 0.6 else rng.choice(kinds)), part))
         return "transfer", (donors, created, at, discarded, event_id)
 
-    def test_matches_separate_creation_and_transfer(self):
-        """Same event record and store, or the same error class and message, write by write."""
+    def compare_writes(self, make, rng):
+        """Same event record and store, or the same error class and message, write
+        by write, over 50 seeded writes to two stores from ``make``; the errors seen."""
         writes = {"create": (apply_creation, reference_apply_creation),
                   "transfer": (apply_transfer, reference_apply_transfer)}
+        seen = set()
+        kb, ref = make(), make()
+        for step in range(50):
+            if rng.random() < 0.15:  # new objects, some born after the next write
+                for store in (kb, ref):
+                    store.create_object(f"o{step}", "Grain", kb.events[-1].at if kb.events else 0)
+                    store.create_object(f"late{step}", "Grain", len(kb.events) + 100)
+            op, args = self.random_write(kb, rng, step)
+            write, reference = writes[op]
+            result = self.outcome(write, kb, *args)
+            assert result == self.outcome(reference, ref, *args), (step, op, args)
+            if result[0] == "raised":
+                seen.add((op, result[1], result[2]))
+        assert kb.events == ref.events
+        assert kb.quantities == ref.quantities
+        assert export_document(kb) == export_document(ref)
+        return seen
+
+    def test_matches_separate_creation_and_transfer(self):
         seen = set()
         for seed in range(60):
             for make in (lambda: build_random_kb(seed),
                          lambda: import_document(export_document(build_random_kb(seed)))):
-                rng = random.Random(seed)
-                kb, ref = make(), make()
-                for step in range(50):
-                    if rng.random() < 0.15:  # new objects, some born after the next write
-                        for store in (kb, ref):
-                            store.create_object(f"o{step}", "Grain", kb.events[-1].at if kb.events else 0)
-                            store.create_object(f"late{step}", "Grain", len(kb.events) + 100)
-                    op, args = self.random_write(kb, rng, step)
-                    write, reference = writes[op]
-                    result = self.outcome(write, kb, *args)
-                    assert result == self.outcome(reference, ref, *args), (seed, step, op, args)
-                    if result[0] == "raised":
-                        seen.add((op, result[1], result[2]))
-                assert kb.events == ref.events
-                assert kb.quantities == ref.quantities
-                assert export_document(kb) == export_document(ref)
+                seen |= self.compare_writes(make, random.Random(seed))
         for op, cls, phrase in self.ERRORS:
             assert any(s[:2] == (op, cls) and phrase in s[2] for s in seen), (op, cls, phrase)
+
+    @pytest.mark.parametrize("store", list(SCALE_STORES))
+    def test_matches_separate_creation_and_transfer_at_scale(self, store):
+        assert self.compare_writes(SCALE_STORES[store], random.Random(store))

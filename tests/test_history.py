@@ -15,7 +15,7 @@ from matterkb.canonical import doc_to_kb
 from matterkb.cli import main
 from matterkb.errors import DocumentError
 
-from helpers import build_random_kb, random_write, reference_replay_check
+from helpers import SCALE_STORES, build_random_kb, random_write, reference_replay_check
 from test_import import mutated_documents
 
 WORLD_RULES = {"CONNECTIVITY", "EXTERNAL_CONNECTION", "MAXIMALITY_SAME_KIND"}
@@ -233,6 +233,34 @@ def test_replay_check_counts_canonical_bytes_not_file_bytes(tmp_path):
     size = len(export_document(doc_to_kb(CASE_DOC)))
     assert path.stat().st_size != size
     assert replay_check(path) == (0, f"replay-check: OK (3 events, {size} bytes)\n")
+
+
+@pytest.mark.parametrize("store", list(SCALE_STORES))
+def test_replay_check_matches_export_comparison_at_scale(store, tmp_path):
+    """After 20 seeded engine writes: the store, one quantity ended a tick late
+    (quantities differ) and a second open interval of a pair (replay fails)."""
+    kb = SCALE_STORES[store]()
+    rng = random.Random(store)
+    for step in range(20):
+        random_write(kb, rng, f"w{step}")
+    doc = kb_to_doc(kb)
+    late, again = copy.deepcopy(doc), copy.deepcopy(doc)
+    ended = [q for q in late["quantities"] if "terminated_at" in q]
+    if ended:
+        ended[0]["terminated_at"] += 1
+    opened = [iv for iv in again["adjacency"] if "to" not in iv]
+    if opened:
+        again["adjacency"].append({"a": opened[0]["a"], "b": opened[0]["b"], "from": opened[0]["from"] + 1})
+    path = tmp_path / "doc.mpkb"
+    outputs = []
+    for variant in (doc, late, again):
+        path.write_text(json.dumps(variant), encoding="utf-8")
+        expected = reference_replay_check(doc_to_kb(variant))
+        assert replay_check(path) == (0 if expected.startswith("replay-check: OK") else 1, expected)
+        outputs.append(expected.partition(" (")[0])
+    assert outputs == ["replay-check: OK",
+                       "replay-check: FAILED" if ended else "replay-check: OK",
+                       "replay-check: FAILED" if opened else "replay-check: OK"]
 
 
 def _terminated_late(doc):
