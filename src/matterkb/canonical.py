@@ -1,29 +1,27 @@
 """Canonical text serialization of a knowledge base (.mpkb documents).
 
-Export is canonical: fixed section order (kinds, objects, quantities,
-adjacency, subquantities, events), fixed field order, all id lists sorted,
-optional fields omitted when absent. Equal knowledge bases therefore yield
-byte-identical documents. ``export_document`` writes a document straight from
-the records; ``dumps`` writes query payloads and reports for ``cli``. Tests pin
+Each section has one schema in ``_TABLE``, for reading and writing: its fields
+in document order with their types, its optional field, its records' sort
+order, its checks in the order faults are reported, and one step that adds
+checked columns to the KB. Export is canonical, so equal knowledge bases yield
+byte-identical documents; ``export_document`` writes each section a column at a
+time, and ``dumps`` writes query payloads and reports for ``cli``. Tests pin
 both to ``json.dumps(indent=2)``.
 
-Import checks structure only (field types, id shapes, duplicate ids);
-semantic problems in hand-written documents are left for the validators to
-report. Each section has one schema in ``_TABLE``: its fields, its checks in
-the order faults are reported, and one step that adds checked columns to the
-KB. A section is read in bulk, a column at a time. Only when a check fails is
-it read again record by record, with the same checks, to raise the first
-fault's ``DocumentError``.
+Import checks structure only (field types, id shapes, duplicate ids), leaving
+semantic problems to the validators. A section is read in bulk, a column at a
+time; only when a check fails is it read again record by record, with the same
+checks, to raise the first fault's ``DocumentError``.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii as _str
 from operator import attrgetter, eq, itemgetter
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from .errors import DocumentError
 from .events import CREATION, CreatedEntry, EventRec, GRANULE_TRANSFER
@@ -54,58 +52,34 @@ def kb_to_doc(kb: KnowledgeBase) -> dict[str, Any]:
 
 def export_document(kb: KnowledgeBase) -> str:
     """Canonical text rendering; equal knowledge bases export identical bytes."""
-    # json.dumps(kb_to_doc(kb), indent=2) + "\n", from one template per record shape. All
+    # json.dumps(kb_to_doc(kb), indent=2) + "\n", each section written from its schema. All
     # records go into one list, joined once: a section joined alone would raise peak memory.
-    kinds = sorted(kb.kinds.values(), key=attrgetter("name"))
-    requires = [f',{_NL6}"requires": {_array(sorted(d.requires))}' if d.meta == QUANTITY_KIND else "" for d in kinds]
-    objects = sorted(kb.objects.values(), key=_BY_ID)
-    quantities = sorted(kb.quantities.values(), key=_BY_ID)
-    ends = _time_column(quantities, "terminated_at", "terminated_at")
-    intervals = sorted(kb.adjacency, key=lambda i: (i.a, i.b, i.start, i.end is None, i.end))
-    sections = (
-        (f'\n    {{{_NL6}"name": {_str(d.name)},{_NL6}"meta": {_str(d.meta)}{r}\n    }},'
-         for d, r in zip(kinds, requires)),
-        (f'\n    {{{_NL6}"id": {_str(o.id)},{_NL6}"kind": {_str(o.kind)},{_NL6}"created_at": {at}\n    }},'
-         for o, at in zip(objects, _time_column(objects, "created_at"))),
-        (f'\n    {{{_NL6}"id": {_str(q.id)},{_NL6}"kind": {_str(q.kind)},{_NL6}"created_at": {at}{to},'
-         f'{_NL6}"granules": {_array(sorted(q.granules))},{_NL6}"creation_event": {_str(q.creation_event)}\n    }},'
-         for q, at, to in zip(quantities, _time_column(quantities, "created_at"), ends)),
-        (f'\n    {{{_NL6}"a": {_str(i.a)},{_NL6}"b": {_str(i.b)},{_NL6}"from": {at}{to}\n    }},'
-         for i, at, to in zip(intervals, _time_column(intervals, "start"), _time_column(intervals, "end", "to"))),
-        (f'\n    {{{_NL6}"part": {_str(s.part)},{_NL6}"whole": {_str(s.whole)}\n    }},'
-         for s in sorted(kb.subquantities, key=attrgetter("part", "whole"))),
-        (f'\n    {{{_NL6}"id": {_str(e.id)},{_NL6}"at": {at},{_NL6}"kind": {_str(e.kind)},'
-         f'{_NL6}"donors": {_array(sorted(e.donors))},{_NL6}"created": {_created(e.created)},'
-         f'{_NL6}"discarded": {_array(sorted(e.discarded))}\n    }},'
-         for e, at in zip(kb.events, _time_column(kb.events, "at"))),
-    )
     parts = ["{"]  # a record's text ends in a comma, which its section's last record drops
-    for name, records in zip(_SECTIONS, sections):
+    for name, section in _TABLE.items():
+        records = getattr(kb, name)  # kinds, objects and quantities are keyed by their ids
+        records = records.values() if isinstance(records, dict) else records
         parts.append(f'\n  "{name}": [')
         size = len(parts)
-        parts += records
+        parts += _write(section, sorted(records, key=section.order) if section.order else records, "\n  ")
         parts[-1] = parts[-1] + "]," if len(parts) == size else parts[-1][:-1] + "\n  ],"
     parts[-1] = parts[-1][:-1] + "\n}\n"
     return "".join(parts)
 
 
-_NL6, _NL10 = "\n      ", "\n          "  # the line break before a record's field, an entry's field
-
-
-def _time_column(records: list, field: str, key: str = "") -> list:
-    """A time field of a section's records as its template writes it: bare if the column
-    holds only ints (``True`` is written ``true``). An optional field has a ``key``."""
-    times = list(map(attrgetter(field), records))
-    if not set(map(type, times)) <= ({int, type(None)} if key else {int}):
-        times = [t if key and t is None else _encode(t, _NL6) for t in times]
-    return [f',{_NL6}"{key}": {t}' if t is not None else "" for t in times] if key else times
-
-
-def _created(entries: tuple[CreatedEntry, ...]) -> str:
-    return "[" + ",".join(
-        f'\n        {{{_NL10}"id": {_str(c.id)},{_NL10}"kind": {_str(c.kind)},'
-        f'{_NL10}"granules": {_array(sorted(c.granules), _NL10)}\n        }}' for c in sorted(entries, key=_BY_ID)
-    ) + (_NL6 + "]" if entries else "]")
+def _write(section: _Section, records: list, newline: str) -> Iterator[str]:
+    """Each record's text, ending in a comma, in a list at line break ``newline``, from its fields' columns."""
+    brace, inner = newline + "  ", newline + "    "
+    pieces, sep = [repeat(brace + "{")], inner
+    for name, kind in section.fields.items():
+        values = list(map(section.source.get(name) or attrgetter(name), records))
+        key, sep = f'{sep}"{name}": ', "," + inner
+        if name == section.optional:  # written with its key where it is not None
+            texts = iter(kind.write([v for v in values if v is not None], inner))
+            pieces.append([key + next(texts) if v is not None else "" for v in values])
+        else:
+            pieces += (repeat(key), kind.write(values, inner))
+    pieces.append(repeat(brace + "},"))
+    return map("".join, zip(*pieces))
 
 
 def dumps(value: Any) -> str:
@@ -153,7 +127,7 @@ def _encode(value: Any, newline: str = "\n") -> str:
     return json.dumps(value)
 
 
-def _array(values: list | tuple, newline: str = _NL6) -> str:
+def _array(values: list | tuple, newline: str) -> str:
     """A list as ``_encode`` writes it; a list of strings, such as an id array, in one join."""
     if not values:
         return "[]"
@@ -246,6 +220,7 @@ def doc_to_kb(doc: Any) -> KnowledgeBase:
 class _Type(NamedTuple):
     column: Callable[[list], list | None]  # a column's checked values, or None
     value: Callable[[Any, str], Any]  # one value checked, or a DocumentError at the path given
+    write: Callable[[list, str], Iterable[str]]  # a column's texts at a field line break, made as they are joined
 
 
 class _Rule(NamedTuple):
@@ -256,9 +231,11 @@ class _Rule(NamedTuple):
 
 class _Section(NamedTuple):
     fields: dict[str, _Type]  # in document order
-    optional: str | None  # the one field a record may lack
+    optional: str | None  # the one field a record may lack; written only where it is not None
     checks: tuple[str | _Rule, ...]  # fields and rules, in the order faults are reported
     add: Callable[[KnowledgeBase, dict[str, list]], Any]  # puts checked columns into the KB
+    order: Callable[[Any], Any] | None  # the sort key of the records in a document; None keeps log order
+    source: dict[str, Callable[[Any], Any]] = {}  # a field's value, where not the record's attribute of its name
 
 
 _ABSENT = object()  # the optional field's value where a record lacks it, until that field is checked
@@ -390,40 +367,57 @@ def _id_set(value: Any, path: str) -> frozenset[str]:
     return frozenset(seen)
 
 
+def _write_id_sets(column: list, newline: str) -> Iterator[str]:
+    """Each set as ``_array`` writes it sorted, one at a time, with the separators made once for the column."""
+    inner, end = newline + "  ", newline + "]"
+    sep = "," + inner
+    for ids in column:
+        try:
+            yield f"[{inner}{sep.join(map(_str, sorted(ids)))}{end}" if ids else "[]"
+        except TypeError:  # an id that is not a string, in a store built by hand
+            yield _array(sorted(ids), newline)
+
+
 def _choice(a: str, b: str) -> _Type:
     def value(v: Any, path: str) -> str:
         if _string(v, path) not in (a, b):
             raise DocumentError(path, f"expected '{a}' or '{b}', got '{v}'")
         return v
 
-    return _Type(lambda column: column if _types(column, str) and {a, b}.issuperset(column) else None, value)
+    return _Type(lambda column: column if _types(column, str) and {a, b}.issuperset(column) else None, value, _ID.write)
 
 
 def _records(section: _Section) -> _Type:
-    """Nested records, built by ``section``'s add step; those of each list are sorted by id."""
+    """Nested records, built by ``section``'s add step and kept in its order. A column of lists is
+    written in one call, each list sorted alone, and the texts are split back by the lists' lengths."""
 
     def column(lists: list) -> list | None:
         checked = _bulk(section, None, list(chain.from_iterable(lists))) if _types(lists, list) else None
         if checked is None:
             return None
         built = iter(section.add(None, checked))
-        return [tuple(sorted(islice(built, len(c)), key=_BY_ID)) for c in lists]
+        return [tuple(sorted(islice(built, len(c)), key=section.order)) for c in lists]
 
     def value(v: Any, path: str) -> tuple:
         if not isinstance(v, list):
             raise DocumentError(path, "expected an array")
-        return tuple(sorted(chain.from_iterable(_locate(section, None, v, path)), key=_BY_ID))
+        return tuple(sorted(chain.from_iterable(_locate(section, None, v, path)), key=section.order))
 
-    return _Type(column, value)
+    def write(lists: list, newline: str) -> Iterator[str]:
+        texts = _write(section, list(chain.from_iterable(sorted(c, key=section.order) for c in lists)), newline)
+        return ("[" + "".join(islice(texts, len(c)))[:-1] + newline + "]" if c else "[]" for c in lists)
+
+    return _Type(column, value, write)
 
 
-_ID = _Type(lambda column: column if _ids(column) else None, _identifier)
-_TIME = _Type(lambda column: column if _times(column) else None, _time)
-_ID_SET = _Type(_id_sets, _id_set)
+_ID = _Type(lambda column: column if _ids(column) else None, _identifier, lambda column, newline: map(_str, column))
+_TIME = _Type(lambda column: column if _times(column) else None, _time, lambda column, newline: (
+    map(int.__repr__, column) if _types(column, int) else map(_encode, column, repeat(newline))))  # True: true
+_ID_SET = _Type(_id_sets, _id_set, _write_id_sets)
 _BY_ID = attrgetter("id")
 _CREATED = _Section(
     {"id": _ID, "kind": _ID, "granules": _ID_SET}, None, ("id", "kind", "granules"),
-    lambda kb, c: list(map(CreatedEntry, c["id"], c["kind"], c["granules"])),
+    lambda kb, c: list(map(CreatedEntry, c["id"], c["kind"], c["granules"])), _BY_ID,
 )
 _TABLE = {
     "kinds": _Section(
@@ -437,6 +431,7 @@ _TABLE = {
         ),
         lambda kb, c: kb.kinds.update(
             (n, KindDecl(n, m, r or frozenset())) for n, m, r in zip(c["name"], c["meta"], c["requires"])),
+        attrgetter("name"), {"requires": lambda d: d.requires if d.meta == QUANTITY_KIND else None},
     ),
     "objects": _Section(
         {"id": _ID, "kind": _ID, "created_at": _TIME}, None, (
@@ -444,6 +439,7 @@ _TABLE = {
             "kind", "created_at",
         ),
         lambda kb, c: kb.objects.update(zip(c["id"], map(ObjectInst, c["id"], c["kind"], c["created_at"]))),
+        _BY_ID,
     ),
     "quantities": _Section(
         {"id": _ID, "kind": _ID, "created_at": _TIME, "terminated_at": _TIME, "granules": _ID_SET,
@@ -456,6 +452,7 @@ _TABLE = {
         lambda kb, c: kb.quantities.update(zip(c["id"], map(
             QuantityInst, c["id"], c["kind"], c["created_at"], c["granules"], c["creation_event"], c["terminated_at"]
         ))),
+        _BY_ID,
     ),
     "adjacency": _Section(
         {"a": _ID, "b": _ID, "from": _TIME, "to": _TIME}, "to", (
@@ -467,10 +464,12 @@ _TABLE = {
             AdjacencyInterval(x, y, start, end) if x < y else AdjacencyInterval(y, x, start, end)
             for x, y, start, end in zip(c["a"], c["b"], c["from"], c["to"])
         ]),
+        lambda i: (i.a, i.b, i.start, i.end is None, i.end), {"from": attrgetter("start"), "to": attrgetter("end")},
     ),
     "subquantities": _Section(
         {"part": _ID, "whole": _ID}, None, ("part", "whole"),
         lambda kb, c: kb.subquantities.update(map(SubQuantityAssertion, c["part"], c["whole"])),
+        attrgetter("part", "whole"),
     ),
     "events": _Section(
         {"id": _ID, "at": _TIME, "kind": _choice(CREATION, GRANULE_TRANSFER), "donors": _ID_SET,
@@ -487,6 +486,7 @@ _TABLE = {
         ),
         lambda kb, c: kb.events.extend(map(
             EventRec, c["id"], c["at"], c["kind"], c["donors"], c["created"], c["discarded"])),
+        None,
     ),
 }
 _SECTIONS = tuple(_TABLE)

@@ -253,8 +253,9 @@ def test_export_matches_json_dumps(case_kb):
     built the old way, on engine-built, imported, field-by-field and
     hand-built stores; ``kb_to_doc`` reads back that document."""
     kbs = [
-        KnowledgeBase(), hand_built_kb(), case_kb, moved_chains_kb(200), *map(build_random_kb, range(50)),
-        *map(messy_world_kb, range(10)), *(build_random_kb(seed, max_events=60, max_objects=150) for seed in range(10)),
+        KnowledgeBase(), hand_built_kb(), odd_events_kb(), case_kb, moved_chains_kb(200),
+        *map(build_random_kb, range(50)), *map(messy_world_kb, range(10)),
+        *(build_random_kb(seed, max_events=60, max_objects=150) for seed in range(10)),
     ]
     for seed in range(20):
         rng = random.Random(seed)
@@ -289,6 +290,21 @@ def hand_built_kb():
     kb.subquantities.add(SubQuantityAssertion("r1", "r2"))
     kb.events.append(EventRec("e0", 0, CREATION, frozenset(), (rock,), frozenset()))
     kb.events.append(EventRec("e1", 3, GRANULE_TRANSFER, frozenset({"q"}), moved, frozenset({"gr\u00e4n"})))
+    return kb
+
+
+def odd_events_kb():
+    """Events that import and the engine refuse but a store can hold: one with no
+    created entries, between two that have some, and with discarded ids that are
+    not strings; one with its created ids out of order; and one that repeats a
+    created id, whose entries keep their store order."""
+    kb = KnowledgeBase()
+    entries = [(CreatedEntry("z", "Rock", frozenset({"g2"})),), (), tuple(
+        CreatedEntry(qid, "Sand", frozenset({g})) for qid, g in (("r2", "g1"), ("a", "g2"), ("r1", "g0"))
+    ), (CreatedEntry("r", "Sand", frozenset({"g1"})), CreatedEntry("r", "Rock", frozenset({"g0", "g2"})))]
+    for at, created in enumerate(entries):
+        kb.events.append(EventRec(f"e{at}", at, GRANULE_TRANSFER, frozenset({"z"}) if at else frozenset(),
+                                  created, frozenset({2, 10}) if not created else frozenset()))
     return kb
 
 
