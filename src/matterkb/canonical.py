@@ -85,63 +85,27 @@ def _write(section: _Section, records: list, newline: str) -> Iterator[str]:
 def dumps(value: Any) -> str:
     """Exactly ``json.dumps(value, indent=2)`` for plain JSON data: query payloads and reports.
 
-    ``json.dumps`` encodes in pure Python whenever it indents; this writer leaves every
-    string to the C string encoder and joins a list of strings in one pass. Dict keys must
-    be strings. A leaf other than a str, int, bool or None (a float, say) is rendered by
-    ``json.dumps``, which gives the same bytes at any depth.
+    ``json.dumps`` encodes in pure Python whenever it indents; this writer joins each
+    container's parts once and leaves every string to the C string encoder. Dict keys
+    must be strings. A leaf other than a str or an int (a bool, None or a float, say) is
+    rendered by ``json.dumps``, which gives the same bytes at any depth.
     """
     return _encode(value, "\n")
 
 
-def _encode(value: Any, newline: str = "\n") -> str:
-    # A dict or a list of containers is one join over its parts, with no
-    # string per field or body: a large section is then copied only into its
-    # parent, and large short-lived strings raise the process's peak memory.
-    if type(value) is int:  # first, for the times of a document
+def _encode(value: Any, newline: str) -> str:
+    """``value`` as ``dumps`` writes it, its lines after the first starting at ``newline``."""
+    if type(value) is int:  # not a bool, which json.dumps writes as true or false
         return int.__repr__(value)
-    if isinstance(value, str):
-        return _str(value)
-    if isinstance(value, (list, tuple)):
-        return _array(value, newline)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
+    if isinstance(value, dict):  # a subclass too, written indented as json.dumps writes it
         inner = newline + "  "
-        sep = "," + inner
-        parts = ["{" + inner]
-        for key, v in value.items():
-            t = type(v)
-            if t is str:
-                text = _str(v)
-            elif t is int:
-                text = int.__repr__(v)
-            else:
-                text = _encode(v, inner)
-            parts += (_str(key), ": ", text, sep)
-        parts[-1] = newline + "}"
-        return "".join(parts)
-    if value is None:
-        return "null"
-    if value is True or value is False:
-        return "true" if value else "false"
+        parts = [f"{_str(k)}: {_str(v) if type(v) is str else _encode(v, inner)}" for k, v in value.items()]
+        return f"{{{inner}{(',' + inner).join(parts)}{newline}}}" if parts else "{}"
+    if isinstance(value, (list, tuple)):
+        inner = newline + "  "
+        parts = [_str(v) if type(v) is str else _encode(v, inner) for v in value]
+        return f"[{inner}{(',' + inner).join(parts)}{newline}]" if parts else "[]"
     return json.dumps(value)
-
-
-def _array(values: list | tuple, newline: str) -> str:
-    """A list as ``_encode`` writes it; a list of strings, such as an id array, in one join."""
-    if not values:
-        return "[]"
-    inner = newline + "  "
-    sep = "," + inner
-    try:
-        return f"[{inner}{sep.join(map(_str, values))}{newline}]"
-    except TypeError:  # not a list of strings
-        pass
-    parts = [sep] * (2 * len(values) + 1)
-    parts[1::2] = [_encode(v, inner) for v in values]
-    parts[0] = "[" + inner
-    parts[-1] = newline + "]"
-    return "".join(parts)
 
 
 def import_document(text: str) -> KnowledgeBase:
@@ -368,14 +332,14 @@ def _id_set(value: Any, path: str) -> frozenset[str]:
 
 
 def _write_id_sets(column: list, newline: str) -> Iterator[str]:
-    """Each set as ``_array`` writes it sorted, one at a time, with the separators made once for the column."""
+    """Each set as ``_encode`` writes it sorted, one at a time, with the separators made once for the column."""
     inner, end = newline + "  ", newline + "]"
     sep = "," + inner
     for ids in column:
         try:
             yield f"[{inner}{sep.join(map(_str, sorted(ids)))}{end}" if ids else "[]"
         except TypeError:  # an id that is not a string, in a store built by hand
-            yield _array(sorted(ids), newline)
+            yield _encode(sorted(ids), newline)
 
 
 def _choice(a: str, b: str) -> _Type:

@@ -633,6 +633,12 @@ def _ref_check_entry(kb: KnowledgeBase, entry: CreatedEntry, at: int) -> None:
         )
 
 
+def report_records(violations: list[Violation]) -> list[dict[str, Any]]:
+    """The records of a canonical ``validate`` report, built apart from ``cli.render_report``."""
+    return [{"rule": v.rule, "subjects": list(v.subjects), **({"at": v.at} if v.at is not None else {}),
+             "message": v.message} for v in violations]
+
+
 # -- export-comparing reference for replay-check --------------------------------------
 # `replay-check` compared the canonical export of the store with that of its
 # rebuild before it compared the rebuilt quantities, kept as a differential check.

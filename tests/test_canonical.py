@@ -1,5 +1,7 @@
 """Canonical documents: byte-stable export, lenient import, schema errors."""
 
+import collections
+import enum
 import gc
 import json
 import random
@@ -240,9 +242,27 @@ def test_dumps_matches_json_dumps(value):
     assert dumps(value) == json.dumps(value, indent=2)
 
 
+class _List(list):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+
+
 @pytest.mark.parametrize(
     "value",
-    [[], {}, (), [[], {}, ()], {"a": {"b": []}}, [[[{}]]], 1.5, [1e300, -0.0], {"x": [float("nan"), float("-inf")]}],
+    [
+        [], {}, (), [[], {}, ()], {"a": {"b": []}}, [[[{}]]], 1.5, [1e300, -0.0], {"x": [float("nan"), float("-inf")]},
+        # subclasses: containers are written indented, leaves as json.dumps writes them
+        collections.OrderedDict([("b", 1), ("a", [2])]), {"x": _List(["a", 1])}, [_Level.LOW, {"l": _Level.LOW}],
+        [_Str('say "hi"'), {"s": _Str('"')}],
+        {"t": True, "f": False, "n": None}, [True, False, None, [None]], {"one": 1}, {"one": {"two": "2"}},
+    ],
 )
 def test_dumps_matches_json_dumps_on_empty_and_float_values(value):
     assert dumps(value) == json.dumps(value, indent=2)

@@ -7,13 +7,18 @@ import json
 import os
 import subprocess
 import sys
+from argparse import Namespace
+from functools import partial
 from pathlib import Path
 
 import pytest
 
 import matterkb
-from matterkb import case_study_path, cli, export_document
+from matterkb import case_study_path, cli, export_document, provenance, validate_all
+from matterkb.canonical import dumps
 from matterkb.cli import main
+
+from helpers import FAULT_FIXTURES, build_random_kb, moved_chains_kb, report_records
 
 
 @pytest.fixture()
@@ -534,3 +539,104 @@ def test_cyclic_garbage_a_command_leaves_does_not_grow_with_the_input(capsys, do
         finally:
             gc.enable()
     assert left["corpus.mp"] <= left["case.mp"] and left["chains800.mpkb"] <= left["case.mpkb"], left
+
+
+# -- canonical output at scale is json.dumps(indent=2) of the payload, byte for byte ----
+
+
+PAYLOAD_STORES = {
+    "moved_chains_kb(200)": partial(moved_chains_kb, 200),
+    **{f"build_random_kb({seed}, 60, 150)": partial(build_random_kb, seed, max_events=60, max_objects=150)
+       for seed in range(10)},
+    **{f"fixture {rule}": make for rule, make in sorted(FAULT_FIXTURES.items())},
+}
+
+
+def _canonical_commands(kb):
+    """Each query kind and ``validate`` in full and at one time, as argument lists
+    after the file, with their payloads built from the KB."""
+
+    def query(name, *args, transitive=False, at=None):
+        ns = Namespace(query=name, args=list(args), format="canonical", transitive=transitive, at=at)
+        return cli.run_query(kb, ns)[1]
+
+    def report(at):
+        return report_records(validate_all(kb, at=at).violations)
+
+    quantities = sorted(kb.quantities, key=lambda q: (-len(provenance.inherited_from(kb, q, transitive=True)), q))
+    objects = sorted(kb.objects, key=lambda o: (-len(provenance.granule_history(kb, o).episodes), o))
+    times = sorted({e.at for e in kb.events})
+    t = times[len(times) // 2]
+    oid = objects[0]
+    t_cohort = provenance.granule_history(kb, oid).episodes[-1].start
+    faults = [v.at for v in validate_all(kb).violations if v.at is not None]
+    t_validate = faults[0] if faults else t
+    deep, shallow = quantities[0], quantities[-1]
+    commands = [
+        (["query", "history", oid], query("history", oid)),
+        (["query", "world", f"t{t}"], query("world", f"t{t}")),
+        (["query", "cohort", oid, "--at", f"t{t_cohort}"], query("cohort", oid, at=f"t{t_cohort}")),
+        (["query", "classify"], query("classify")),
+        (["validate"], report(None)),
+        (["validate", "--at", f"t{t_validate}"], report(t_validate)),
+        (["query", "provenance", deep, "--transitive"], query("provenance", deep, transitive=True)),
+        (["query", "provenance", shallow], query("provenance", shallow)),
+    ]
+    if len(quantities) > 1:  # one fault fixture holds a single quantity
+        commands.append((["query", "ancestors", *quantities[:2]], query("ancestors", *quantities[:2])))
+    return commands
+
+
+@pytest.fixture(scope="module")
+def scale_documents(tmp_path_factory):
+    """Each store's exported document and its canonical commands with their payloads."""
+    work = tmp_path_factory.mktemp("scale")
+    documents = {}
+    for i, (name, make) in enumerate(PAYLOAD_STORES.items()):
+        path = work / f"store{i}.mpkb"
+        path.write_text(export_document(make()), encoding="utf-8")
+        documents[name] = (str(path), _canonical_commands(cli.load_kb(str(path))))
+    return documents
+
+
+@pytest.mark.parametrize("store", PAYLOAD_STORES)
+def test_canonical_output_is_json_dumps_at_scale(capsys, scale_documents, store):
+    """Query payloads and validate reports of large and faulty stores: ``dumps`` writes
+    each as ``json.dumps(indent=2)`` does, and the CLI prints exactly that."""
+    path, commands = scale_documents[store]
+    for (command, *args), payload in commands:
+        text = json.dumps(payload, indent=2)
+        assert dumps(payload) == text, args
+        code, out, err = run_cli(capsys, command, path, *args, "--format", "canonical")
+        assert (out, err) == (text + "\n", ""), args
+        assert code == (1 if command == "validate" and payload else 0), args
+
+
+def test_scale_payloads_cover_every_optional_and_short_shape(scale_documents):
+    """The payloads above hold both bools of each provenance flag, episodes with and
+    without ``to`` and ``outEvent``, reports with and without ``at``, and empty and
+    one-element lists."""
+    seen = set()
+
+    def walk(value):
+        if isinstance(value, list):
+            seen.add(f"list of {min(len(value), 2)}")
+            for v in value:
+                walk(v)
+        elif isinstance(value, dict):
+            for key, v in value.items():
+                seen.add((key, v) if type(v) is bool else key)
+                walk(v)
+
+    for _, commands in scale_documents.values():
+        for (command, *_), payload in commands:
+            walk(payload)
+            if command == "validate":
+                seen.update("report with at" if "at" in r else "report without at" for r in payload)
+            for episode in payload.get("episodes", []) if isinstance(payload, dict) else []:
+                seen.update(f"episode {'with' if k in episode else 'without'} {k}" for k in ("to", "outEvent"))
+    flags = ("completeInheritance", "completeDonation", "isSubPortion")
+    expected = {"list of 0", "list of 1", "list of 2", "report with at", "report without at",
+                *(f"episode {w} {k}" for w in ("with", "without") for k in ("to", "outEvent")),
+                *((flag, b) for flag in flags for b in (True, False))}
+    assert expected <= seen, expected - seen

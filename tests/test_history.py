@@ -12,10 +12,12 @@ from hypothesis import given, settings, strategies as st
 
 from matterkb import canonical, case_study_path, export_document, kb_to_doc, load, parse, replay, validate_all
 from matterkb.canonical import doc_to_kb
-from matterkb.cli import main
+from matterkb.cli import main, render_report
 from matterkb.errors import DocumentError
 
-from helpers import SCALE_STORES, build_random_kb, random_write, reference_replay_check
+from helpers import (
+    SCALE_STORES, build_random_kb, moved_chains_kb, random_write, reference_replay_check, report_records,
+)
 from test_import import mutated_documents
 
 WORLD_RULES = {"CONNECTIVITY", "EXTERNAL_CONNECTION", "MAXIMALITY_SAME_KIND"}
@@ -169,11 +171,14 @@ MUTATIONS = (add_interval, add_discard, move_created_at, add_created, add_subqua
 
 
 BASE_DOCS = [CASE_DOC] + [kb_to_doc(build_random_kb(seed)) for seed in range(30)]
+# 200 events of moved chains, and five random stores of up to 60 steps over up to 150 objects
+LARGE_DOCS = [kb_to_doc(moved_chains_kb(100))] + [
+    kb_to_doc(build_random_kb(seed, max_events=60, max_objects=150)) for seed in range(5)]
 
 
 @st.composite
-def history_mutated_documents(draw):
-    doc = copy.deepcopy(draw(st.sampled_from(BASE_DOCS)))
+def history_mutated_documents(draw, bases=BASE_DOCS):
+    doc = copy.deepcopy(draw(st.sampled_from(bases)))
     for mutate in draw(st.lists(st.sampled_from(MUTATIONS), min_size=1, max_size=3)):
         mutate(doc, draw)
     return doc
@@ -185,6 +190,17 @@ def test_validate_ok_implies_replay_reproduces_the_store(doc):
     kb = doc_to_kb(doc)
     if validate_all(kb).ok:
         assert export_document(replay(kb)) == export_document(kb)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(history_mutated_documents(LARGE_DOCS))
+def test_history_mutations_of_large_documents(doc):
+    """As above on large documents; the canonical report is ``json.dumps`` of its records."""
+    kb = doc_to_kb(doc)
+    report = validate_all(kb)
+    if report.ok:
+        assert export_document(replay(kb)) == export_document(kb)
+    assert render_report(report, "canonical") == json.dumps(report_records(report.violations), indent=2) + "\n"
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
