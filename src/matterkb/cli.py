@@ -32,9 +32,7 @@ _SNIPPET_ESCAPES = {c: repr(chr(c))[1:-1] for c in [*range(0x20), 0x7F] if c != 
 
 
 class _CliError(Exception):
-    def __init__(self, message: str, code: int = USAGE):
-        super().__init__(message)
-        self.code = code
+    """A parse, I/O or usage error: ``main`` prints it to stderr and returns ``USAGE``."""
 
 
 def load_kb(path_str: str) -> KnowledgeBase:
@@ -328,7 +326,7 @@ def main(argv: list[str] | None = None) -> int:
             return args.func(args)
     except _CliError as exc:
         print(str(exc), file=sys.stderr)
-        return exc.code
+        return USAGE
 
 
 def entry_point() -> None:

@@ -170,14 +170,13 @@ def _pair_key(q1: QuantityInst, q2: QuantityInst) -> tuple[str, str]:
 class _World:
     """What the two world rules read at one time point, kept current by deltas.
 
-    ``_World(kb, t)`` builds the state at ``t`` in bulk from the live
-    quantities and active pairs at ``t``; ``advance`` then moves it to a later
-    point by applying only what changes there: quantity births and deaths and
-    the pairs whose intervals start or end there. It carries:
+    ``_World(kb)`` is the empty world; ``advance`` moves it to the next point
+    by applying only what changes there: quantity births and deaths and the
+    stored pairs whose intervals open or close there. It carries:
 
     - ``holders``: granule → its live holders, by id;
-    - ``active`` and ``incident``: the active stored pairs, and each node's
-      active pairs;
+    - ``open`` and ``incident``: each stored pair's count of open intervals,
+      above zero while the pair is active, and each node's active pairs;
     - ``inner``: for each live quantity the connectivity rule checks, the
       active edges among its granules; and ``broken``: for those that fail
       the rule, the sorted granules that touch no co-granule and the number
@@ -194,36 +193,31 @@ class _World:
     rules re-emit the still-violating entries at each point: O(output).
     """
 
-    def __init__(self, kb: KnowledgeBase, t: int) -> None:
+    def __init__(self, kb: KnowledgeBase) -> None:
         self.objects = kb.objects.keys()
-        self.intervals = kb.store_index.catch_up(kb).intervals
         self.holders: dict[str, dict[str, QuantityInst]] = {}
-        self.active: set[tuple[str, str]] = set()
+        self.open: dict[tuple[str, str], int] = {}
         self.incident: dict[str, set[tuple[str, str]]] = {}
         self.inner: dict[str, set[tuple[str, str]]] = {}
         self.broken: dict[str, tuple[list[str], int]] = {}
         self.shared: dict[tuple[str, str], set[str]] = {}
         self.touching: dict[tuple[str, str], set[tuple[str, str]]] = {}
         self._stale: dict[str, QuantityInst] = {}
-        for q in kb.live_quantities_at(t):
-            self._birth(q)
-        for pair in kb.adjacency_at(t):
-            self._toggle(pair, True)
-        self._settle()
 
-    def advance(self, t: int, born: Iterable[QuantityInst], dying: Iterable[QuantityInst],
-                toggled: Iterable[tuple[str, str]]) -> None:
-        """Apply the deltas at ``t``. A toggled pair is re-tested against all of
-        its intervals, since imported stores can hold duplicate and overlapping
-        ones: one can close at ``t`` while another stays open or reopens."""
+    def advance(self, born: Iterable[QuantityInst], dying: Iterable[QuantityInst],
+                opened: dict[tuple[str, str], int]) -> None:
+        """Apply the next point's deltas; ``opened`` maps a pair to its intervals
+        opening there minus those closing. A pair toggles only when its count of
+        open intervals crosses 0: imported stores can repeat or overlap them."""
         for q in dying:
             self._death(q)
         for q in born:
             self._birth(q)
-        for pair in toggled:
-            on = any(iv.start <= t and (iv.end is None or t < iv.end) for iv in self.intervals[pair])
-            if on != (pair in self.active):
-                self._toggle(pair, on)
+        for pair, n in opened.items():
+            was = self.open.get(pair, 0)
+            self.open[pair] = now = was + n
+            if (was > 0) != (now > 0):
+                self._toggle(pair, now > 0)
         self._settle()
 
     def _neighbours(self, q: QuantityInst) -> Iterator[tuple[dict, QuantityInst, object]]:
@@ -263,7 +257,6 @@ class _World:
     def _toggle(self, pair: tuple[str, str], on: bool) -> None:
         a, b = pair
         op = set.add if on else set.discard
-        op(self.active, pair)
         op(self.incident.setdefault(a, set()), pair)
         op(self.incident.setdefault(b, set()), pair)
         on_a, on_b = self.holders.get(a, {}), self.holders.get(b, {})
@@ -299,38 +292,36 @@ class _World:
 
 
 def _sweep(kb: KnowledgeBase, worlds: list[int]) -> Iterator[tuple[int, _World]]:
-    """``(t, world)`` for each of ``worlds``, one state advanced from point to point.
+    """``(t, world)`` for each of ``worlds``, one state advanced from the empty world.
 
-    ``worlds`` is either one time point or ``kb.change_points()``, so every
-    quantity birth and death and every interval start and end after the first
-    point falls on a later point. A quantity with ``terminated_at <=
-    created_at`` is never live and never enters.
-    """
+    ``worlds`` is one time point or ``kb.change_points()``. A quantity or interval live at
+    the first point enters there, a later one at its start; one that ends by then never enters."""
     if not worlds:
         return
-    first, *later = worlds
-    world = _World(kb, first)
-    yield first, world
-    if not later:
-        return
+    first, last = worlds[0], worlds[-1]
     born: dict[int, list[QuantityInst]] = {}
     dying: dict[int, list[QuantityInst]] = {}
-    toggled: dict[int, dict[tuple[str, str], None]] = {}
+    opened: dict[int, dict[tuple[str, str], int]] = {}
     for q in kb.quantities.values():
+        start = q.created_at if q.created_at > first else first
         end = q.terminated_at
-        if end is not None and end <= q.created_at:
-            continue
-        if q.created_at > first:
-            born.setdefault(q.created_at, []).append(q)
-        if end is not None and end > first:
-            dying.setdefault(end, []).append(q)
-    for pair, intervals in world.intervals.items():
+        if start <= last and (end is None or end > start):
+            born.setdefault(start, []).append(q)
+            if end is not None:
+                dying.setdefault(end, []).append(q)
+    for pair, intervals in kb.store_index.catch_up(kb).intervals.items():
         for iv in intervals:
-            for tick in (iv.start, iv.end):
-                if tick is not None and tick > first:
-                    toggled.setdefault(tick, {})[pair] = None
-    for t in later:
-        world.advance(t, born.get(t, ()), dying.get(t, ()), toggled.get(t, ()))
+            start = iv.start if iv.start > first else first
+            end = iv.end
+            if start <= last and (end is None or end > start):
+                counts = opened.setdefault(start, {})
+                counts[pair] = counts.get(pair, 0) + 1
+                if end is not None:
+                    counts = opened.setdefault(end, {})
+                    counts[pair] = counts.get(pair, 0) - 1
+    world = _World(kb)
+    for t in worlds:
+        world.advance(born.get(t, ()), dying.get(t, ()), opened.get(t, {}))
         yield t, world
 
 
@@ -343,11 +334,11 @@ def check_connectivity(kb: KnowledgeBase, t: int, world: _World | None = None) -
     sub-minimum granule sets are skipped here: typing and supplementation own
     those defects.
 
-    ``world`` is the sweep's state at ``t``; without it a one-point state is
-    built. The rule only re-emits that state's cached failures with ``t``.
+    ``world`` is the sweep's state at ``t``; without it a one-point sweep
+    builds it. The rule only re-emits that state's cached failures with ``t``.
     """
     if world is None:
-        world = _World(kb, t)
+        world = next(_sweep(kb, [t]))[1]
     out = []
     for qid in sorted(world.broken):
         isolated, parts = world.broken[qid]
@@ -381,7 +372,7 @@ def check_maximality(kb: KnowledgeBase, t: int, world: _World | None = None) -> 
     ``check_connectivity``.
     """
     if world is None:
-        world = _World(kb, t)
+        world = next(_sweep(kb, [t]))[1]
     shared, touching = world.shared, world.touching
     out = []
     for pair in sorted(shared.keys() | touching.keys()):

@@ -949,6 +949,46 @@ def moved_chains_kb(n: int) -> KnowledgeBase:
     return kb
 
 
+def toggling_chain_kb(n: int, seed: int = 0) -> KnowledgeBase:
+    """A toggle-heavy history, written through the kernel: a chain quantity
+    ``qc`` of n >= 3 granules, live from t0 on, whose n chords open at ticks
+    1, 3, ..., 2n - 1 and each close at the next tick. At every fourth chord a
+    chain edge, sometimes with the next one, goes down for one to three ticks;
+    at every sixth the same-kind chain ``qd``, live from t1 on, touches ``qc``
+    for one tick. So CONNECTIVITY, EXTERNAL_CONNECTION and MAXIMALITY_SAME_KIND
+    fire at some worlds."""
+    rng = random.Random(seed)
+    kb = KnowledgeBase()
+    kb.declare_object_kind("Grain")
+    kb.declare_quantity_kind("Rock", [])
+    chain, other = [f"c{i}" for i in range(n)], [f"d{i}" for i in range(4)]
+    for at, (path, qid) in enumerate(((chain, "qc"), (other, "qd"))):
+        for g in path:
+            kb.create_object(g, "Grain", 0)
+        for a, b in zip(path, path[1:]):
+            kb.assert_adjacency(a, b, 0)
+        apply_creation(kb, CreatedEntry.of(qid, "Rock", path), at)
+    back_at: dict[int, int] = {}  # when chain edge k, (c_k, c_k+1), is up again
+    for i in range(n):
+        t = 2 * i + 1
+        a = rng.randrange(n - 2)
+        b = rng.randrange(a + 2, n)
+        kb.assert_adjacency(chain[a], chain[b], t)
+        kb.retract_adjacency(chain[a], chain[b], t + 1)
+        if i % 4 == 0:
+            k = rng.randrange(n - 2)
+            for edge in (k, k + 1) if rng.random() < 0.5 else (k,):
+                if back_at.get(edge, 0) < t:
+                    back_at[edge] = t + rng.randint(1, 3)
+                    kb.retract_adjacency(chain[edge], chain[edge + 1], t)
+                    kb.assert_adjacency(chain[edge], chain[edge + 1], back_at[edge])
+        if i % 6 == 0:
+            g, h = rng.choice(chain), rng.choice(other)
+            kb.assert_adjacency(g, h, t)
+            kb.retract_adjacency(g, h, t + 1)
+    return kb
+
+
 # Stores for the write-path oracles at scale: 200 events of moved chains, and ten
 # random stores of up to 60 steps over up to 150 objects.
 SCALE_STORES = {
@@ -1633,4 +1673,4 @@ def reference_main(argv: list[str]) -> int:
         return args.func(args)
     except _CliError as exc:
         print(str(exc), file=sys.stderr)
-        return exc.code
+        return USAGE

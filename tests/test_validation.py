@@ -5,9 +5,9 @@ import time
 
 import pytest
 
-from matterkb import KindDecl, KnowledgeBase, export_document, validate_all
+from matterkb import KindDecl, KnowledgeBase, export_document, import_document, validate_all
 from matterkb import validation
-from matterkb.model import OBJECT_KIND, QUANTITY_KIND, AdjacencyInterval, ObjectInst, QuantityInst
+from matterkb.model import OBJECT_KIND, QUANTITY_KIND, AdjacencyInterval, ObjectInst, QuantityInst, WorldColumns
 from matterkb.validation import (
     RULES,
     check_connectivity,
@@ -30,6 +30,7 @@ from helpers import (
     reference_connectivity,
     reference_maximality,
     single_quantity_graph_kb,
+    toggling_chain_kb,
     two_quantity_graph_kb,
 )
 
@@ -276,6 +277,27 @@ DELTA_CASES = {
         [("p", "ab", 0, None), ("r", "de", 0, None), ("z", "bc", 2, 2)],
         [("a", "b", 0, None), ("d", "e", 0, None), ("c", "d", 1, None), ("a", "f", 4, 6)],
     ),
+    # (c, d) is stored twice: both copies open at t1 and close at t4, so the
+    # pair goes off there, and only one world sees p and r touch.
+    "stored_twice": _hand_store(
+        [("p", "abc", 0, None), ("r", "de", 0, None)],
+        [("a", "b", 0, None), ("b", "c", 0, None), ("d", "e", 0, None),
+         ("c", "d", 1, 4), ("c", "d", 1, 4), ("a", "f", 8, 10)],
+    ),
+    # Three nested intervals of (c, d): its count of open intervals goes
+    # 1, 2, 3, 2, 1 and 0 at t1, t2, t3, t5, t7 and t9.
+    "nested": _hand_store(
+        [("p", "abc", 0, None), ("r", "de", 0, None)],
+        [("a", "b", 0, None), ("b", "c", 0, None), ("d", "e", 0, None),
+         ("c", "d", 1, 9), ("c", "d", 2, 7), ("c", "d", 3, 5), ("a", "f", 11, 13)],
+    ),
+    # (c, d) ends before it starts once and as it starts once, so it is never
+    # active; p and r touch only through (b, d), at t5.
+    "backward_and_empty": _hand_store(
+        [("p", "abc", 0, None), ("r", "de", 0, None)],
+        [("a", "b", 0, None), ("b", "c", 0, None), ("d", "e", 0, None),
+         ("c", "d", 4, 2), ("c", "d", 3, 3), ("b", "d", 5, 6), ("a", "f", 8, 10)],
+    ),
 }
 
 
@@ -292,6 +314,7 @@ def _sweep_corpus(case_kb):
     for rule, make in sorted(FAULT_FIXTURES.items()):
         yield f"fixture {rule}", make()
     yield "case study", case_kb
+    yield "toggling chain 200", toggling_chain_kb(200)
     yield from DELTA_CASES.items()
 
 
@@ -319,13 +342,22 @@ def test_sweep_matches_per_world_references(case_kb):
 
 def test_delta_cases_report_what_the_references_do():
     """The hand-written deltas, spelled out: the surviving interval keeps its
-    pair active, the reopened edges keep p and r touching, and z never lives."""
+    pair active, the reopened edges keep p and r touching, z never lives, a
+    pair stays active while any of its intervals is open, and an interval that
+    ends by its start never opens."""
     overlap = _world_violations(validate_all(DELTA_CASES["overlap_one_closes"]))
     assert [(v.subjects, v.at) for v in overlap] == [(("p", "r"), t) for t in (0, 4, 5, 8, 10)]
     reopen = _world_violations(validate_all(DELTA_CASES["close_and_reopen"]))
     assert [v.message.split("(")[1].split(")")[0] for v in reopen] == ["c-d", "b-d", "b-d", "c-d"]
     assert [v.at for v in reopen] == [1, 2, 3, 4]
     assert _world_violations(validate_all(DELTA_CASES["never_live"])) == []
+    for label, points in (("stored_twice", [1]), ("nested", [1, 2, 3, 5, 7])):
+        touching = _world_violations(validate_all(DELTA_CASES[label]))
+        assert [(v.subjects, v.at) for v in touching] == [(("p", "r"), t) for t in points], label
+        assert all("(c-d)" in v.message for v in touching), label
+    backward = _world_violations(validate_all(DELTA_CASES["backward_and_empty"]))
+    assert [(v.subjects, v.at) for v in backward] == [(("p", "r"), 5)]
+    assert "(b-d)" in backward[0].message
 
 
 def test_full_sweep_agrees_with_one_point_validate(case_kb):
@@ -335,6 +367,7 @@ def test_full_sweep_agrees_with_one_point_validate(case_kb):
     stores = [(f"messy {seed}", messy_world_kb(seed)) for seed in range(50)]
     stores += [(f"random {seed}", build_random_kb(seed)) for seed in range(30)]
     stores += [("moved chains 30", moved_chains_kb(30)), ("case study", case_kb)]
+    stores += [("toggling chain 200", toggling_chain_kb(200))]
     stores += [(f"fixture {rule}", make()) for rule, make in sorted(FAULT_FIXTURES.items())]
     stores += list(DELTA_CASES.items())
 
@@ -355,6 +388,17 @@ def test_full_sweep_agrees_with_one_point_validate(case_kb):
                 for v in world_at(full, before)
             ]
             assert world_at(validate_all(kb, at=t), t) == moved, (label, t)
+
+
+def test_validate_reads_no_world_columns():
+    """Every world is reached by deltas from the empty world, so validating an
+    imported document, in full or at one point, sorts and keeps no world columns."""
+    text = export_document(build_random_kb(1, max_events=60, max_objects=150))
+    points = import_document(text).change_points()
+    for at in (None, points[0], points[len(points) // 2], points[-1], points[-1] + 1):
+        kb = import_document(text)
+        validate_all(kb, at)
+        assert kb.world_columns == WorldColumns(), at
 
 
 def test_full_validate_of_3200_worlds_is_clean_and_fast():
