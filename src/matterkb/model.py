@@ -11,7 +11,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import chain, compress, islice
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, KeysView, NamedTuple, Sequence
 
 from .errors import (
     DuplicateId,
@@ -140,25 +140,22 @@ class WorldView:
     subquantities: tuple[tuple[str, str], ...]
 
 
-def connected_components(nodes: Iterable[str], edges: Iterable[tuple[str, str]]) -> list[frozenset[str]]:
-    """Union-find over ``nodes``; edges with endpoints outside are ignored."""
-    parent = {n: n for n in nodes}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+def count_clusters(edges: Iterable[tuple[str, str]]) -> tuple[int, KeysView[str]]:
+    """The number of connected clusters among the endpoints of ``edges``, and
+    those endpoints: union-find by root links, where each union of two roots
+    joins two clusters, so clusters = endpoints - unions. Builds no clusters."""
+    parent: dict[str, str] = {}
+    unions = 0
     for a, b in edges:
-        if a in parent and b in parent:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-    groups: dict[str, set[str]] = {}
-    for n in parent:
-        groups.setdefault(find(n), set()).add(n)
-    return [frozenset(g) for g in groups.values()]
+        a, b = parent.setdefault(a, a), parent.setdefault(b, b)
+        while a != parent[a]:
+            parent[a] = a = parent[parent[a]]  # path halving
+        while b != parent[b]:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[a] = b
+            unions += 1
+    return len(parent) - unions, parent.keys()
 
 
 @dataclass

@@ -14,7 +14,7 @@ from operator import attrgetter
 
 from .errors import NotAGranuleAt
 from .events import EventRec
-from .model import KnowledgeBase, connected_components
+from .model import KnowledgeBase, count_clusters
 
 ORIGINAL_PORTION = "OriginalPortion"
 SUB_PORTION = "SubPortion"
@@ -246,7 +246,7 @@ def constitution_view(kb: KnowledgeBase, quantity_id: str, t: int) -> Constituti
     """
     q = kb._quantity(quantity_id)
     members = q.granules
-    edges = [(a, b) for a, b in kb.adjacency_at(t) if a in members and b in members]
-    parts = connected_components(members, edges)
-    phase = PHASE_CONNECTED if len(parts) <= 1 else PHASE_SCATTERED
+    parts, touched = count_clusters((a, b) for a, b in kb.adjacency_at(t) if a in members and b in members)
+    parts += len(members) - len(touched)  # each untouched member is a cluster of its own
+    phase = PHASE_CONNECTED if parts <= 1 else PHASE_SCATTERED
     return ConstitutionView(f"collection-of-{quantity_id}", quantity_id, members, phase)

@@ -18,7 +18,7 @@ from .model import (
     OBJECT_KIND,
     QUANTITY_KIND,
     QuantityInst,
-    connected_components,
+    count_clusters,
 )
 
 RULES = (
@@ -185,12 +185,13 @@ class _World:
       that share or touch granules, the shared granules and the active edges
       that join one to the other.
 
-    Invalidation rule: a quantity's cached connectivity result holds until the
-    quantity dies or an edge among its granules opens or closes; only then is
-    ``connected_components`` run again. The maximality entries of a pair change
-    only when one of the two is born or dies, or when an edge with one end in
-    each opens or closes. So a sweep over T points costs O(changes), and the
-    rules re-emit the still-violating entries at each point: O(output).
+    Invalidation rule: a quantity's cached connectivity result holds until it
+    dies, an edge among its granules closes, or one opens while it is broken
+    (an edge that opens inside a connected quantity keeps it connected); only
+    then are its clusters counted again. A pair's maximality entries change
+    only when one of the two is born or dies, or an edge with one end in each
+    opens or closes. So a sweep over T points costs O(changes), and the rules
+    re-emit the still-violating entries at each point: O(output).
     """
 
     def __init__(self, kb: KnowledgeBase) -> None:
@@ -264,7 +265,8 @@ class _World:
             edges = self.inner.get(q.id)
             if edges is not None and b in q.granules:
                 op(edges, pair)
-                self._stale[q.id] = q
+                if not on or q.id in self.broken:
+                    self._stale[q.id] = q
         touching = self.touching
         for q1 in on_a.values():
             for q2 in on_b.values():
@@ -280,10 +282,8 @@ class _World:
     def _settle(self) -> None:
         """Re-run connectivity for the quantities a delta made stale."""
         for qid, q in self._stale.items():
-            edges = self.inner[qid]
-            touched = {x for e in edges for x in e}
+            parts, touched = count_clusters(self.inner[qid])
             isolated = sorted(q.granules - touched)
-            parts = len(connected_components(touched, edges))
             if isolated or parts > 1:
                 self.broken[qid] = (isolated, parts)
             else:

@@ -68,7 +68,6 @@ from matterkb.model import (
     QuantityInst,
     SubQuantityAssertion,
     WorldView,
-    connected_components,
 )
 from matterkb.provenance import ProvenanceEdge
 from matterkb.validation import Violation
@@ -256,6 +255,20 @@ def _adjacency_map(edges: list[tuple[str, str]]) -> dict[str, set[str]]:
         adj.setdefault(a, set()).add(b)
         adj.setdefault(b, set()).add(a)
     return adj
+
+
+def connected_components(nodes: set[str], edges: list[tuple[str, str]]) -> list[set[str]]:
+    """The components of the graph on ``nodes``, one BFS each; edges with an
+    endpoint outside ``nodes`` are ignored. The oracles' own count, so they
+    share no code with the sweep's union-find."""
+    adj = _adjacency_map([(a, b) for a, b in edges if a in nodes and b in nodes])
+    parts: list[set[str]] = []
+    seen: set[str] = set()
+    for n in nodes:
+        if n not in seen:
+            parts.append(bfs_component(n, adj))
+            seen |= parts[-1]
+    return parts
 
 
 def oracle_connectivity(granules: set[str], edges: list[tuple[str, str]]) -> tuple[set[str], bool]:

@@ -47,10 +47,12 @@ from matterkb.model import (
     AdjacencyInterval,
     QuantityInst,
     StoreIndex,
+    count_clusters,
 )
 
 from helpers import (
     build_random_kb,
+    connected_components,
     moved_chains_kb,
     reference_adjacency_at,
     reference_adjacent_at,
@@ -392,6 +394,25 @@ class TestChangePoints:
         kb.assert_adjacency("m1", "m2", 2)
         kb.retract_adjacency("m1", "m2", 6)
         assert kb.change_points() == [0, 2, 6]
+
+
+def test_count_clusters_matches_bfs_components():
+    """Seeded differential against the oracles' BFS count: the clusters among
+    the endpoints, plus one per node that no edge touches, are the components."""
+    rng = random.Random(26)
+    path = [(f"n{i}", f"n{i + 1}") for i in range(9)]
+    star = [("hub", f"n{i}") for i in range(9)]
+    graphs = [(set(), []), ({"a", "b"}, []), ({f"n{i}" for i in range(10)}, path),
+              ({"hub"} | {f"n{i}" for i in range(9)}, star), ({"a", "b", "c"}, [("a", "b")] * 3 + [("b", "a")]),
+              ({"a", "b", "c", "d", "e"}, [("a", "b"), ("d", "c")])]
+    for _ in range(400):
+        nodes = [f"n{i}" for i in range(rng.randint(1, 14))]
+        edges = [tuple(rng.sample(nodes, 2)) for _ in range(rng.randint(0, len(nodes) + 3)) if len(nodes) > 1]
+        graphs.append((set(nodes), edges + rng.sample(edges, len(edges) // 3)))  # with repeats
+    for nodes, edges in graphs:
+        clusters, touched = count_clusters(iter(edges))
+        assert set(touched) == {x for e in edges for x in e}, edges
+        assert clusters + len(nodes - touched) == len(connected_components(nodes, edges)), (nodes, edges)
 
 
 class TestStoreIndex:

@@ -31,10 +31,13 @@ from matterkb.errors import NotAGranuleAt, UnknownObject, UnknownQuantity
 
 from helpers import (
     build_random_kb,
+    connected_components,
     moved_chains_kb,
     oracle_ancestors,
     random_write,
+    reference_adjacency_at,
     reference_derive_edges,
+    toggling_chain_kb,
 )
 
 
@@ -303,6 +306,33 @@ class TestConstitution:
     def test_unknown_quantity(self, kb):
         with pytest.raises(UnknownQuantity):
             constitution_view(kb, "ghost", 0)
+
+    @pytest.mark.parametrize("which", ["toggling chain 200", "case study"])
+    def test_phase_matches_reference_components(self, which, case_kb):
+        """At every change point a quantity reads connected exactly when the
+        oracle's BFS finds at most one component among its granules."""
+        kb = toggling_chain_kb(200) if which == "toggling chain 200" else case_kb
+        for t in kb.change_points():
+            active = reference_adjacency_at(kb, t)
+            for q in kb.quantities.values():
+                parts = connected_components(set(q.granules), active)
+                expected = "connected" if len(parts) <= 1 else "scattered"
+                assert constitution_view(kb, q.id, t).phase == expected, (which, q.id, t)
+
+    def test_chain_edge_down_reads_scattered(self):
+        """Where a chain edge (c_k, c_k+1) of ``qc`` is down and no active chord
+        (c_a, c_b) with a <= k < b spans it, the chain is cut and reads scattered."""
+        kb = toggling_chain_kb(200)
+        cut = 0
+        for t in kb.change_points():
+            spans = [sorted((int(a[1:]), int(b[1:]))) for a, b in reference_adjacency_at(kb, t)
+                     if a[0] == b[0] == "c"]
+            up = {lo for lo, hi in spans if hi == lo + 1}
+            chords = [(lo, hi) for lo, hi in spans if hi > lo + 1]
+            if any(k not in up and not any(lo <= k < hi for lo, hi in chords) for k in range(199)):
+                cut += 1
+                assert constitution_view(kb, "qc", t).phase == "scattered", t
+        assert cut
 
 
 def test_memoization_invalidated_on_append(kb):

@@ -412,35 +412,65 @@ def test_full_validate_of_3200_worlds_is_clean_and_fast():
     assert elapsed < 5.0
 
 
-def test_sweep_reruns_connectivity_only_for_births_and_inner_toggles(monkeypatch):
-    """A quantity's components are recomputed when it is born or an edge among
-    its granules opens or closes, not once per live quantity per world."""
-    kb = moved_chains_kb(400)
+def _births_and_inner_ticks(kb):
+    """The quantities the sweep lets in, and ``(q, tick, opens)`` for each end of
+    an interval of an edge among a quantity's granules strictly inside its life."""
     intervals = {}
     for iv in kb.adjacency:
         intervals.setdefault((iv.a, iv.b), []).append(iv)
-    births = toggles = 0
+    births, ticks = [], []
     for q in kb.quantities.values():
         end = q.terminated_at
         if end is not None and end <= q.created_at:
             continue
-        births += 1
+        births.append(q)
         for a in q.granules:
             for b in q.granules:
                 for iv in intervals.get((a, b), ()):
-                    toggles += sum(1 for tick in (iv.start, iv.end) if tick is not None
-                                   and q.created_at < tick and (end is None or tick < end))
+                    ticks += [(q, tick, opens) for tick, opens in ((iv.start, True), (iv.end, False))
+                              if tick is not None and q.created_at < tick and (end is None or tick < end)]
+    return births, ticks
+
+
+def _count_calls(monkeypatch, kb):
+    """A full validate of ``kb`` and the number of times it counted clusters."""
     calls = []
-    counted = validation.connected_components
+    counted = validation.count_clusters
 
-    def counting(nodes, edges):
+    def counting(edges):
         calls.append(1)
-        return counted(nodes, edges)
+        return counted(edges)
 
-    monkeypatch.setattr(validation, "connected_components", counting)
-    assert validate_all(kb).ok
-    assert births == 800
-    assert 0 < len(calls) <= births + toggles
+    monkeypatch.setattr(validation, "count_clusters", counting)
+    return validate_all(kb), len(calls)
+
+
+def test_sweep_reruns_connectivity_only_for_births_and_inner_toggles(monkeypatch):
+    """A quantity's clusters are counted again when it is born or an edge among
+    its granules opens or closes, not once per live quantity per world."""
+    kb = moved_chains_kb(400)
+    births, ticks = _births_and_inner_ticks(kb)
+    report, calls = _count_calls(monkeypatch, kb)
+    assert report.ok
+    assert len(births) == 800
+    assert 0 < calls <= len(births) + len(ticks)
+
+
+def test_sweep_recounts_at_an_opening_only_while_broken(monkeypatch):
+    """An edge that opens among the granules of a connected quantity keeps it
+    connected, so on a toggle-heavy chain the clusters are counted at births,
+    at closings, and at openings where the reference reports the quantity
+    broken in the world before; the chords that open on the intact chain do
+    not count."""
+    kb = toggling_chain_kb(200)
+    points = kb.change_points()
+    before = dict(zip(points[1:], points))
+    broken = {(v.subjects[-1], t) for t in points for v in reference_connectivity(kb, t)}
+    births, ticks = _births_and_inner_ticks(kb)
+    recounts = sum(1 for q, tick, opens in ticks if not opens or (q.id, before[tick]) in broken)
+    report, calls = _count_calls(monkeypatch, kb)
+    assert not report.ok
+    assert 0 < calls <= len(births) + recounts < len(births) + len(ticks)
 
 
 class TestHistory:
