@@ -14,7 +14,7 @@ a transfer that names no donor or no created quantity.
 
 from __future__ import annotations
 
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -201,9 +201,13 @@ def replay(kb: KnowledgeBase) -> KnowledgeBase:
     """Rebuild a knowledge base from declarations plus the event log.
 
     Every record is re-applied through the engine's checks; any error is
-    wrapped in a ReplayError that names the offending record. A successful
-    replay re-adds exactly the kinds, objects, events, intervals and
-    assertions of the source, so only the quantities it derives can differ.
+    wrapped in a ReplayError that names the offending record. Objects and
+    intervals each go to the kernel as one batch (``create_objects``,
+    ``assert_intervals``), which stops at its first faulty record after the
+    ones before it, so that record is the next one the batch did not add;
+    events go one at a time through ``apply_event``. A successful replay
+    re-adds exactly the kinds, objects, events, intervals and assertions of
+    the source, so only the quantities it derives can differ.
     """
     fresh = KnowledgeBase()
     kinds = sorted(kb.kinds.values(), key=lambda d: (d.meta != OBJECT_KIND, d.name))
@@ -212,25 +216,21 @@ def replay(kb: KnowledgeBase) -> KnowledgeBase:
             fresh.declare_kind(decl)
     except Exception as exc:
         raise ReplayError(None, exc, (decl.name,)) from exc
-    objects = sorted(kb.objects.items())
+    objects = [(oid, obj.kind, obj.created_at) for oid, obj in sorted(kb.objects.items())]
     try:
-        for oid, obj in objects:
-            fresh.create_object(oid, obj.kind, obj.created_at)
+        fresh.create_objects(objects)
     except Exception as exc:
-        raise ReplayError(None, exc, (oid,)) from exc
+        raise ReplayError(None, exc, objects[len(fresh.objects)][:1]) from exc
     try:
         for index, event in enumerate(kb.events):
             apply_event(fresh, event)
     except Exception as exc:
         raise ReplayError(index, exc, (event.id,)) from exc
-    intervals = sorted(kb.adjacency, key=attrgetter("a", "b", "start"))
+    intervals = sorted(map(attrgetter("a", "b", "start", "end"), kb.adjacency), key=itemgetter(0, 1, 2))
     try:
-        for iv in intervals:
-            fresh.assert_adjacency(iv.a, iv.b, iv.start)
-            if iv.end is not None:
-                fresh.retract_adjacency(iv.a, iv.b, iv.end)
+        fresh.assert_intervals(intervals)
     except Exception as exc:
-        raise ReplayError(None, exc, (iv.a, iv.b)) from exc
+        raise ReplayError(None, exc, intervals[len(fresh.adjacency)][:2]) from exc
     assertions = sorted(kb.subquantities, key=lambda s: (s.part, s.whole))
     try:
         for s in assertions:

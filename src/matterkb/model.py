@@ -327,35 +327,77 @@ class KnowledgeBase:
         return self.declare_kind(KindDecl(name, QUANTITY_KIND, frozenset(requires)))
 
     def create_object(self, object_id: str, kind: str, at: int) -> ObjectInst:
-        """Bring an object into existence from ``at`` onward."""
-        self._check_time(at)
+        """Bring an object into existence from ``at`` onward: a batch of one."""
+        return self.create_objects([(object_id, kind, at)])[0]
+
+    def create_objects(self, objects: Iterable[tuple[str, str, int]]) -> list[ObjectInst]:
+        """Create each ``(id, kind, at)`` in turn, as many ``create_object`` calls would.
+
+        One catch-up, then each record's checks against the store and the
+        records before it. At the first record that fails, the ones before it
+        stay created and its error is raised, so ``len(kb.objects)`` grew by the
+        failing record's position.
+        """
         self.store_index.catch_up(self)  # the write's one catch-up
-        self._check_fresh(object_id)
-        if not self.has_kind(kind, OBJECT_KIND):
-            raise UnknownKind(f"'{kind}' is not a declared object kind")
-        self.objects[object_id] = obj = ObjectInst(object_id, kind, at)
-        return obj
+        store, created = self.objects, []
+        for object_id, kind, at in objects:
+            self._check_time(at)
+            self._check_fresh(object_id)
+            if not self.has_kind(kind, OBJECT_KIND):
+                raise UnknownKind(f"'{kind}' is not a declared object kind")
+            store[object_id] = obj = ObjectInst(object_id, kind, at)
+            created.append(obj)
+        return created
 
     # -- adjacency ---------------------------------------------------------
 
     def assert_adjacency(self, a: str, b: str, start: int) -> None:
-        """Open a symmetric adjacency edge active from ``start``."""
-        self._check_time(start)
-        if a == b:
-            raise SelfAdjacency(f"object '{a}' cannot be adjacent to itself")
-        self._object(a, start)
-        self._object(b, start)
-        a, b, intervals = self._pair(a, b)
-        for iv in intervals:
-            # a new interval is open-ended, so it overlaps anything not closed by start
-            if iv.end is None or iv.end > start:
-                raise OverlappingInterval(
-                    f"adjacency {a}-{b} from t{start} would overlap the interval "
-                    f"starting at t{iv.start}"
-                )
-        new = AdjacencyInterval(a, b, start)
-        self.adjacency.append(new)
-        self.store_index.add(self, (), (), (new,))
+        """Open a symmetric adjacency edge active from ``start``: a batch of one."""
+        self.assert_intervals([(a, b, start, None)])
+
+    def assert_intervals(self, intervals: Iterable[tuple[str, str, int, int | None]]) -> None:
+        """Open each ``(a, b, start, end)`` in turn and close it at ``end`` unless
+        that is None, as ``assert_adjacency`` and then ``retract_adjacency`` would.
+
+        One catch-up, then each record's checks against the stored intervals
+        and those before it in the batch; then one append and one index add of
+        the intervals that passed. At the first record that fails, the ones
+        before it stay opened (and closed) and its error is raised, so
+        ``len(kb.adjacency)`` grew by the failing record's position.
+        """
+        index = self.store_index.catch_up(self)  # the write's one catch-up
+        new: list[AdjacencyInterval] = []
+        known: dict[tuple[str, str], list[AdjacencyInterval]] = {}  # a pair's stored and new intervals
+        try:
+            for a, b, start, end in intervals:
+                self._check_time(start)
+                if a == b:
+                    raise SelfAdjacency(f"object '{a}' cannot be adjacent to itself")
+                self._object(a, start)
+                self._object(b, start)
+                if b < a:
+                    a, b = b, a
+                pair = (a, b)
+                pair_intervals = known.get(pair)
+                if pair_intervals is None:
+                    pair_intervals = known[pair] = list(index.intervals.get(pair, ()))
+                for iv in pair_intervals:
+                    # a new interval is open-ended, so it overlaps anything not closed by start
+                    if iv.end is None or iv.end > start:
+                        raise OverlappingInterval(
+                            f"adjacency {a}-{b} from t{start} would overlap the interval "
+                            f"starting at t{iv.start}"
+                        )
+                iv = AdjacencyInterval(a, b, start)
+                if end is not None:
+                    # every earlier interval of the pair is closed by start, so only this one can close
+                    self._check_time(end)
+                    self._close(pair, (iv,), end)
+                pair_intervals.append(iv)
+                new.append(iv)
+        finally:
+            self.adjacency += new
+            index.add(self, (), (), new)
 
     def retract_adjacency(self, a: str, b: str, end: int) -> None:
         """Close the open adjacency interval for the pair at ``end``."""
@@ -363,11 +405,16 @@ class KnowledgeBase:
         self._object(a)
         self._object(b)
         a, b, intervals = self._pair(a, b)
+        self._close((a, b), intervals, end)
+
+    @staticmethod
+    def _close(pair: tuple[str, str], intervals: Iterable[AdjacencyInterval], end: int) -> None:
+        """Close the first of the pair's ``intervals`` that is open and starts before ``end``."""
         for iv in intervals:
             if iv.end is None and iv.start < end:
                 iv.end = end
                 return
-        raise UnknownAdjacency(f"no open adjacency {a}-{b} active before t{end}")
+        raise UnknownAdjacency(f"no open adjacency {pair[0]}-{pair[1]} active before t{end}")
 
     def adjacent_at(self, a: str, b: str, t: int) -> bool:
         return any(iv.active_at(t) for iv in self._pair(a, b)[2])
@@ -497,5 +544,6 @@ class KnowledgeBase:
 
     @staticmethod
     def _check_time(t: int) -> None:
-        if not isinstance(t, int) or isinstance(t, bool) or t < 0:
+        # an exact int, the common case, skips both isinstance calls
+        if type(t) is not int and (isinstance(t, bool) or not isinstance(t, int)) or t < 0:
             raise ValueError(f"time points are non-negative integers, got {t!r}")

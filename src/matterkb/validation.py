@@ -8,6 +8,7 @@ invariants. Validators never repair anything, they only report.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 from .errors import ReplayError
@@ -69,39 +70,55 @@ class Report:
 
 
 def check_typing(kb: KnowledgeBase) -> list[Violation]:
-    """Endpoints of every stored relation must have the right meta-kinds."""
+    """Endpoints of every stored relation must have the right meta-kinds.
+
+    Set operations find the failing records; only those are sorted, in the
+    order of objects, quantities (kind, then granules), kinds, intervals
+    (endpoint ``a``, then ``b``) and sub-quantity assertions.
+    """
     out: list[Violation] = []
 
     def bad(subjects: tuple[str, ...], message: str, rule: str = "A1_TYPING") -> None:
         out.append(Violation(rule, subjects, None, message))
 
-    for oid, obj in sorted(kb.objects.items()):
-        if not kb.has_kind(obj.kind, OBJECT_KIND):
-            bad((oid,), f"object '{oid}' has kind '{obj.kind}', which is not a declared object kind")
-    for qid, q in sorted(kb.quantities.items()):
-        if not kb.has_kind(q.kind, QUANTITY_KIND):
-            bad((qid,), f"quantity '{qid}' has kind '{q.kind}', which is not a declared quantity kind")
-        for g in sorted(q.granules):
-            if g not in kb.objects:
-                what = "a quantity" if g in kb.quantities else "not a declared object"
+    objects, quantities = kb.objects, kb.quantities
+    object_kinds = {name for name in kb.kinds if kb.has_kind(name, OBJECT_KIND)}
+    quantity_kinds = {name for name in kb.kinds if kb.has_kind(name, QUANTITY_KIND)}
+    bad_kinds = set(map(attrgetter("kind"), objects.values())) - object_kinds
+    if bad_kinds:
+        for oid in sorted(oid for oid, obj in objects.items() if obj.kind in bad_kinds):
+            bad((oid,), f"object '{oid}' has kind '{objects[oid].kind}', which is not a declared object kind")
+    bad_kinds = set(map(attrgetter("kind"), quantities.values())) - quantity_kinds
+    strays = set().union(*map(attrgetter("granules"), quantities.values())) - objects.keys()
+    if bad_kinds or strays:
+        for qid in sorted(qid for qid, q in quantities.items()
+                          if q.kind in bad_kinds or not strays.isdisjoint(q.granules)):
+            q = quantities[qid]
+            if q.kind in bad_kinds:
+                bad((qid,), f"quantity '{qid}' has kind '{q.kind}', which is not a declared quantity kind")
+            for g in sorted(q.granules & strays):
+                what = "a quantity" if g in quantities else "not a declared object"
                 bad((qid, g), f"granule '{g}' of quantity '{qid}' is {what}")
-    for decl in sorted(kb.kinds.values(), key=lambda d: d.name):
-        for req in sorted(decl.requires):
-            if not kb.has_kind(req, OBJECT_KIND):
-                bad((decl.name, req), f"kind '{decl.name}' requires '{req}', which is not a declared object kind")
-    for iv in sorted(kb.adjacency, key=lambda i: (i.a, i.b, i.start)):
-        for end in (iv.a, iv.b):
-            if end not in kb.objects:
-                bad((iv.a, iv.b), f"adjacency endpoint '{end}' is not a declared object")
-    for s in sorted(kb.subquantities, key=lambda s: (s.part, s.whole)):
-        unresolved = [x for x in (s.part, s.whole) if x not in kb.quantities]
+    for decl in sorted((d for d in kb.kinds.values() if not d.requires <= object_kinds), key=attrgetter("name")):
+        for req in sorted(decl.requires - object_kinds):
+            bad((decl.name, req), f"kind '{decl.name}' requires '{req}', which is not a declared object kind")
+    strays = (set(map(attrgetter("a"), kb.adjacency)) | set(map(attrgetter("b"), kb.adjacency))) - objects.keys()
+    if strays:
+        for iv in sorted((iv for iv in kb.adjacency if iv.a in strays or iv.b in strays),
+                         key=lambda i: (i.a, i.b, i.start)):
+            for end in (iv.a, iv.b):
+                if end in strays:
+                    bad((iv.a, iv.b), f"adjacency endpoint '{end}' is not a declared object")
+    for part, whole in sorted((s.part, s.whole) for s in kb.subquantities if s.part not in quantities
+                              or s.whole not in quantities or quantities[s.part].kind == quantities[s.whole].kind):
+        unresolved = [x for x in (part, whole) if x not in quantities]
         for x in unresolved:
-            bad((s.part, s.whole), f"sub-quantity endpoint '{x}' is not a declared quantity")
-        if not unresolved and kb.quantities[s.part].kind == kb.quantities[s.whole].kind:
+            bad((part, whole), f"sub-quantity endpoint '{x}' is not a declared quantity")
+        if not unresolved:
             bad(
-                (s.part, s.whole),
-                f"sub-quantity '{s.part}' of '{s.whole}' holds between two quantities "
-                f"of the same kind '{kb.quantities[s.part].kind}'",
+                (part, whole),
+                f"sub-quantity '{part}' of '{whole}' holds between two quantities "
+                f"of the same kind '{quantities[part].kind}'",
                 rule="SUBQ_KIND_DISTINCT",
             )
     return out
@@ -110,57 +127,58 @@ def check_typing(kb: KnowledgeBase) -> list[Violation]:
 def check_supplementation(kb: KnowledgeBase) -> list[Violation]:
     """Every quantity carries at least two distinct granules."""
     out = []
-    for qid, q in sorted(kb.quantities.items()):
-        if len(q.granules) < MIN_GRANULES:
-            out.append(
-                Violation(
-                    "SUPPLEMENTATION_MIN2",
-                    (qid,),
-                    None,
-                    f"quantity '{qid}' has {len(q.granules)} granule(s); at least {MIN_GRANULES} required",
-                )
+    quantities = kb.quantities
+    for qid in sorted(qid for qid, q in quantities.items() if len(q.granules) < MIN_GRANULES):
+        out.append(
+            Violation(
+                "SUPPLEMENTATION_MIN2",
+                (qid,),
+                None,
+                f"quantity '{qid}' has {len(quantities[qid].granules)} granule(s); at least {MIN_GRANULES} required",
             )
+        )
     return out
 
 
 def check_subquantity_inclusion(kb: KnowledgeBase) -> list[Violation]:
     """Granules of a sub-quantity must all be granules of its whole (A2), as
-    ``QuantityInst.missing_from`` decides; one violation per missing granule."""
+    ``QuantityInst.missing_from`` decides; one violation per missing granule.
+    Assertions with an unresolved endpoint are left to typing."""
+    quantities = kb.quantities
+    missing = {(s.part, s.whole): m for s in kb.subquantities
+               if s.part in quantities and s.whole in quantities
+               and (m := quantities[s.part].missing_from(quantities[s.whole]))}
     out = []
-    for s in sorted(kb.subquantities, key=lambda s: (s.part, s.whole)):
-        part = kb.quantities.get(s.part)
-        whole = kb.quantities.get(s.whole)
-        if part is None or whole is None:
-            continue  # typing owns unresolved endpoints
-        for g in sorted(part.missing_from(whole)):
+    for part, whole in sorted(missing):
+        for g in sorted(missing[part, whole]):
             out.append(
                 Violation(
                     "A2_SUBQUANTITY_INCLUSION",
-                    (s.part, s.whole, g),
+                    (part, whole, g),
                     None,
-                    f"granule '{g}' of sub-quantity '{s.part}' is not a granule of whole '{s.whole}'",
+                    f"granule '{g}' of sub-quantity '{part}' is not a granule of whole '{whole}'",
                 )
             )
     return out
 
 
 def check_ggd(kb: KnowledgeBase) -> list[Violation]:
-    """A quantity of a requiring kind has at least one granule of each required kind."""
-    out = []
-    for qid, q in sorted(kb.quantities.items()):
-        decl = kb.kinds.get(q.kind)
-        if decl is None or not decl.requires:
-            continue
-        for req in sorted(decl.requires - kb.granule_types(qid)):
-            out.append(
-                Violation(
-                    "AA1_GGD",
-                    (qid, req),
-                    None,
-                    f"quantity '{qid}' of kind '{q.kind}' has no granule of required kind '{req}'",
-                )
-            )
-    return out
+    """A quantity of a requiring kind has at least one granule of each required kind:
+    its granules meet that kind's object ids."""
+    requires = {name: decl.requires for name, decl in kb.kinds.items() if decl.requires}
+    of_kind = {req: {oid for oid, obj in kb.objects.items() if obj.kind == req}
+               for req in set().union(*requires.values())}
+    misses = sorted((qid, req) for qid, q in kb.quantities.items() if q.kind in requires
+                    for req in requires[q.kind] if q.granules.isdisjoint(of_kind[req]))
+    return [
+        Violation(
+            "AA1_GGD",
+            (qid, req),
+            None,
+            f"quantity '{qid}' of kind '{kb.quantities[qid].kind}' has no granule of required kind '{req}'",
+        )
+        for qid, req in misses
+    ]
 
 
 def _pair_key(q1: QuantityInst, q2: QuantityInst) -> tuple[str, str]:
@@ -399,10 +417,11 @@ _QUANTITY_FIELDS = (
 def check_history(kb: KnowledgeBase) -> list[Violation]:
     """The event log, re-applied through the engine, rebuilds the stored quantities.
 
-    ``replay`` runs the engine's checks record by record, so they are the only
-    encoding of the log's rules. Replay stops at the first rejected record and
-    that record alone is reported; otherwise every stored quantity must equal
-    its rebuilt twin.
+    ``replay`` runs the engine's checks on every record, the objects and the
+    intervals in one kernel batch each and the events one at a time, so they
+    are the only encoding of the log's rules. Replay stops at the first
+    rejected record and that record alone is reported; otherwise every stored
+    quantity must equal its rebuilt twin.
     """
     try:
         rebuilt = replay(kb).quantities

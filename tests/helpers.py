@@ -8,6 +8,7 @@ import random
 import re
 import sys
 from functools import partial
+from operator import attrgetter
 from typing import Any, NamedTuple, NoReturn
 
 from matterkb import (
@@ -51,6 +52,7 @@ from matterkb.errors import (
     GranuleProvenanceViolation,
     NonMonotonicTime,
     OverlappingInterval,
+    ReplayError,
     SelfAdjacency,
     TooFewGranules,
     UnknownAdjacency,
@@ -326,10 +328,16 @@ def reference_connectivity(kb: KnowledgeBase, t: int) -> list[Violation]:
 
 
 def reference_maximality(kb: KnowledgeBase, t: int) -> list[Violation]:
-    """Brute-force MAXIMALITY_SAME_KIND: every pair of live quantities, every active edge."""
+    """Brute-force MAXIMALITY_SAME_KIND: every pair of live quantities, every active
+    edge between two holders of one kind (no other edge can join a same-kind pair)."""
     out = []
-    active = set(reference_adjacency_at(kb, t))
     live = reference_live_quantities_at(kb, t)
+    kinds: dict[str, set[str]] = {}
+    for q in live:
+        for g in q.granules:
+            kinds.setdefault(g, set()).add(q.kind)
+    active = [(a, b) for a, b in reference_adjacency_at(kb, t)
+              if not kinds.get(a, set()).isdisjoint(kinds.get(b, ()))]
     for i, q1 in enumerate(live):
         for q2 in live[i + 1:]:
             if q1.kind != q2.kind:
@@ -363,6 +371,107 @@ def reference_maximality(kb: KnowledgeBase, t: int) -> list[Violation]:
                         f"({a}-{b}) at t{t}; they should be one quantity",
                     )
                 )
+    return out
+
+
+# -- sorted-loop references for the log rules ------------------------------------------
+# `check_typing`, `check_supplementation`, `check_subquantity_inclusion` and `check_ggd`
+# as they walked every record in sorted order before set operations found the
+# failing ones, kept as differential checks.
+
+
+def reference_check_typing(kb: KnowledgeBase) -> list[Violation]:
+    """Endpoints of every stored relation must have the right meta-kinds."""
+    out: list[Violation] = []
+
+    def bad(subjects: tuple[str, ...], message: str, rule: str = "A1_TYPING") -> None:
+        out.append(Violation(rule, subjects, None, message))
+
+    for oid, obj in sorted(kb.objects.items()):
+        if not kb.has_kind(obj.kind, OBJECT_KIND):
+            bad((oid,), f"object '{oid}' has kind '{obj.kind}', which is not a declared object kind")
+    for qid, q in sorted(kb.quantities.items()):
+        if not kb.has_kind(q.kind, QUANTITY_KIND):
+            bad((qid,), f"quantity '{qid}' has kind '{q.kind}', which is not a declared quantity kind")
+        for g in sorted(q.granules):
+            if g not in kb.objects:
+                what = "a quantity" if g in kb.quantities else "not a declared object"
+                bad((qid, g), f"granule '{g}' of quantity '{qid}' is {what}")
+    for decl in sorted(kb.kinds.values(), key=lambda d: d.name):
+        for req in sorted(decl.requires):
+            if not kb.has_kind(req, OBJECT_KIND):
+                bad((decl.name, req), f"kind '{decl.name}' requires '{req}', which is not a declared object kind")
+    for iv in sorted(kb.adjacency, key=lambda i: (i.a, i.b, i.start)):
+        for end in (iv.a, iv.b):
+            if end not in kb.objects:
+                bad((iv.a, iv.b), f"adjacency endpoint '{end}' is not a declared object")
+    for s in sorted(kb.subquantities, key=lambda s: (s.part, s.whole)):
+        unresolved = [x for x in (s.part, s.whole) if x not in kb.quantities]
+        for x in unresolved:
+            bad((s.part, s.whole), f"sub-quantity endpoint '{x}' is not a declared quantity")
+        if not unresolved and kb.quantities[s.part].kind == kb.quantities[s.whole].kind:
+            bad(
+                (s.part, s.whole),
+                f"sub-quantity '{s.part}' of '{s.whole}' holds between two quantities "
+                f"of the same kind '{kb.quantities[s.part].kind}'",
+                rule="SUBQ_KIND_DISTINCT",
+            )
+    return out
+
+
+def reference_check_supplementation(kb: KnowledgeBase) -> list[Violation]:
+    """Every quantity carries at least two distinct granules."""
+    out = []
+    for qid, q in sorted(kb.quantities.items()):
+        if len(q.granules) < MIN_GRANULES:
+            out.append(
+                Violation(
+                    "SUPPLEMENTATION_MIN2",
+                    (qid,),
+                    None,
+                    f"quantity '{qid}' has {len(q.granules)} granule(s); at least {MIN_GRANULES} required",
+                )
+            )
+    return out
+
+
+def reference_check_subquantity_inclusion(kb: KnowledgeBase) -> list[Violation]:
+    """Granules of a sub-quantity must all be granules of its whole (A2), as
+    ``QuantityInst.missing_from`` decides; one violation per missing granule."""
+    out = []
+    for s in sorted(kb.subquantities, key=lambda s: (s.part, s.whole)):
+        part = kb.quantities.get(s.part)
+        whole = kb.quantities.get(s.whole)
+        if part is None or whole is None:
+            continue  # typing owns unresolved endpoints
+        for g in sorted(part.missing_from(whole)):
+            out.append(
+                Violation(
+                    "A2_SUBQUANTITY_INCLUSION",
+                    (s.part, s.whole, g),
+                    None,
+                    f"granule '{g}' of sub-quantity '{s.part}' is not a granule of whole '{s.whole}'",
+                )
+            )
+    return out
+
+
+def reference_check_ggd(kb: KnowledgeBase) -> list[Violation]:
+    """A quantity of a requiring kind has at least one granule of each required kind."""
+    out = []
+    for qid, q in sorted(kb.quantities.items()):
+        decl = kb.kinds.get(q.kind)
+        if decl is None or not decl.requires:
+            continue
+        for req in sorted(decl.requires - kb.granule_types(qid)):
+            out.append(
+                Violation(
+                    "AA1_GGD",
+                    (qid, req),
+                    None,
+                    f"quantity '{qid}' of kind '{q.kind}' has no granule of required kind '{req}'",
+                )
+            )
     return out
 
 
@@ -418,6 +527,32 @@ def reference_retract_adjacency(kb: KnowledgeBase, a: str, b: str, end: int) -> 
             iv.end = end
             return
     raise UnknownAdjacency(f"no open adjacency {a}-{b} active before t{end}")
+
+
+def reference_create_object(kb: KnowledgeBase, object_id: str, kind: str, at: int) -> ObjectInst:
+    kb._check_time(at)
+    reference_check_fresh(kb, object_id)
+    if not kb.has_kind(kind, OBJECT_KIND):
+        raise UnknownKind(f"'{kind}' is not a declared object kind")
+    kb.objects[object_id] = obj = ObjectInst(object_id, kind, at)
+    return obj
+
+
+def reference_create_objects(kb: KnowledgeBase, objects) -> list[ObjectInst]:
+    return [reference_create_object(kb, *record) for record in objects]
+
+
+def reference_assert_intervals(kb: KnowledgeBase, intervals) -> None:
+    """Each record opened and closed by the scans above; a record whose close
+    fails is taken out again, since the batch applies no part of a failing record."""
+    for a, b, start, end in intervals:
+        reference_assert_adjacency(kb, a, b, start)
+        if end is not None:
+            try:
+                reference_retract_adjacency(kb, a, b, end)
+            except Exception:
+                kb.adjacency.pop()
+                raise
 
 
 def reference_adjacent_at(kb: KnowledgeBase, a: str, b: str, t: int) -> bool:
@@ -650,6 +785,44 @@ def report_records(violations: list[Violation]) -> list[dict[str, Any]]:
     """The records of a canonical ``validate`` report, built apart from ``cli.render_report``."""
     return [{"rule": v.rule, "subjects": list(v.subjects), **({"at": v.at} if v.at is not None else {}),
              "message": v.message} for v in violations]
+
+
+# -- record-by-record replay --------------------------------------------------------
+# `events.replay` applied the objects and intervals one record at a time before the
+# kernel took each section as one batch, kept as a differential check.
+
+
+def reference_replay(kb: KnowledgeBase) -> KnowledgeBase:
+    fresh = KnowledgeBase()
+    kinds = sorted(kb.kinds.values(), key=lambda d: (d.meta != OBJECT_KIND, d.name))
+    try:
+        for decl in kinds:
+            fresh.declare_kind(decl)
+    except Exception as exc:
+        raise ReplayError(None, exc, (decl.name,)) from exc
+    try:
+        for oid, obj in sorted(kb.objects.items()):
+            reference_create_object(fresh, oid, obj.kind, obj.created_at)
+    except Exception as exc:
+        raise ReplayError(None, exc, (oid,)) from exc
+    try:
+        for index, event in enumerate(kb.events):
+            events.apply_event(fresh, event)
+    except Exception as exc:
+        raise ReplayError(index, exc, (event.id,)) from exc
+    try:
+        for iv in sorted(kb.adjacency, key=attrgetter("a", "b", "start")):
+            reference_assert_adjacency(fresh, iv.a, iv.b, iv.start)
+            if iv.end is not None:
+                reference_retract_adjacency(fresh, iv.a, iv.b, iv.end)
+    except Exception as exc:
+        raise ReplayError(None, exc, (iv.a, iv.b)) from exc
+    try:
+        for s in sorted(kb.subquantities, key=lambda s: (s.part, s.whole)):
+            fresh.assert_subquantity(s.part, s.whole)
+    except Exception as exc:
+        raise ReplayError(None, exc, (s.part, s.whole)) from exc
+    return fresh
 
 
 # -- export-comparing reference for replay-check --------------------------------------

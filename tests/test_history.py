@@ -13,10 +13,12 @@ from hypothesis import given, settings, strategies as st
 from matterkb import canonical, case_study_path, export_document, kb_to_doc, load, parse, replay, validate_all
 from matterkb.canonical import doc_to_kb
 from matterkb.cli import main, render_report
-from matterkb.errors import DocumentError
+from matterkb.errors import DocumentError, ReplayError
+from matterkb.model import AdjacencyInterval, ObjectInst
 
 from helpers import (
-    SCALE_STORES, build_random_kb, moved_chains_kb, random_write, reference_replay_check, report_records,
+    SCALE_STORES, build_random_kb, moved_chains_kb, random_write, reference_replay, reference_replay_check,
+    report_records,
 )
 from test_import import mutated_documents
 
@@ -213,6 +215,69 @@ def test_engine_writes_break_no_rule_over_the_log(seed, n_writes):
         random_write(kb, rng, f"w{step}")
     fired = {v.rule for v in validate_all(kb).violations}
     assert fired <= WORLD_RULES
+
+
+# -- batch replay against the record-by-record replay it replaced ----------------------
+
+
+def replay_outcome(rebuild, kb):
+    """The rebuilt store, or the rejected record's index and subjects and the cause's type and text."""
+    try:
+        return ("ok", rebuild(kb))
+    except ReplayError as exc:
+        return ("raised", exc.index, exc.subjects, type(exc.cause), str(exc.cause))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.one_of(history_mutated_documents(), history_mutated_documents(LARGE_DOCS)))
+def test_replay_matches_record_by_record_replay(doc):
+    kb = doc_to_kb(doc)
+    assert replay_outcome(replay, kb) == replay_outcome(reference_replay, kb)
+
+
+def _object_fault(fault):
+    def corrupt(kb, oid):
+        obj = kb.objects[oid]
+        kb.objects[oid] = obj._replace(kind="Pebble") if fault == "kind" else obj._replace(created_at=-1)
+    return corrupt
+
+
+def _interval_fault(fault):
+    def corrupt(kb, iv):
+        if fault == "time":
+            iv.start = -1
+        elif fault == "self":
+            iv.b = iv.a
+        elif fault == "unknown":
+            iv.b = "zz-ghost"
+        elif fault == "not yet created":
+            kb.objects["zz-late"] = ObjectInst("zz-late", kb.objects[iv.a].kind, iv.start + 1)
+            iv.b = "zz-late"
+        elif fault == "overlap":  # a twin, which sorts right after it and overlaps it
+            kb.adjacency.append(AdjacencyInterval(iv.a, iv.b, iv.start, iv.end))
+        else:  # the end not after the start
+            iv.end = iv.start
+    return corrupt
+
+
+# The replay-reachable faults: an object section has no repeated id (the store keys
+# objects by id), and its intervals meet no stored one; the kernel tests pin those.
+@pytest.mark.parametrize("place", ["first", "middle", "last"])
+@pytest.mark.parametrize("section, fault", [("objects", "time"), ("objects", "kind")] + [
+    ("adjacency", f) for f in ("time", "self", "unknown", "not yet created", "overlap", "end")])
+def test_replay_rejects_the_same_faulty_record(section, fault, place):
+    """One fault first, in the middle or last in its sorted section: the same
+    ``ReplayError`` as the record-by-record replay."""
+    kb = moved_chains_kb(6)
+    if section == "objects":
+        ids = sorted(kb.objects)
+        _object_fault(fault)(kb, ids[{"first": 0, "middle": len(ids) // 2, "last": -1}[place]])
+    else:
+        intervals = sorted(kb.adjacency, key=lambda iv: (iv.a, iv.b, iv.start))
+        _interval_fault(fault)(kb, intervals[{"first": 0, "middle": len(intervals) // 2, "last": -1}[place]])
+    outcome = replay_outcome(replay, kb)
+    assert outcome[0] == "raised"
+    assert outcome == replay_outcome(reference_replay, kb)
 
 
 # -- replay-check against the export comparison it replaced ----------------------------

@@ -57,7 +57,9 @@ from helpers import (
     reference_adjacency_at,
     reference_adjacent_at,
     reference_assert_adjacency,
+    reference_assert_intervals,
     reference_check_fresh,
+    reference_create_objects,
     reference_holders_of,
     reference_retract_adjacency,
     reference_same_kind_holder,
@@ -421,6 +423,8 @@ class TestStoreIndex:
         (KnowledgeBase, "holders_of", reference_holders_of),
         (KnowledgeBase, "assert_adjacency", reference_assert_adjacency),
         (KnowledgeBase, "retract_adjacency", reference_retract_adjacency),
+        (KnowledgeBase, "assert_intervals", reference_assert_intervals),
+        (KnowledgeBase, "create_objects", reference_create_objects),
         (KnowledgeBase, "adjacent_at", reference_adjacent_at),
         (KnowledgeBase, "adjacency_at", reference_adjacency_at),
         (events, "_same_kind_holder", reference_same_kind_holder),
@@ -449,7 +453,7 @@ class TestStoreIndex:
             a, b = rng.choice(objects), rng.choice(objects)
             granules = rng.sample(objects, min(len(objects), rng.randint(2, 4)))
             op = rng.choice(["assert", "retract", "object", "create", "transfer", "append",
-                             "adjacent", "holders", "holder"])
+                             "adjacent", "holders", "holder", "objects", "intervals"])
             if op == "assert":
                 result = self.outcome(kb.assert_adjacency, a, b, t)
             elif op == "retract":
@@ -459,6 +463,17 @@ class TestStoreIndex:
                 result = self.outcome(kb.retract_adjacency, a, b, t)
             elif op == "object":
                 result = self.outcome(kb.create_object, new_id(), rng.choice(sorted(kb.kinds)), t)
+            elif op == "objects":  # a batch: a repeated id, a bad time or an object kind's miss anywhere in it
+                records = [(new_id(), rng.choice(sorted(kb.kinds)), rng.choice([t, t, t + 1, -1]))
+                           for _ in range(rng.randint(1, 4))]
+                result = self.outcome(kb.create_objects, records)
+            elif op == "intervals":  # a batch over stored pairs and new ones, repeats and self pairs
+                pairs = [(iv.a, iv.b) for iv in kb.adjacency] + [(a, b), (a, a), (b, a)]
+                records = []
+                for _ in range(rng.randint(1, 4)):
+                    start = rng.randint(-1, last + 3) if rng.random() < 0.1 else rng.randint(0, last + 3)
+                    records.append((*rng.choice(pairs), start, rng.choice([None, start + rng.randint(-1, 3)])))
+                result = self.outcome(kb.assert_intervals, records)
             elif op == "create":
                 entry = CreatedEntry.of(new_id(), rng.choice(kinds), granules)
                 event_id = rng.choice([None, new_id()])
@@ -517,9 +532,13 @@ class TestStoreIndex:
                 for outcomes, _ in indexed for op, *rec in outcomes}
         found = {op for outcomes, _ in indexed for op, *rec in outcomes if rec[0] == "ok" and rec[1]}
         assert {"adjacent", "holders", "holder"} <= found
-        for op in ("assert", "retract", "object", "create", "transfer"):
+        for op in ("assert", "retract", "object", "create", "transfer", "objects", "intervals"):
             assert (op, "ok") in seen, op
         for op, error in [("assert", "OverlappingInterval"), ("retract", "UnknownAdjacency"),
+                          ("objects", "ValueError"), ("objects", "DuplicateId"), ("objects", "UnknownKind"),
+                          ("intervals", "ValueError"), ("intervals", "SelfAdjacency"),
+                          ("intervals", "UnknownObject"), ("intervals", "OverlappingInterval"),
+                          ("intervals", "UnknownAdjacency"),
                           ("object", "DuplicateId"), ("create", "DuplicateId"),
                           ("create", "GranuleNotFree"), ("transfer", "DuplicateId"),
                           ("transfer", "GranuleProvenanceViolation")]:
@@ -564,6 +583,10 @@ class TestStoreIndex:
             lambda kb: apply_transfer(kb, ["r2"], [rock_entry("r9", "g1", "g2"), rock_entry("r10", "g2", "g7")], 5),
             DuplicateGranuleAssignment),
         "create_object": (lambda kb: kb.create_object("g10", "Grain", 5), None),
+        "create_objects": (lambda kb: kb.create_objects([("g10", "Grain", 5), ("g11", "Grain", 6)]), None),
+        "assert_intervals": (
+            lambda kb: kb.assert_intervals([("g4", "g3", 5, None), ("g6", "g5", 5, 7), ("g5", "g6", 7, None)]),
+            None),
         "assert_adjacency": (lambda kb: kb.assert_adjacency("g4", "g3", 5), None),
         "retract_adjacency": (lambda kb: kb.retract_adjacency("g2", "g1", 5), None),
         "apply_creation": (lambda kb: rock(kb, "r9", ["g7", "g9"], 5), None),
@@ -613,3 +636,78 @@ class TestStoreIndex:
         assert calls == []
         assert len(rebuilt.events) == 4000
         assert elapsed < 3.0
+
+
+def placed(faults):
+    """Each fault at each place in a batch; one that repeats the record before it is never first."""
+    return [(fault, place) for fault, (record, _) in faults.items()
+            for place in ("first", "middle", "last") if record is not None or place != "first"]
+
+
+class TestBatchWrites:
+    """A batch with one fault first, in the middle or last: the error, the store
+    and the index of one write per record, where a record whose close fails is
+    not applied; and an index that a build from scratch gives."""
+
+    OBJECTS = [("n1", "Grain", 1), ("n2", "Grain", 2), ("n3", "Grain", 3), ("n4", "Grain", 4)]
+    OBJECT_FAULTS = {
+        "time": (("bad", "Grain", -1), ValueError),
+        "stored id": (("r1", "Grain", 1), DuplicateId),
+        "repeated id": (None, DuplicateId),  # the record before it again
+        "quantity kind": (("bad", "Rock", 1), UnknownKind),
+        "undeclared kind": (("bad", "Pebble", 1), UnknownKind),
+    }
+    INTERVALS = [("g3", "g4", 1, None), ("g5", "g4", 1, 3), ("g6", "g5", 2, None), ("g5", "g7", 0, 2),
+                 ("g7", "g5", 2, 4)]
+    INTERVAL_FAULTS = {
+        "time": (("g8", "g9", -1, None), ValueError),
+        "end time": (("g8", "g9", 1, -1), ValueError),
+        "self": (("g8", "g8", 1, None), SelfAdjacency),
+        "unknown endpoint": (("g8", "ghost", 1, None), UnknownObject),
+        "endpoint not yet created": (("late", "g8", 1, None), UnknownObject),
+        "stored overlap": (("g2", "g1", 3, None), OverlappingInterval),
+        "batch overlap": (None, OverlappingInterval),  # the record before it again
+        "end not after start": (("g8", "g9", 3, 3), UnknownAdjacency),
+    }
+
+    @staticmethod
+    def batch(valid, fault, place):
+        at = {"first": 0, "middle": len(valid) // 2, "last": len(valid)}[place]
+        return valid[:at] + [valid[at - 1] if fault is None else fault] + valid[at:]
+
+    def check(self, write, reference, records, error):
+        kb = rocks_kb("engine")
+        kb.create_object("late", "Grain", 5)
+        expected = copy.deepcopy(kb)
+        with pytest.raises(error) as raised:
+            write(kb, records)
+        with pytest.raises(error) as again:
+            reference(expected, records)
+        assert str(raised.value) == str(again.value)
+        assert kb == expected
+        assert kb.store_index.counts == (len(kb.events), len(kb.quantities), len(kb.adjacency))
+        assert index_state(kb.store_index) == index_state(StoreIndex().catch_up(kb))
+
+    @pytest.mark.parametrize("fault, place", placed(OBJECT_FAULTS))
+    def test_object_batch_stops_at_its_fault(self, fault, place):
+        record, error = self.OBJECT_FAULTS[fault]
+        records = self.batch(self.OBJECTS, record, place)
+        self.check(KnowledgeBase.create_objects, reference_create_objects, records, error)
+
+    @pytest.mark.parametrize("fault, place", placed(INTERVAL_FAULTS))
+    def test_interval_batch_stops_at_its_fault(self, fault, place):
+        record, error = self.INTERVAL_FAULTS[fault]
+        records = self.batch(self.INTERVALS, record, place)
+        self.check(KnowledgeBase.assert_intervals, reference_assert_intervals, records, error)
+
+    def test_batches_apply_every_record(self):
+        kb = rocks_kb("engine")
+        expected = copy.deepcopy(kb)
+        assert kb.create_objects(self.OBJECTS) == reference_create_objects(expected, self.OBJECTS)
+        kb.assert_intervals(self.INTERVALS)
+        reference_assert_intervals(expected, self.INTERVALS)
+        assert kb == expected
+        assert [(iv.a, iv.b, iv.start, iv.end) for iv in kb.adjacency[1:]] == [
+            ("g3", "g4", 1, None), ("g4", "g5", 1, 3), ("g5", "g6", 2, None), ("g5", "g7", 0, 2),
+            ("g5", "g7", 2, 4)]
+        assert index_state(kb.store_index) == index_state(StoreIndex().catch_up(kb))

@@ -7,7 +7,9 @@ import pytest
 
 from matterkb import KindDecl, KnowledgeBase, export_document, import_document, validate_all
 from matterkb import validation
-from matterkb.model import OBJECT_KIND, QUANTITY_KIND, AdjacencyInterval, ObjectInst, QuantityInst, WorldColumns
+from matterkb.model import (
+    OBJECT_KIND, QUANTITY_KIND, AdjacencyInterval, ObjectInst, QuantityInst, SubQuantityAssertion, WorldColumns,
+)
 from matterkb.validation import (
     RULES,
     check_connectivity,
@@ -27,6 +29,10 @@ from helpers import (
     moved_chains_kb,
     oracle_connectivity,
     oracle_maximality,
+    reference_check_ggd,
+    reference_check_subquantity_inclusion,
+    reference_check_supplementation,
+    reference_check_typing,
     reference_connectivity,
     reference_maximality,
     single_quantity_graph_kb,
@@ -138,6 +144,74 @@ class TestGgd:
     def test_empty_requirements_always_clean(self):
         kb = FAULT_FIXTURES["CONNECTIVITY"]()  # quantity kind with no requirements
         assert check_ggd(kb) == []
+
+
+LOG_RULES = [
+    (check_typing, reference_check_typing),
+    (check_supplementation, reference_check_supplementation),
+    (check_subquantity_inclusion, reference_check_subquantity_inclusion),
+    (check_ggd, reference_check_ggd),
+]
+
+
+def log_faults_kb(seed):
+    """A store filled field by field in shuffled order with every log-rule fault:
+    objects and quantities of undeclared kinds or of the other meta-kind, granules
+    that are quantities or nothing, requirements of undeclared or quantity kinds,
+    intervals with one or both endpoints undeclared, unresolved and same-kind
+    sub-quantities, granules missing from a whole, and misses of several required kinds."""
+    rng = random.Random(seed)
+    kb = KnowledgeBase()
+    kinds = [KindDecl(name, OBJECT_KIND) for name in ("O1", "O2", "O3")] + [
+        KindDecl(name, QUANTITY_KIND, frozenset(requires)) for name, requires in [
+            ("Q1", {"O1", "O2"}), ("Q2", {"O2", "O3", "O1"}), ("Q3", set()), ("Q4", {"Nope", "Q1", "O3"}),
+            ("Q0", {"Gravel", "O2"})]]
+    for decl in rng.sample(kinds, len(kinds)):
+        kb.kinds[decl.name] = decl
+    object_ids = [f"o{i}" for i in rng.sample(range(40), 30)]
+    for oid in object_ids:
+        kind = rng.choice(["O1", "O2", "O3"] * 6 + ["Pebble", "Q1"])
+        kb.objects[oid] = ObjectInst(oid, kind, rng.randint(0, 3))
+    quantity_ids = [f"q{i}" for i in rng.sample(range(30), 25)]
+    for qid in quantity_ids:
+        granules = rng.sample(object_ids, rng.choice([0, 1, 2, 2, 3, 4]))
+        granules += rng.sample(quantity_ids + ["ghost1", "ghost2"], rng.choice([0, 0, 0, 1, 2]))
+        start = rng.randint(0, 4)
+        kb.quantities[qid] = QuantityInst(qid, rng.choice(["Q1", "Q2", "Q3", "Q4"] * 4 + ["Nope", "O1"]), start,
+                                          frozenset(granules), "e", rng.choice([None, start + rng.randint(1, 3)]))
+    ends = object_ids + ["ghost1", "ghost2", "ghost3"]
+    for _ in range(40):
+        a, b = sorted(rng.sample(ends, 2))
+        start = rng.randint(0, 5)
+        kb.adjacency.append(AdjacencyInterval(a, b, start, rng.choice([None, start + 1])))
+    for _ in range(15):
+        part, whole = rng.choice(quantity_ids + ["ghost1"]), rng.choice(quantity_ids + ["ghost2"])
+        kb.subquantities.add(SubQuantityAssertion(part, whole))
+    return kb
+
+
+def test_log_rules_match_sorted_loop_references():
+    """The same violations in the same order on stores with many, and every fault met."""
+    found = []
+    for seed in range(60):
+        kb = log_faults_kb(seed)
+        for rule, reference in LOG_RULES:
+            got = rule(kb)
+            assert got == reference(kb), (seed, rule.__name__)
+            found += got
+    messages = [v.message for v in found]
+    for needle in ["which is not a declared object kind", "which is not a declared quantity kind",
+                   "is a quantity", "is not a declared object", "requires 'Nope'", "requires 'Q1'",
+                   "adjacency endpoint", "sub-quantity endpoint", "of the same kind", "is not a granule of whole",
+                   "has 0 granule(s)", "has 1 granule(s)", "has no granule of required kind"]:
+        assert any(needle in m for m in messages), needle
+    # an interval with both endpoints undeclared: the `a` message, then the `b` message
+    endpoint = "adjacency endpoint '{}' is not a declared object"
+    assert any(v.subjects == w.subjects and (v.message, w.message) == tuple(map(endpoint.format, v.subjects))
+               for v, w in zip(found, found[1:]))
+    # a quantity that misses several required kinds
+    misses = [v.subjects[0] for v in found if v.rule == "AA1_GGD"]
+    assert any(misses.count(qid) > 1 for qid in misses)
 
 
 class TestConnectivity:
