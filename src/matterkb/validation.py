@@ -8,7 +8,6 @@ invariants. Validators never repair anything, they only report.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Iterable, Iterator
 
 from .errors import ReplayError
@@ -70,55 +69,40 @@ class Report:
 
 
 def check_typing(kb: KnowledgeBase) -> list[Violation]:
-    """Endpoints of every stored relation must have the right meta-kinds.
-
-    Set operations find the failing records; only those are sorted, in the
-    order of objects, quantities (kind, then granules), kinds, intervals
-    (endpoint ``a``, then ``b``) and sub-quantity assertions.
-    """
+    """Endpoints of every stored relation must have the right meta-kinds: a walk
+    of every record in sorted order, which ``validate_all`` runs only to explain a failed replay."""
     out: list[Violation] = []
 
     def bad(subjects: tuple[str, ...], message: str, rule: str = "A1_TYPING") -> None:
         out.append(Violation(rule, subjects, None, message))
 
-    objects, quantities = kb.objects, kb.quantities
-    object_kinds = {name for name in kb.kinds if kb.has_kind(name, OBJECT_KIND)}
-    quantity_kinds = {name for name in kb.kinds if kb.has_kind(name, QUANTITY_KIND)}
-    bad_kinds = set(map(attrgetter("kind"), objects.values())) - object_kinds
-    if bad_kinds:
-        for oid in sorted(oid for oid, obj in objects.items() if obj.kind in bad_kinds):
-            bad((oid,), f"object '{oid}' has kind '{objects[oid].kind}', which is not a declared object kind")
-    bad_kinds = set(map(attrgetter("kind"), quantities.values())) - quantity_kinds
-    strays = set().union(*map(attrgetter("granules"), quantities.values())) - objects.keys()
-    if bad_kinds or strays:
-        for qid in sorted(qid for qid, q in quantities.items()
-                          if q.kind in bad_kinds or not strays.isdisjoint(q.granules)):
-            q = quantities[qid]
-            if q.kind in bad_kinds:
-                bad((qid,), f"quantity '{qid}' has kind '{q.kind}', which is not a declared quantity kind")
-            for g in sorted(q.granules & strays):
-                what = "a quantity" if g in quantities else "not a declared object"
+    for oid, obj in sorted(kb.objects.items()):
+        if not kb.has_kind(obj.kind, OBJECT_KIND):
+            bad((oid,), f"object '{oid}' has kind '{obj.kind}', which is not a declared object kind")
+    for qid, q in sorted(kb.quantities.items()):
+        if not kb.has_kind(q.kind, QUANTITY_KIND):
+            bad((qid,), f"quantity '{qid}' has kind '{q.kind}', which is not a declared quantity kind")
+        for g in sorted(q.granules):
+            if g not in kb.objects:
+                what = "a quantity" if g in kb.quantities else "not a declared object"
                 bad((qid, g), f"granule '{g}' of quantity '{qid}' is {what}")
-    for decl in sorted((d for d in kb.kinds.values() if not d.requires <= object_kinds), key=attrgetter("name")):
-        for req in sorted(decl.requires - object_kinds):
-            bad((decl.name, req), f"kind '{decl.name}' requires '{req}', which is not a declared object kind")
-    strays = (set(map(attrgetter("a"), kb.adjacency)) | set(map(attrgetter("b"), kb.adjacency))) - objects.keys()
-    if strays:
-        for iv in sorted((iv for iv in kb.adjacency if iv.a in strays or iv.b in strays),
-                         key=lambda i: (i.a, i.b, i.start)):
-            for end in (iv.a, iv.b):
-                if end in strays:
-                    bad((iv.a, iv.b), f"adjacency endpoint '{end}' is not a declared object")
-    for part, whole in sorted((s.part, s.whole) for s in kb.subquantities if s.part not in quantities
-                              or s.whole not in quantities or quantities[s.part].kind == quantities[s.whole].kind):
-        unresolved = [x for x in (part, whole) if x not in quantities]
+    for decl in sorted(kb.kinds.values(), key=lambda d: d.name):
+        for req in sorted(decl.requires):
+            if not kb.has_kind(req, OBJECT_KIND):
+                bad((decl.name, req), f"kind '{decl.name}' requires '{req}', which is not a declared object kind")
+    for iv in sorted(kb.adjacency, key=lambda i: (i.a, i.b, i.start)):
+        for end in (iv.a, iv.b):
+            if end not in kb.objects:
+                bad((iv.a, iv.b), f"adjacency endpoint '{end}' is not a declared object")
+    for s in sorted(kb.subquantities, key=lambda s: (s.part, s.whole)):
+        unresolved = [x for x in (s.part, s.whole) if x not in kb.quantities]
         for x in unresolved:
-            bad((part, whole), f"sub-quantity endpoint '{x}' is not a declared quantity")
-        if not unresolved:
+            bad((s.part, s.whole), f"sub-quantity endpoint '{x}' is not a declared quantity")
+        if not unresolved and kb.quantities[s.part].kind == kb.quantities[s.whole].kind:
             bad(
-                (part, whole),
-                f"sub-quantity '{part}' of '{whole}' holds between two quantities "
-                f"of the same kind '{quantities[part].kind}'",
+                (s.part, s.whole),
+                f"sub-quantity '{s.part}' of '{s.whole}' holds between two quantities "
+                f"of the same kind '{kb.quantities[s.part].kind}'",
                 rule="SUBQ_KIND_DISTINCT",
             )
     return out
@@ -127,36 +111,35 @@ def check_typing(kb: KnowledgeBase) -> list[Violation]:
 def check_supplementation(kb: KnowledgeBase) -> list[Violation]:
     """Every quantity carries at least two distinct granules."""
     out = []
-    quantities = kb.quantities
-    for qid in sorted(qid for qid, q in quantities.items() if len(q.granules) < MIN_GRANULES):
-        out.append(
-            Violation(
-                "SUPPLEMENTATION_MIN2",
-                (qid,),
-                None,
-                f"quantity '{qid}' has {len(quantities[qid].granules)} granule(s); at least {MIN_GRANULES} required",
+    for qid, q in sorted(kb.quantities.items()):
+        if len(q.granules) < MIN_GRANULES:
+            out.append(
+                Violation(
+                    "SUPPLEMENTATION_MIN2",
+                    (qid,),
+                    None,
+                    f"quantity '{qid}' has {len(q.granules)} granule(s); at least {MIN_GRANULES} required",
+                )
             )
-        )
     return out
 
 
 def check_subquantity_inclusion(kb: KnowledgeBase) -> list[Violation]:
     """Granules of a sub-quantity must all be granules of its whole (A2), as
-    ``QuantityInst.missing_from`` decides; one violation per missing granule.
-    Assertions with an unresolved endpoint are left to typing."""
-    quantities = kb.quantities
-    missing = {(s.part, s.whole): m for s in kb.subquantities
-               if s.part in quantities and s.whole in quantities
-               and (m := quantities[s.part].missing_from(quantities[s.whole]))}
+    ``QuantityInst.missing_from`` decides; one violation per missing granule."""
     out = []
-    for part, whole in sorted(missing):
-        for g in sorted(missing[part, whole]):
+    for s in sorted(kb.subquantities, key=lambda s: (s.part, s.whole)):
+        part = kb.quantities.get(s.part)
+        whole = kb.quantities.get(s.whole)
+        if part is None or whole is None:
+            continue  # typing owns unresolved endpoints
+        for g in sorted(part.missing_from(whole)):
             out.append(
                 Violation(
                     "A2_SUBQUANTITY_INCLUSION",
-                    (part, whole, g),
+                    (s.part, s.whole, g),
                     None,
-                    f"granule '{g}' of sub-quantity '{part}' is not a granule of whole '{whole}'",
+                    f"granule '{g}' of sub-quantity '{s.part}' is not a granule of whole '{s.whole}'",
                 )
             )
     return out
@@ -451,14 +434,16 @@ def validate_all(kb: KnowledgeBase, at: int | None = None) -> Report:
     """Run every rule; world-scoped rules run at each change point.
 
     With ``at`` given, the world-scoped rules run only at that time point.
-    The history rule runs only when ``A1_TYPING``, ``SUBQ_KIND_DISTINCT``,
-    ``SUPPLEMENTATION_MIN2`` and ``A2_SUBQUANTITY_INCLUSION`` report nothing;
-    until then a distinct history defect, even an earlier one, goes unreported.
+    The history rule runs first. The engine refuses every defect that
+    ``A1_TYPING``, ``SUBQ_KIND_DISTINCT``, ``SUPPLEMENTATION_MIN2`` and
+    ``A2_SUBQUANTITY_INCLUSION`` report, so a clean replay rules them out and
+    they run only to explain a failed one. What they report replaces the
+    history violation; until then a distinct history defect, even an earlier
+    one, goes unreported.
     """
-    violations = check_typing(kb) + check_supplementation(kb) + check_subquantity_inclusion(kb)
-    if not violations:
-        # The engine rejects those defects too, so replay would report them twice.
-        violations += check_history(kb)
+    violations = check_history(kb)
+    if violations:
+        violations = check_typing(kb) + check_supplementation(kb) + check_subquantity_inclusion(kb) or violations
     violations += check_ggd(kb)
     worlds = [at] if at is not None else kb.change_points()
     for t, world in _sweep(kb, worlds):

@@ -328,18 +328,24 @@ def reference_connectivity(kb: KnowledgeBase, t: int) -> list[Violation]:
 
 
 def reference_maximality(kb: KnowledgeBase, t: int) -> list[Violation]:
-    """Brute-force MAXIMALITY_SAME_KIND: every pair of live quantities, every active
-    edge between two holders of one kind (no other edge can join a same-kind pair)."""
+    """Brute-force MAXIMALITY_SAME_KIND: every pair of live quantities, and every
+    active edge mapped once to the same-kind pairs of its endpoints' holders (no
+    other edge can join a same-kind pair)."""
     out = []
     live = reference_live_quantities_at(kb, t)
-    kinds: dict[str, set[str]] = {}
-    for q in live:
+    holders: dict[str, list[int]] = {}
+    for i, q in enumerate(live):
         for g in q.granules:
-            kinds.setdefault(g, set()).add(q.kind)
-    active = [(a, b) for a, b in reference_adjacency_at(kb, t)
-              if not kinds.get(a, set()).isdisjoint(kinds.get(b, ()))]
+            holders.setdefault(g, []).append(i)
+    touching: dict[tuple[int, int], list[tuple[str, str]]] = {}
+    for a, b in reference_adjacency_at(kb, t):
+        for i in holders.get(a, ()):
+            for j in holders.get(b, ()):
+                if i != j and live[i].kind == live[j].kind:
+                    touching.setdefault((min(i, j), max(i, j)), []).append((a, b))
     for i, q1 in enumerate(live):
-        for q2 in live[i + 1:]:
+        for j in range(i + 1, len(live)):
+            q2 = live[j]
             if q1.kind != q2.kind:
                 continue
             shared = q1.granules & q2.granules
@@ -354,14 +360,8 @@ def reference_maximality(kb: KnowledgeBase, t: int) -> list[Violation]:
                     )
                 )
                 continue
-            touching = sorted(
-                (a, b)
-                for a, b in active
-                if (a in q1.granules and b in q2.granules)
-                or (a in q2.granules and b in q1.granules)
-            )
-            if touching:
-                a, b = touching[0]
+            if (i, j) in touching:
+                a, b = min(touching[i, j])
                 out.append(
                     Violation(
                         "MAXIMALITY_SAME_KIND",
@@ -376,8 +376,9 @@ def reference_maximality(kb: KnowledgeBase, t: int) -> list[Violation]:
 
 # -- sorted-loop references for the log rules ------------------------------------------
 # `check_typing`, `check_supplementation`, `check_subquantity_inclusion` and `check_ggd`
-# as they walked every record in sorted order before set operations found the
-# failing ones, kept as differential checks.
+# as walks of every record in sorted order, kept as differential checks. The first
+# three are again those walks in `validation`, run only to explain a failed replay;
+# `check_ggd`, which runs on every document, finds its failing records with set operations.
 
 
 def reference_check_typing(kb: KnowledgeBase) -> list[Violation]:

@@ -640,3 +640,20 @@ def test_scale_payloads_cover_every_optional_and_short_shape(scale_documents):
                 *(f"episode {w} {k}" for w in ("with", "without") for k in ("to", "outEvent")),
                 *((flag, b) for flag in flags for b in (True, False))}
     assert expected <= seen, expected - seen
+
+
+def test_a_document_that_is_not_utf8_is_one_error_line(capsys, tmp_path):
+    path = tmp_path / "latin1.mpkb"
+    path.write_bytes('{"kinds": [{"name": "Géode"}]}'.encode("latin-1"))
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"{path}: not valid UTF-8 (invalid continuation byte)\n"
+
+
+def test_run_query_refuses_an_unknown_query(case_file):
+    kb = cli.load_kb(case_file)
+    args = Namespace(query="lineage", args=[], format="text", transitive=False, at=None)
+    with pytest.raises(cli._CliError) as info:
+        cli.run_query(kb, args)
+    assert str(info.value) == (
+        "unknown query 'lineage'; choose from provenance, history, world, cohort, ancestors, classify")

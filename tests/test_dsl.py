@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from matterkb import dsl, event_log, load, parse, parse_bytes
 from matterkb.cli import main
-from matterkb.errors import ScenarioLoadError
+from matterkb.errors import ScenarioLoadError, TooFewGranules
 
 from helpers import _ref_lex, reference_lex, reference_parse, scenario_corpus
 
@@ -508,3 +508,15 @@ class TestDiagnosticsGolden:
         code = main(["validate", str(path)])
         out, err = capsys.readouterr()
         assert (code, out, err.replace(str(path), "{file}")) == (record["exit"], "", record["stderr"])
+
+
+def test_an_empty_granule_block_parses_and_fails_to_load_at_its_statement(case_text):
+    text = case_text + "quantity rock9 : PortionOfRock at t3 granules { }\n"
+    result = parse(text)
+    assert result.ok and result == reference_parse(text)
+    assert result.scenario.quantity_creations[-1].granules == ()
+    with pytest.raises(ScenarioLoadError) as info:
+        load(result.scenario)
+    assert isinstance(info.value.cause, TooFewGranules)
+    assert (info.value.line, info.value.column) == (text.count("\n"), 1)
+    assert info.value.message == "quantity 'rock9' needs at least 2 granules, got 0"

@@ -89,11 +89,15 @@ REPLAY_GAPS = [
 ]
 
 
-@pytest.mark.parametrize("mutate, subjects, reason", REPLAY_GAPS, ids=[m[0].__name__ for m in REPLAY_GAPS])
-def test_documents_that_fail_replay_report_history(mutate, subjects, reason, tmp_path, capsys):
+def replay_gap_kb(mutate):
     doc = copy.deepcopy(CASE_DOC)
     mutate(doc)
-    kb = doc_to_kb(doc)
+    return doc_to_kb(doc)
+
+
+@pytest.mark.parametrize("mutate, subjects, reason", REPLAY_GAPS, ids=[m[0].__name__ for m in REPLAY_GAPS])
+def test_documents_that_fail_replay_report_history(mutate, subjects, reason, tmp_path, capsys):
+    kb = replay_gap_kb(mutate)
     (violation,) = validate_all(kb).violations
     assert (violation.rule, violation.subjects) == ("H1_HISTORY", subjects)
     assert reason in violation.message
@@ -288,11 +292,15 @@ def doc_path(tmp_path_factory):
     return tmp_path_factory.mktemp("replay") / "doc.mpkb"
 
 
-def replay_check(path):
+def run_main(*argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(["replay-check", str(path)])
+        code = main(list(argv))
     return code, out.getvalue()
+
+
+def replay_check(path):
+    return run_main("replay-check", str(path))
 
 
 @settings(derandomize=True, max_examples=1000, deadline=None)
@@ -342,6 +350,31 @@ def test_replay_check_matches_export_comparison_at_scale(store, tmp_path):
     assert outputs == ["replay-check: OK",
                        "replay-check: FAILED" if ended else "replay-check: OK",
                        "replay-check: FAILED" if opened else "replay-check: OK"]
+
+
+@settings(derandomize=True, max_examples=2, deadline=None)
+@given(data=st.data())
+def test_validate_ok_implies_replay_check_ok_on_mutated_large_documents(data, doc_path):
+    """Each history mutation once on each large document, through ``main`` on a file:
+    a clean ``validate`` means an OK ``replay-check`` that counts the file's bytes, and
+    an ``H1_HISTORY`` verdict means a failed one. The first draw is Hypothesis's
+    simplest, the second a seeded one."""
+    verdicts = set()
+    for base in LARGE_DOCS:
+        for mutate in MUTATIONS:
+            doc = copy.deepcopy(base)
+            mutate(doc, data.draw)
+            kb = doc_to_kb(doc)
+            doc_path.write_text(export_document(kb), encoding="utf-8")
+            code, report = run_main("validate", str(doc_path))
+            checked = replay_check(doc_path)
+            if code == 0:
+                size = doc_path.stat().st_size
+                assert checked == (0, f"replay-check: OK ({len(kb.events)} events, {size} bytes)\n")
+            if "H1_HISTORY" in report:
+                assert checked[0] == 1
+            verdicts.add((code, "H1_HISTORY" in report, checked[0]))
+    assert {(0, False, 0), (1, True, 1)} <= verdicts
 
 
 def _terminated_late(doc):

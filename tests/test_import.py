@@ -325,3 +325,10 @@ def test_nesting_near_the_recursion_limit_is_read_or_rejected():
     assert outcomes <= {("kinds[0]", "expected an object, got list"), too_deep}
     # json's C parser counts against the recursion limit up to CPython 3.11
     assert too_deep in outcomes or sys.version_info >= (3, 12)
+
+
+@pytest.mark.parametrize("text, got", [("[]", "list"), ("3", "int"), ("null", "NoneType")])
+def test_a_document_that_is_not_an_object_is_rejected_at_its_root(text, got):
+    with pytest.raises(DocumentError) as info:
+        import_document(text)
+    assert (info.value.path, info.value.message) == ("$", f"expected an object, got {got}")

@@ -711,3 +711,10 @@ class TestBatchWrites:
             ("g3", "g4", 1, None), ("g4", "g5", 1, 3), ("g5", "g6", 2, None), ("g5", "g7", 0, 2),
             ("g5", "g7", 2, 4)]
         assert index_state(kb.store_index) == index_state(StoreIndex().catch_up(kb))
+
+
+def test_a_kind_of_unknown_meta_is_refused():
+    kb = KnowledgeBase()
+    with pytest.raises(ValueError, match="^unknown meta 'stuffKind' for kind 'Sand'$"):
+        kb.declare_kind(KindDecl("Sand", "stuffKind"))
+    assert kb.kinds == {}

@@ -461,3 +461,13 @@ def test_each_event_derived_once(monkeypatch):
     assert sum(derived) == len(kb.events) == 2200
     assert len(derived) == 200
     assert elapsed < 0.25
+
+
+def test_a_donor_missing_from_the_store_gives_no_edge(case_kb):
+    """An imported log may name a donor the store lacks; derivation passes over it."""
+    i = next(i for i, ev in enumerate(case_kb.events) if ev.id == "transfer2")
+    case_kb.events[i] = case_kb.events[i]._replace(donors=frozenset({"rock3", "ghost"}))
+    edges = derive_edges(case_kb)
+    assert edges == reference_derive_edges(case_kb)
+    assert sorted({(e.inheritor, e.donor) for e in edges}) == [
+        ("rock2", "rock1"), ("rock3", "rock1"), ("rock4", "rock3"), ("rock5", "rock3")]

@@ -1,12 +1,17 @@
 """Axiom checks: per-rule behaviour, seeded faults, and oracle agreement."""
 
+import copy
 import random
 import time
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matterkb import KindDecl, KnowledgeBase, export_document, import_document, validate_all
 from matterkb import validation
+from matterkb.canonical import doc_to_kb
+from matterkb.errors import DocumentError
 from matterkb.model import (
     OBJECT_KIND, QUANTITY_KIND, AdjacencyInterval, ObjectInst, QuantityInst, SubQuantityAssertion, WorldColumns,
 )
@@ -39,6 +44,8 @@ from helpers import (
     toggling_chain_kb,
     two_quantity_graph_kb,
 )
+from test_history import CASE_DOC, LARGE_DOCS, REPLAY_GAPS, history_mutated_documents, replay_gap_kb
+from test_import import LARGE_BASES, mutated_documents
 
 
 def test_case_study_is_clean(case_kb):
@@ -573,12 +580,93 @@ class TestHistory:
         violations = check_history(forged)
         assert any("granule set" in v.message for v in violations)
 
+    def test_rebuilt_quantity_missing_from_the_store(self):
+        doc = copy.deepcopy(CASE_DOC)
+        doc["quantities"] = [q for q in doc["quantities"] if q["id"] != "rock5"]
+        kb = doc_to_kb(doc)
+        expected = [Violation("H1_HISTORY", ("rock5",), None,
+                              "event 'transfer2' creates quantity 'rock5', which is not in the store")]
+        assert check_history(kb) == expected
+        assert [v for v in validate_all(kb).violations if v.rule not in WORLD_RULES] == expected
+
 
 def test_engine_built_kbs_never_fire_supplementation_or_history():
-    # also typing and inclusion: with supplementation they gate the history rule
+    # also typing and inclusion: a clean replay rules them out, as it does supplementation
     for seed in range(150):
         kb = build_random_kb(seed)
         assert check_supplementation(kb) == []
         assert check_history(kb) == []
         assert check_typing(kb) == []
         assert check_subquantity_inclusion(kb) == []
+
+
+# -- the history rule first, the other log rules only to explain a failed replay -------
+
+LOG_FAULT_RULES = {"A1_TYPING", "A2_SUBQUANTITY_INCLUSION", "H1_HISTORY", "SUBQ_KIND_DISTINCT", "SUPPLEMENTATION_MIN2"}
+
+
+def gated_log_violations(kb):
+    """The violations outside the world rules, composed as ``validate_all`` once
+    did: the history rule only when typing, supplementation and inclusion are clean."""
+    violations = check_typing(kb) + check_supplementation(kb) + check_subquantity_inclusion(kb)
+    if not violations:
+        violations += check_history(kb)
+    violations += check_ggd(kb)
+    return sorted(violations, key=lambda v: (v.rule, v.subjects))
+
+
+def assert_history_first_matches_the_gate(kb):
+    report = validate_all(kb)
+    assert [v for v in report.violations if v.rule not in WORLD_RULES] == gated_log_violations(kb)
+    if check_history(kb) == []:
+        assert check_typing(kb) == check_supplementation(kb) == check_subquantity_inclusion(kb) == []
+
+
+def test_history_first_matches_the_gate_on_log_fault_stores():
+    for seed in range(300):
+        assert_history_first_matches_the_gate(log_faults_kb(seed))
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(st.one_of(history_mutated_documents(), history_mutated_documents(LARGE_DOCS),
+                 mutated_documents(), mutated_documents(LARGE_BASES)))
+def test_history_first_matches_the_gate_on_mutated_documents(doc):
+    """A clean replay leaves the other three log rules nothing to report, so
+    running them only after a failed one changes no report."""
+    try:
+        kb = doc_to_kb(doc)
+    except DocumentError:
+        return
+    assert_history_first_matches_the_gate(kb)
+
+
+@pytest.fixture()
+def log_rule_calls(monkeypatch):
+    """How often ``validate_all`` calls each of the three rules that explain a failed replay."""
+    calls = Counter()
+    for name in ("check_typing", "check_supplementation", "check_subquantity_inclusion"):
+        def counted(kb, rule=getattr(validation, name), name=name):
+            calls[name] += 1
+            return rule(kb)
+        monkeypatch.setattr(validation, name, counted)
+    return calls
+
+
+def test_a_clean_replay_runs_no_other_log_rule(case_kb, log_rule_calls):
+    for kb in (case_kb, moved_chains_kb(50)):
+        assert validate_all(kb).ok
+    assert log_rule_calls == {}
+
+
+def test_a_failed_replay_runs_each_other_log_rule_once(log_rule_calls):
+    stores = [replay_gap_kb(mutate) for mutate, _, _ in REPLAY_GAPS]
+    stores += [make() for rule, make in sorted(FAULT_FIXTURES.items()) if rule in LOG_FAULT_RULES]
+    for kb in stores:
+        log_rule_calls.clear()
+        assert not validate_all(kb).ok
+        assert log_rule_calls == {"check_typing": 1, "check_supplementation": 1, "check_subquantity_inclusion": 1}
+    log_rule_calls.clear()
+    for rule, make in sorted(FAULT_FIXTURES.items()):
+        if rule not in LOG_FAULT_RULES:
+            validate_all(make())
+    assert log_rule_calls == {}
