@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, NoReturn
 
 from .errors import EngineError, ScenarioLoadError
-from .events import CREATION, GRANULE_TRANSFER, CreatedEntry, EventRec, apply_event
+from .events import CREATION, GRANULE_TRANSFER, CreatedEntry, EventRec, apply_events
 from .model import KindDecl, KnowledgeBase, OBJECT_KIND, QUANTITY_KIND
 
 KEYWORDS = {
@@ -499,27 +499,26 @@ def load(scenario: Scenario) -> KnowledgeBase:
     """Build a knowledge base by routing every statement through the engine.
 
     The first engine error aborts the load, wrapped with the source location
-    of the offending statement.
+    of the offending statement. Objects and events each go to the kernel as
+    one batch, which stops at its first faulty record after the ones before it.
     """
     kb = KnowledgeBase()
     # Object kinds first, since a quantity kind requires them; the sort is stable.
     kinds = sorted(scenario.kind_decls, key=lambda st: st.meta != OBJECT_KIND)
     # A quantity statement is a donor-less event named create-NAME; the sort is
     # stable, so statements at one time point keep their source order.
-    timeline = [(q.at, f"create-{q.id}", (), (q,), (), q.pos) for q in scenario.quantity_creations]
-    timeline += [(ev.at, ev.name, ev.donors, ev.creates, ev.discard, ev.pos) for ev in scenario.events]
-    timeline.sort(key=lambda step: step[0])
+    timeline = [EventStmt(f"create-{q.id}", q.at, (), (q,), (), q.pos) for q in scenario.quantity_creations]
+    timeline = sorted(timeline + scenario.events, key=lambda st: st.at)
+    records = [EventRec(st.name, st.at, GRANULE_TRANSFER if st.donors else CREATION, frozenset(st.donors),
+                        tuple(CreatedEntry.of(c.id, c.kind, c.granules) for c in st.creates), frozenset(st.discard))
+               for st in timeline]
     try:  # each loop binds pos, the position of the statement being loaded
         for st in kinds:
             pos = st.pos
             kb.declare_kind(KindDecl(st.name, st.meta, frozenset(st.requires)))
-        for st in scenario.object_decls:
-            pos = st.pos
-            kb.create_object(st.id, st.kind, st.at)
-        for at, event_id, donors, creates, discard, pos in timeline:
-            created = tuple(CreatedEntry.of(c.id, c.kind, c.granules) for c in creates)
-            kind = GRANULE_TRANSFER if donors else CREATION
-            apply_event(kb, EventRec(event_id, at, kind, frozenset(donors), created, frozenset(discard)))
+        pos = None
+        kb.create_objects([(st.id, st.kind, st.at) for st in scenario.object_decls])
+        apply_events(kb, records)
         for st in sorted(scenario.adjacency, key=lambda st: st.at):
             pos = st.pos
             (kb.assert_adjacency if st.connect else kb.retract_adjacency)(st.a, st.b, st.at)
@@ -527,5 +526,7 @@ def load(scenario: Scenario) -> KnowledgeBase:
             pos = st.pos
             kb.assert_subquantity(st.part, st.whole)
     except (EngineError, ValueError) as exc:
+        if pos is None:  # a batch's faulty record is the one after those the batches added
+            pos = [*scenario.object_decls, *timeline][len(kb.objects) + len(kb.events)].pos
         raise ScenarioLoadError(str(exc), pos.line, pos.column, exc) from exc
     return kb

@@ -8,7 +8,7 @@ import random
 import re
 import sys
 from functools import partial
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Any, NamedTuple, NoReturn
 
 from matterkb import (
@@ -53,10 +53,13 @@ from matterkb.errors import (
     NonMonotonicTime,
     OverlappingInterval,
     ReplayError,
+    ScenarioLoadError,
     SelfAdjacency,
     TooFewGranules,
     UnknownAdjacency,
     UnknownKind,
+    UnknownObject,
+    UnknownQuantity,
 )
 from matterkb.events import CREATION, GRANULE_TRANSFER, EventRec
 from matterkb.model import (
@@ -296,13 +299,23 @@ def oracle_maximality(
 
 
 def reference_connectivity(kb: KnowledgeBase, t: int) -> list[Violation]:
-    """Brute-force CONNECTIVITY/EXTERNAL_CONNECTION: every active edge per quantity."""
+    """Brute-force CONNECTIVITY/EXTERNAL_CONNECTION: every active edge mapped once
+    to the live quantities that hold both its ends (no other quantity has it inside)."""
     out = []
-    active = set(reference_adjacency_at(kb, t))
-    for q in reference_live_quantities_at(kb, t):
+    live = reference_live_quantities_at(kb, t)
+    holders: dict[str, list[int]] = {}
+    for i, q in enumerate(live):
+        for g in q.granules:
+            holders.setdefault(g, []).append(i)
+    inner: dict[int, list[tuple[str, str]]] = {}
+    for a, b in set(reference_adjacency_at(kb, t)):
+        for i in holders.get(a, ()):
+            if b in live[i].granules:
+                inner.setdefault(i, []).append((a, b))
+    for i, q in enumerate(live):
         if len(q.granules) < MIN_GRANULES or any(g not in kb.objects for g in q.granules):
             continue
-        edges = [(a, b) for a, b in active if a in q.granules and b in q.granules]
+        edges = inner.get(i, [])
         touched = {x for e in edges for x in e}
         for g in sorted(q.granules - touched):
             out.append(
@@ -374,87 +387,79 @@ def reference_maximality(kb: KnowledgeBase, t: int) -> list[Violation]:
     return out
 
 
-# -- sorted-loop references for the log rules ------------------------------------------
-# `check_typing`, `check_supplementation`, `check_subquantity_inclusion` and `check_ggd`
-# as walks of every record in sorted order, kept as differential checks. The first
-# three are again those walks in `validation`, run only to explain a failed replay;
-# `check_ggd`, which runs on every document, finds its failing records with set operations.
+# -- per-record references for the log rules ------------------------------------------
+# `check_typing`, `check_supplementation` and `check_subquantity_inclusion` walk every
+# record in sorted order. These decide each record on its own, over the records in
+# store order, and sort the violations once by the rule's key, kept as differential
+# checks; `check_ggd`'s reference is the sorted walk its set operations replaced.
 
 
 def reference_check_typing(kb: KnowledgeBase) -> list[Violation]:
-    """Endpoints of every stored relation must have the right meta-kinds."""
-    out: list[Violation] = []
+    """Endpoints of every stored relation must have the right meta-kinds. A
+    violation's key orders by section (objects, quantities, kinds, intervals,
+    assertions), then by record, then by its place in the record."""
+    metas = {name: decl.meta for name, decl in kb.kinds.items()}
+    found: list[tuple[tuple, Violation]] = []
 
-    def bad(subjects: tuple[str, ...], message: str, rule: str = "A1_TYPING") -> None:
-        out.append(Violation(rule, subjects, None, message))
+    def bad(key: tuple, subjects: tuple[str, ...], message: str, rule: str = "A1_TYPING") -> None:
+        found.append((key, Violation(rule, subjects, None, message)))
 
-    for oid, obj in sorted(kb.objects.items()):
-        if not kb.has_kind(obj.kind, OBJECT_KIND):
-            bad((oid,), f"object '{oid}' has kind '{obj.kind}', which is not a declared object kind")
-    for qid, q in sorted(kb.quantities.items()):
-        if not kb.has_kind(q.kind, QUANTITY_KIND):
-            bad((qid,), f"quantity '{qid}' has kind '{q.kind}', which is not a declared quantity kind")
-        for g in sorted(q.granules):
-            if g not in kb.objects:
-                what = "a quantity" if g in kb.quantities else "not a declared object"
-                bad((qid, g), f"granule '{g}' of quantity '{qid}' is {what}")
-    for decl in sorted(kb.kinds.values(), key=lambda d: d.name):
-        for req in sorted(decl.requires):
-            if not kb.has_kind(req, OBJECT_KIND):
-                bad((decl.name, req), f"kind '{decl.name}' requires '{req}', which is not a declared object kind")
-    for iv in sorted(kb.adjacency, key=lambda i: (i.a, i.b, i.start)):
-        for end in (iv.a, iv.b):
+    for oid, obj in kb.objects.items():
+        if metas.get(obj.kind) != OBJECT_KIND:
+            bad((0, oid), (oid,), f"object '{oid}' has kind '{obj.kind}', which is not a declared object kind")
+    for qid, q in kb.quantities.items():
+        if metas.get(q.kind) != QUANTITY_KIND:
+            bad((1, qid, 0, ""), (qid,),
+                f"quantity '{qid}' has kind '{q.kind}', which is not a declared quantity kind")
+        for g in q.granules - kb.objects.keys():
+            what = "a quantity" if g in kb.quantities else "not a declared object"
+            bad((1, qid, 1, g), (qid, g), f"granule '{g}' of quantity '{qid}' is {what}")
+    for name, decl in kb.kinds.items():
+        for req in decl.requires:
+            if metas.get(req) != OBJECT_KIND:
+                bad((2, name, req), (name, req), f"kind '{name}' requires '{req}', which is not a declared object kind")
+    for iv in kb.adjacency:
+        for place, end in enumerate((iv.a, iv.b)):
             if end not in kb.objects:
-                bad((iv.a, iv.b), f"adjacency endpoint '{end}' is not a declared object")
-    for s in sorted(kb.subquantities, key=lambda s: (s.part, s.whole)):
-        unresolved = [x for x in (s.part, s.whole) if x not in kb.quantities]
-        for x in unresolved:
-            bad((s.part, s.whole), f"sub-quantity endpoint '{x}' is not a declared quantity")
-        if not unresolved and kb.quantities[s.part].kind == kb.quantities[s.whole].kind:
-            bad(
-                (s.part, s.whole),
+                bad((3, iv.a, iv.b, iv.start, place), (iv.a, iv.b),
+                    f"adjacency endpoint '{end}' is not a declared object")
+    for s in kb.subquantities:
+        ends = [(place, x) for place, x in enumerate((s.part, s.whole)) if x not in kb.quantities]
+        for place, x in ends:
+            bad((4, s.part, s.whole, place), (s.part, s.whole), f"sub-quantity endpoint '{x}' is not a declared quantity")
+        if not ends and kb.quantities[s.part].kind == kb.quantities[s.whole].kind:
+            bad((4, s.part, s.whole, 2), (s.part, s.whole),
                 f"sub-quantity '{s.part}' of '{s.whole}' holds between two quantities "
                 f"of the same kind '{kb.quantities[s.part].kind}'",
-                rule="SUBQ_KIND_DISTINCT",
-            )
-    return out
+                rule="SUBQ_KIND_DISTINCT")
+    return [v for _, v in sorted(found, key=itemgetter(0))]
 
 
 def reference_check_supplementation(kb: KnowledgeBase) -> list[Violation]:
-    """Every quantity carries at least two distinct granules."""
-    out = []
-    for qid, q in sorted(kb.quantities.items()):
-        if len(q.granules) < MIN_GRANULES:
-            out.append(
-                Violation(
-                    "SUPPLEMENTATION_MIN2",
-                    (qid,),
-                    None,
-                    f"quantity '{qid}' has {len(q.granules)} granule(s); at least {MIN_GRANULES} required",
-                )
-            )
-    return out
+    """Every quantity carries at least two distinct granules; in quantity id order."""
+    out = [
+        Violation("SUPPLEMENTATION_MIN2", (qid,), None,
+                  f"quantity '{qid}' has {len(q.granules)} granule(s); at least {MIN_GRANULES} required")
+        for qid, q in kb.quantities.items() if len(q.granules) < MIN_GRANULES
+    ]
+    return sorted(out, key=attrgetter("subjects"))
 
 
 def reference_check_subquantity_inclusion(kb: KnowledgeBase) -> list[Violation]:
-    """Granules of a sub-quantity must all be granules of its whole (A2), as
-    ``QuantityInst.missing_from`` decides; one violation per missing granule."""
+    """Granules of a sub-quantity must all be granules of its whole (A2) in the
+    worlds where both are live: they share one exactly when both are live at the
+    later creation. One violation per missing granule, in subject order."""
     out = []
-    for s in sorted(kb.subquantities, key=lambda s: (s.part, s.whole)):
-        part = kb.quantities.get(s.part)
-        whole = kb.quantities.get(s.whole)
+    for s in kb.subquantities:
+        part, whole = kb.quantities.get(s.part), kb.quantities.get(s.whole)
         if part is None or whole is None:
             continue  # typing owns unresolved endpoints
-        for g in sorted(part.missing_from(whole)):
-            out.append(
-                Violation(
-                    "A2_SUBQUANTITY_INCLUSION",
-                    (s.part, s.whole, g),
-                    None,
-                    f"granule '{g}' of sub-quantity '{s.part}' is not a granule of whole '{s.whole}'",
-                )
-            )
-    return out
+        t = max(part.created_at, whole.created_at)
+        if part.live_at(t) and whole.live_at(t):
+            out += [Violation("A2_SUBQUANTITY_INCLUSION", (s.part, s.whole, g), None,
+                              f"granule '{g}' of sub-quantity '{s.part}' is not a granule of whole '{s.whole}'")
+                    for g in part.granules if g not in whole.granules]
+    return sorted(out, key=attrgetter("subjects"))
 
 
 def reference_check_ggd(kb: KnowledgeBase) -> list[Violation]:
@@ -494,11 +499,12 @@ def reference_holders_of(kb: KnowledgeBase, object_id: str, t: int) -> list[Quan
 
 
 def reference_same_kind_holder(
-    kb: KnowledgeBase, granule: str, kind: str, at: int, exclude: frozenset[str]
-) -> QuantityInst | None:
-    for q in reference_live_quantities_at(kb, at):
-        if q.id not in exclude and q.kind == kind and granule in q.granules:
-            return q
+    kb: KnowledgeBase, granules: frozenset[str], kind: str, at: int, exclude: frozenset[str]
+) -> tuple[str, QuantityInst] | None:
+    for g in sorted(granules):
+        for q in reference_live_quantities_at(kb, at):
+            if q.id not in exclude and q.kind == kind and g in q.granules:
+                return g, q
     return None
 
 
@@ -656,10 +662,10 @@ def reference_derive_edges(kb: KnowledgeBase) -> tuple[ProvenanceEdge, ...]:
 
 
 # -- separate creation and transfer writes ---------------------------------------------
-# The two event writes `events._write` replaced, each with its own copy of the
-# time, id, entry and holder checks, kept as differential checks. They index
-# none of their appends: each catches the store index up first, as it would
-# after any append made outside the kernel.
+# The two event writes that one checked write replaced, each with its own copy of
+# the time, id, entry and holder checks, and a record-by-record batch over them,
+# kept as differential checks. They index none of their appends: each catches the
+# store index up first, as it would after any append made outside the kernel.
 
 
 def reference_apply_creation(
@@ -673,8 +679,9 @@ def reference_apply_creation(
     kb._check_fresh(event_id)
     _ref_check_entry(kb, entry, at)
     for g in sorted(entry.granules):
-        holder = events._same_kind_holder(kb, g, entry.kind, at, exclude=frozenset())
-        if holder is not None:
+        held = events._same_kind_holder(kb, frozenset({g}), entry.kind, at, exclude=frozenset())
+        if held is not None:
+            holder = held[1]
             raise GranuleNotFree(
                 f"object '{g}' is already a granule of live quantity '{holder.id}' of kind '{entry.kind}'"
             )
@@ -747,8 +754,9 @@ def reference_apply_transfer(
 
     for entry in created:
         for g in sorted(entry.granules - donor_granules):
-            holder = events._same_kind_holder(kb, g, entry.kind, at, exclude=donors)
-            if holder is not None:
+            held = events._same_kind_holder(kb, frozenset({g}), entry.kind, at, exclude=donors)
+            if held is not None:
+                holder = held[1]
                 raise GranuleProvenanceViolation(
                     f"granule '{g}' of '{entry.id}' is neither donated nor free: "
                     f"it belongs to live quantity '{holder.id}'"
@@ -761,6 +769,23 @@ def reference_apply_transfer(
     for entry in created:
         kb.quantities[entry.id] = QuantityInst(entry.id, entry.kind, at, entry.granules, event_id)
     return event
+
+
+def reference_apply_events(kb: KnowledgeBase, records) -> list[EventRec]:
+    """Each record in turn through the shape checks that `events.apply_event`
+    made before the batch replaced it, then the write of its kind above."""
+    applied = []
+    for event in records:
+        if event.kind == CREATION:
+            if len(event.created) != 1 or event.donors or event.discarded:
+                raise ValueError(f"malformed creation event '{event.id}'")
+            applied.append(reference_apply_creation(kb, event.created[0], event.at, event.id))
+        elif event.kind == GRANULE_TRANSFER:
+            applied.append(reference_apply_transfer(
+                kb, event.donors, event.created, event.at, event.discarded, event.id))
+        else:
+            raise ValueError(f"unknown event kind '{event.kind}'")
+    return applied
 
 
 def _ref_check_monotonic(kb: KnowledgeBase, at: int) -> None:
@@ -788,9 +813,10 @@ def report_records(violations: list[Violation]) -> list[dict[str, Any]]:
              "message": v.message} for v in violations]
 
 
-# -- record-by-record replay --------------------------------------------------------
-# `events.replay` applied the objects and intervals one record at a time before the
-# kernel took each section as one batch, kept as a differential check.
+# -- record-by-record replay and load --------------------------------------------------
+# `events.replay` and `dsl.load` applied the objects, events and intervals one record
+# at a time before the kernel took each section as one batch, kept as differential
+# checks.
 
 
 def reference_replay(kb: KnowledgeBase) -> KnowledgeBase:
@@ -808,7 +834,7 @@ def reference_replay(kb: KnowledgeBase) -> KnowledgeBase:
         raise ReplayError(None, exc, (oid,)) from exc
     try:
         for index, event in enumerate(kb.events):
-            events.apply_event(fresh, event)
+            reference_apply_events(fresh, [event])
     except Exception as exc:
         raise ReplayError(index, exc, (event.id,)) from exc
     try:
@@ -824,6 +850,168 @@ def reference_replay(kb: KnowledgeBase) -> KnowledgeBase:
     except Exception as exc:
         raise ReplayError(None, exc, (s.part, s.whole)) from exc
     return fresh
+
+
+def reference_load(scenario: Scenario) -> KnowledgeBase:
+    kb = KnowledgeBase()
+    kinds = sorted(scenario.kind_decls, key=lambda st: st.meta != OBJECT_KIND)
+    timeline = [(q.at, f"create-{q.id}", (), (q,), (), q.pos) for q in scenario.quantity_creations]
+    timeline += [(ev.at, ev.name, ev.donors, ev.creates, ev.discard, ev.pos) for ev in scenario.events]
+    timeline.sort(key=lambda step: step[0])
+    try:  # each loop binds pos, the position of the statement being loaded
+        for st in kinds:
+            pos = st.pos
+            kb.declare_kind(KindDecl(st.name, st.meta, frozenset(st.requires)))
+        for st in scenario.object_decls:
+            pos = st.pos
+            reference_create_object(kb, st.id, st.kind, st.at)
+        for at, event_id, donors, creates, discard, pos in timeline:
+            created = tuple(CreatedEntry.of(c.id, c.kind, c.granules) for c in creates)
+            kind = GRANULE_TRANSFER if donors else CREATION
+            reference_apply_events(kb, [EventRec(event_id, at, kind, frozenset(donors), created, frozenset(discard))])
+        for st in sorted(scenario.adjacency, key=lambda st: st.at):
+            pos = st.pos
+            (kb.assert_adjacency if st.connect else kb.retract_adjacency)(st.a, st.b, st.at)
+        for st in scenario.subquantity_assertions:
+            pos = st.pos
+            kb.assert_subquantity(st.part, st.whole)
+    except (EngineError, ValueError) as exc:
+        raise ScenarioLoadError(str(exc), pos.line, pos.column, exc) from exc
+    return kb
+
+
+# -- event faults placed in a log ---------------------------------------------------------
+# A valid log and, for each fault the event write refuses, a record that carries it,
+# built for the store the records before it leave; it takes the place of the first,
+# the middle or the last record. A fault that needs a quantity is never first.
+
+
+def fault_log_kb() -> KnowledgeBase:
+    """Four chains of 4 granules, each created (q<i> at t2i) and then split in two
+    (a<i> and b<i> at t2i+1): 8 events. Objects f0 and f1 stay free, and late
+    exists from t100 on."""
+    kb = KnowledgeBase()
+    kb.declare_object_kind("Grain")
+    kb.declare_quantity_kind("Rock", [])
+    chains = [[f"g{i}_{k}" for k in range(4)] for i in range(4)]
+    kb.create_objects([(g, "Grain", 0) for chain in chains for g in chain])
+    kb.create_objects([("f0", "Grain", 0), ("f1", "Grain", 0), ("late", "Grain", 100)])
+    for i, chain in enumerate(chains):
+        apply_creation(kb, CreatedEntry.of(f"q{i}", "Rock", chain), 2 * i)
+        apply_transfer(kb, [f"q{i}"], [CreatedEntry.of(f"a{i}", "Rock", chain[:2]),
+                                       CreatedEntry.of(f"b{i}", "Rock", chain[2:])], 2 * i + 1)
+    return kb
+
+
+def _creation(event_id: str, at: int, granules, qid: str = "n", kind: str = "Rock") -> EventRec:
+    return EventRec(event_id, at, CREATION, frozenset(), (CreatedEntry.of(qid, kind, granules),), frozenset())
+
+
+def _transfer(event_id: str, at: int, donors, created, discarded=()) -> EventRec:
+    entries = tuple(CreatedEntry.of(qid, "Rock", granules) for qid, granules in created)
+    return EventRec(event_id, at, GRANULE_TRANSFER, frozenset(donors), entries, frozenset(discarded))
+
+
+def _live(kb: KnowledgeBase) -> list[QuantityInst]:
+    return [q for q in kb.quantities.values() if q.terminated_at is None]
+
+
+def _granules(q: QuantityInst) -> list[str]:
+    return sorted(q.granules)
+
+
+# fault -> (the record, built for the store before it, its time and its id; the error
+# class; whether it needs a quantity). `_live(kb)[-1]` is a quantity that the record
+# before created; a granule that is not free is held by one of two live quantities.
+EVENT_FAULTS = {
+    "bad time": (lambda kb, at, eid: _creation(eid, -1, ["f0", "f1"]), ValueError, False),
+    "non-increasing time": (lambda kb, at, eid: _creation(eid, kb.events[-1].at, ["f0", "f1"]),
+                            NonMonotonicTime, True),
+    "repeated event id": (lambda kb, at, eid: _creation(kb.events[-1].id if kb.events else "g0_0", at, ["f0", "f1"]),
+                          DuplicateId, False),
+    "unknown donor": (lambda kb, at, eid: _transfer(eid, at, ["ghost"], [("n", ["f0", "f1"])]),
+                      UnknownQuantity, False),
+    "non-live donor": (lambda kb, at, eid: _transfer(
+        eid, at, [next(q.id for q in kb.quantities.values() if q.terminated_at is not None)],
+        [("n", ["f0", "f1"])]), DonorNotLive, True),
+    "created id in use": (lambda kb, at, eid: _creation(eid, at, ["f0", "f1"], qid="g0_0"), DuplicateId, False),
+    "created twice": (lambda kb, at, eid: _transfer(
+        eid, at, [_live(kb)[-1].id], [("n", [_granules(_live(kb)[-1])[0], "f0"]),
+                                      ("n", [_granules(_live(kb)[-1])[1], "f1"])]),
+        DuplicateGranuleAssignment, True),
+    "undeclared kind": (lambda kb, at, eid: _creation(eid, at, ["f0", "f1"], kind="Nope"), UnknownKind, False),
+    "granule not yet created": (lambda kb, at, eid: _creation(eid, at, ["f0", "late"]), UnknownObject, False),
+    "unknown granule": (lambda kb, at, eid: _creation(eid, at, ["late", "ghost", "f0"]), UnknownObject, False),
+    "one granule": (lambda kb, at, eid: _creation(eid, at, ["f0"]), TooFewGranules, False),
+    "nothing inherited": (lambda kb, at, eid: _transfer(eid, at, [_live(kb)[-1].id], [("n", ["f0", "f1"])]),
+                          GranuleProvenanceViolation, True),
+    "double assignment": (lambda kb, at, eid: _transfer(
+        eid, at, [_live(kb)[-1].id], [("n1", _granules(_live(kb)[-1])[:2]),
+                                      ("n2", [_granules(_live(kb)[-1])[1], "f0"])]),
+        DuplicateGranuleAssignment, True),
+    "foreign discard": (lambda kb, at, eid: _transfer(
+        eid, at, [_live(kb)[-1].id], [("n", _granules(_live(kb)[-1])[:2])], ["f0"]),
+        GranuleProvenanceViolation, True),
+    "discard of an assigned granule": (lambda kb, at, eid: _transfer(
+        eid, at, [_live(kb)[-1].id], [("n", _granules(_live(kb)[-1])[:2])], _granules(_live(kb)[-1])[1:2]),
+        DuplicateGranuleAssignment, True),
+    "granule not free": (lambda kb, at, eid: _creation(eid, at, [_granules(_live(kb)[-1])[0],
+                                                                 _granules(_live(kb)[-2])[0], "f0"]),
+                         GranuleNotFree, True),
+    "granule held elsewhere": (lambda kb, at, eid: _transfer(
+        eid, at, [_live(kb)[-1].id], [("n", [_granules(_live(kb)[-1])[0], _granules(_live(kb)[-2])[0]])]),
+        GranuleProvenanceViolation, True),
+    "malformed creation": (lambda kb, at, eid: EventRec(
+        eid, at, CREATION, frozenset({"ghost"}), _creation(eid, at, ["f0", "f1"]).created, frozenset()),
+        ValueError, False),
+    "unknown event kind": (lambda kb, at, eid: _creation(eid, at, ["f0", "f1"])._replace(kind="merger"),
+                           ValueError, False),
+    "transfer without donors": (lambda kb, at, eid: _transfer(eid, at, [], [("n", ["f0", "f1"])]), ValueError, False),
+    "transfer without created": (lambda kb, at, eid: _transfer(eid, at, ["ghost"], []), ValueError, False),
+}
+
+# The faults a scenario can carry past the parser and the resolver: the others are a
+# time or a name the resolver refuses, or a record shape the grammar cannot write.
+SCENARIO_EVENT_FAULTS = ["non-live donor", "granule not yet created", "one granule", "nothing inherited",
+                         "double assignment", "foreign discard", "discard of an assigned granule",
+                         "granule not free", "granule held elsewhere"]
+
+
+def placed_event_faults(faults) -> list[tuple[str, str]]:
+    return [(fault, place) for fault in faults for place in ("first", "middle", "last")
+            if place != "first" or not EVENT_FAULTS[fault][2]]
+
+
+def event_fault_kb(fault: str, place: str) -> tuple[KnowledgeBase, int]:
+    """`fault_log_kb` with the record at ``place`` replaced by one that carries
+    ``fault``, and that record's index."""
+    kb = fault_log_kb()
+    index = {"first": 0, "middle": len(kb.events) // 2, "last": len(kb.events) - 1}[place]
+    before = KnowledgeBase()
+    for decl in kb.kinds.values():
+        before.declare_kind(decl)
+    before.create_objects([(oid, obj.kind, obj.created_at) for oid, obj in kb.objects.items()])
+    events.apply_events(before, kb.events[:index])
+    record = kb.events[index]
+    kb.events[index] = EVENT_FAULTS[fault][0](before, record.at, record.id)
+    return kb, index
+
+
+def event_fault_scenario(kb: KnowledgeBase, index: int) -> tuple[str, int]:
+    """Scenario text of ``kb``'s kinds, objects and events, one line each (an
+    event's id with '_' for '-'), but without the events after ``index`` that
+    take a donor from the record it replaced; and the line of the event at ``index``."""
+    gone = {entry.id for entry in fault_log_kb().events[index].created}
+    records = kb.events[:index + 1] + [ev for ev in kb.events[index + 1:] if not ev.donors & gone]
+    lines = ["object-kind Grain", "quantity-kind Rock"]
+    lines += [f"object {oid} : {obj.kind} at t{obj.created_at}" for oid, obj in kb.objects.items()]
+    faulty = len(lines) + index + 1
+    for ev in records:
+        clauses = [f"donor {' '.join(sorted(ev.donors))}"] if ev.donors else []
+        clauses += [f"create {e.id} : {e.kind} granules {{ {', '.join(sorted(e.granules))} }}" for e in ev.created]
+        clauses += [f"discard {{ {', '.join(sorted(ev.discarded))} }}"] if ev.discarded else []
+        lines.append(f"event {ev.id.replace('-', '_')} at t{ev.at} {{ {' ; '.join(clauses)} }}")
+    return "\n".join(lines) + "\n", faulty
 
 
 # -- export-comparing reference for replay-check --------------------------------------

@@ -14,7 +14,10 @@ from matterkb import dsl, event_log, load, parse, parse_bytes
 from matterkb.cli import main
 from matterkb.errors import ScenarioLoadError, TooFewGranules
 
-from helpers import _ref_lex, reference_lex, reference_parse, scenario_corpus
+from helpers import (
+    EVENT_FAULTS, SCENARIO_EVENT_FAULTS, _ref_lex, event_fault_kb, event_fault_scenario, placed_event_faults,
+    reference_lex, reference_load, reference_parse, scenario_corpus,
+)
 
 
 def diags(text):
@@ -253,6 +256,21 @@ class TestLoad:
         with pytest.raises(ScenarioLoadError) as exc_info:
             load(result.scenario)
         assert exc_info.value.line == 4
+
+    @pytest.mark.parametrize("fault, place", placed_event_faults(SCENARIO_EVENT_FAULTS))
+    def test_event_batch_names_the_faulty_statement(self, fault, place):
+        """One event fault first, in the middle or last in the timeline: the
+        statement-by-statement load's line, column, message and cause."""
+        text, line = event_fault_scenario(*event_fault_kb(fault, place))
+        result = parse(text)
+        assert result.ok, result.diagnostics
+        outcomes = []
+        for build in (load, reference_load):
+            with pytest.raises(ScenarioLoadError) as info:
+                build(result.scenario)
+            outcomes.append((info.value.line, info.value.column, str(info.value), type(info.value.cause)))
+        assert outcomes[0] == outcomes[1]
+        assert (outcomes[0][:2], outcomes[0][3]) == ((line, 1), EVENT_FAULTS[fault][1])
 
     def test_named_creation_event(self):
         kb = load(scenario(

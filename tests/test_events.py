@@ -31,7 +31,7 @@ from matterkb.errors import (
     UnknownObject,
     UnknownQuantity,
 )
-from matterkb.events import EventRec, apply_event
+from matterkb.events import EventRec, apply_events
 from matterkb.model import QUANTITY_KIND, AdjacencyInterval, KindDecl, ObjectInst, SubQuantityAssertion
 
 from helpers import SCALE_STORES, build_random_kb, reference_apply_creation, reference_apply_transfer
@@ -472,5 +472,5 @@ def test_an_unknown_event_kind_is_refused_and_changes_nothing(case_kb):
     before = export_document(case_kb)
     event = EventRec("merge1", 3, "merger", frozenset({"rock2"}), (), frozenset())
     with pytest.raises(ValueError, match="^unknown event kind 'merger'$"):
-        apply_event(case_kb, event)
+        apply_events(case_kb, [event])
     assert export_document(case_kb) == before

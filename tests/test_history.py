@@ -17,8 +17,8 @@ from matterkb.errors import DocumentError, ReplayError
 from matterkb.model import AdjacencyInterval, ObjectInst
 
 from helpers import (
-    SCALE_STORES, build_random_kb, moved_chains_kb, random_write, reference_replay, reference_replay_check,
-    report_records,
+    EVENT_FAULTS, SCALE_STORES, build_random_kb, event_fault_kb, moved_chains_kb, placed_event_faults, random_write,
+    reference_replay, reference_replay_check, report_records,
 )
 from test_import import mutated_documents
 
@@ -281,6 +281,16 @@ def test_replay_rejects_the_same_faulty_record(section, fault, place):
         _interval_fault(fault)(kb, intervals[{"first": 0, "middle": len(intervals) // 2, "last": -1}[place]])
     outcome = replay_outcome(replay, kb)
     assert outcome[0] == "raised"
+    assert outcome == replay_outcome(reference_replay, kb)
+
+
+@pytest.mark.parametrize("fault, place", placed_event_faults(EVENT_FAULTS))
+def test_replay_rejects_the_same_faulty_event(fault, place):
+    """One event fault first, in the middle or last in the log: the record-by-record
+    replay's ``ReplayError``, which names that record by its index and id."""
+    kb, index = event_fault_kb(fault, place)
+    outcome = replay_outcome(replay, kb)
+    assert outcome[:4] == ("raised", index, (kb.events[index].id,), EVENT_FAULTS[fault][1])
     assert outcome == replay_outcome(reference_replay, kb)
 
 

@@ -38,7 +38,7 @@ from matterkb.errors import (
     UnknownObject,
     UnknownQuantity,
 )
-from matterkb.events import CREATION, EventRec
+from matterkb.events import CREATION, GRANULE_TRANSFER, EventRec
 from matterkb.model import (
     QUANTITY_KIND,
     STATUS_LIVE,
@@ -58,6 +58,7 @@ from helpers import (
     reference_adjacent_at,
     reference_assert_adjacency,
     reference_assert_intervals,
+    reference_apply_events,
     reference_check_fresh,
     reference_create_objects,
     reference_holders_of,
@@ -437,8 +438,46 @@ class TestStoreIndex:
         except Exception as exc:  # compared by type and message below
             return ("raised", type(exc).__name__, str(exc))
 
-    def random_writes(self, kb, rng, n):
-        """n seeded engine calls and field appends on ``kb``, valid or not, with outcomes."""
+    @staticmethod
+    def random_events(kb, rng, step, kinds, used, granules):
+        """A batch of up to four event records, each built for the store as the
+        records before it would leave it, and each perhaps faulty."""
+        records, at, spent = [], kb.events[-1].at if kb.events else 0, set()
+        live = sorted(q.id for q in kb.quantities.values() if q.terminated_at is None)
+        for k in range(rng.randint(1, 4)):
+            at = rng.choice([at + 1] * 14 + [at, -1])
+            event_id = f"n{step}e{k}" if rng.random() < 0.95 else rng.choice(used)
+            unspent = sorted(set(live) - spent)
+            donors = rng.sample(unspent, min(len(unspent), rng.randint(1, 2)))
+            if rng.random() < 0.1:
+                donors.append(rng.choice(sorted(kb.quantities) + ["ghost"]))  # perhaps terminated or unknown
+            spent.update(donors)
+            pool = sorted({g for d in donors if d in kb.quantities for g in kb.quantities[d].granules})
+            rng.shuffle(pool)
+            n_parts = rng.choice([1, 1, 2, 2, 3])
+            parts = [pool[j::n_parts] for j in range(n_parts)]
+            if rng.random() < 0.2:
+                parts[0] = parts[0][:1] + granules  # a free object or a held one, a late one or a ghost
+            if rng.random() < 0.1 and len(parts) > 1 and parts[1]:
+                parts[0] = parts[0] + parts[1][:1]  # one granule in two created sets
+            created = tuple(
+                CreatedEntry.of(f"n{step}q{k}{j}" if rng.random() < 0.95 else rng.choice(used),
+                                rng.choice(kinds) if rng.random() < 0.95 else "Nope", part[:rng.choice([1] + [9] * 9)])
+                for j, part in enumerate(parts))
+            discarded = frozenset(rng.sample(pool + granules, 1)) if rng.random() < 0.15 else frozenset()
+            if rng.random() < 0.4:  # a creation, or once in a while a malformed one or another kind
+                kind = rng.choice([CREATION] * 18 + [GRANULE_TRANSFER, "merger"])
+                donors, created, discarded = (), created[:1] if rng.random() < 0.95 else (), frozenset()
+                created = tuple(CreatedEntry.of(e.id, e.kind, granules) for e in created)
+            else:
+                kind = GRANULE_TRANSFER
+            records.append(EventRec(event_id, at, kind, frozenset(donors), created, discarded))
+            live += [e.id for e in created]
+        return records
+
+    def random_writes(self, kb, rng, n, batch_write):
+        """n seeded engine calls and field appends on ``kb``, valid or not, with
+        outcomes; an event batch goes to ``batch_write``."""
         out = []
         kinds = sorted(k for k, d in kb.kinds.items() if d.meta == QUANTITY_KIND)
         for step in range(n):
@@ -453,7 +492,7 @@ class TestStoreIndex:
             a, b = rng.choice(objects), rng.choice(objects)
             granules = rng.sample(objects, min(len(objects), rng.randint(2, 4)))
             op = rng.choice(["assert", "retract", "object", "create", "transfer", "append",
-                             "adjacent", "holders", "holder", "objects", "intervals"])
+                             "adjacent", "holders", "holder", "objects", "intervals", "events"])
             if op == "assert":
                 result = self.outcome(kb.assert_adjacency, a, b, t)
             elif op == "retract":
@@ -485,6 +524,8 @@ class TestStoreIndex:
                 entry = CreatedEntry.of(new_id(), rng.choice(kinds), rng.sample(pool, min(len(pool), 3)))
                 event_id = rng.choice([None, new_id()])
                 result = self.outcome(apply_transfer, kb, donors, [entry], last + 1, (), event_id)
+            elif op == "events":
+                result = self.outcome(batch_write, kb, self.random_events(kb, rng, step, kinds, used, granules))
             elif op == "append":  # as an importer or a hand-built store writes
                 kb.adjacency.append(AdjacencyInterval(*sorted((a, b)), t, rng.choice([None, t + 2])))
                 qid = f"hand{step}"
@@ -497,11 +538,11 @@ class TestStoreIndex:
             else:  # an event write's holder lookup, after the catch-up the write makes first
                 exclude = frozenset(rng.sample(sorted(kb.quantities), min(len(kb.quantities), 1)))
                 kb.store_index.catch_up(kb)
-                result = self.outcome(events._same_kind_holder, kb, a, rng.choice(kinds), t, exclude)
+                result = self.outcome(events._same_kind_holder, kb, frozenset(granules), rng.choice(kinds), t, exclude)
             out.append((op, *result))
         return out
 
-    def runs(self, seeds):
+    def runs(self, seeds, batch_write=events.apply_events):
         """Engine-built, imported and moved-chain stores, each written at random afterwards."""
         out = []
         for seed in seeds:
@@ -512,7 +553,7 @@ class TestStoreIndex:
                 lambda: moved_chains_kb(1 + seed % 8),
             ):
                 kb = make()
-                out.append((self.random_writes(kb, rng, 40), kb))
+                out.append((self.random_writes(kb, rng, 40, batch_write), kb))
         return out
 
     def test_matches_brute_force_scans(self, monkeypatch):
@@ -525,14 +566,14 @@ class TestStoreIndex:
             for owner, name, reference in self.REFERENCES:
                 m.setattr(owner, name, reference)
             m.setattr(StoreIndex, "__init__", write_only_tables(StoreIndex.__init__, reads))
-            referenced = self.runs(seeds)
+            referenced = self.runs(seeds, reference_apply_events)  # record by record
         assert reads == []
         assert indexed == referenced
         seen = {(op, rec[1] if rec[0] == "raised" else "ok")
                 for outcomes, _ in indexed for op, *rec in outcomes}
         found = {op for outcomes, _ in indexed for op, *rec in outcomes if rec[0] == "ok" and rec[1]}
         assert {"adjacent", "holders", "holder"} <= found
-        for op in ("assert", "retract", "object", "create", "transfer", "objects", "intervals"):
+        for op in ("assert", "retract", "object", "create", "transfer", "objects", "intervals", "events"):
             assert (op, "ok") in seen, op
         for op, error in [("assert", "OverlappingInterval"), ("retract", "UnknownAdjacency"),
                           ("objects", "ValueError"), ("objects", "DuplicateId"), ("objects", "UnknownKind"),
@@ -541,7 +582,11 @@ class TestStoreIndex:
                           ("intervals", "UnknownAdjacency"),
                           ("object", "DuplicateId"), ("create", "DuplicateId"),
                           ("create", "GranuleNotFree"), ("transfer", "DuplicateId"),
-                          ("transfer", "GranuleProvenanceViolation")]:
+                          ("transfer", "GranuleProvenanceViolation"),
+                          *[("events", error) for error in (
+                              "ValueError", "NonMonotonicTime", "DuplicateId", "UnknownQuantity", "DonorNotLive",
+                              "DuplicateGranuleAssignment", "UnknownKind", "UnknownObject", "TooFewGranules",
+                              "GranuleProvenanceViolation", "GranuleNotFree")]]:
             assert (op, error) in seen, (op, error)
 
     def test_imported_store_is_indexed_on_first_use(self, case_kb):
