@@ -171,8 +171,8 @@ class StoreIndex:
     only. Here ``counts`` holds the lengths of ``kb.events``, ``kb.quantities``
     and ``kb.adjacency`` seen. ``catch_up`` indexes appends made outside the
     kernel (imports, stores built field by field). A kernel write catches up
-    once, before its checks, which read the index as it stands; after its last
-    check it appends and hands what it appended to ``add``.
+    once, before its checks, which read the index as it stands; then it hands
+    each record it appends to ``add``, so the next record's checks see it.
     """
 
     event_ids: set[str] = field(default_factory=set)
@@ -359,45 +359,35 @@ class KnowledgeBase:
         """Open each ``(a, b, start, end)`` in turn and close it at ``end`` unless
         that is None, as ``assert_adjacency`` and then ``retract_adjacency`` would.
 
-        One catch-up, then each record's checks against the stored intervals
-        and those before it in the batch; then one append and one index add of
-        the intervals that passed. At the first record that fails, the ones
+        One catch-up, then each record's checks against the pair's indexed
+        intervals, which hold the batch's earlier ones; a record that passes is
+        appended and indexed at once. At the first record that fails, the ones
         before it stay opened (and closed) and its error is raised, so
         ``len(kb.adjacency)`` grew by the failing record's position.
         """
         index = self.store_index.catch_up(self)  # the write's one catch-up
-        new: list[AdjacencyInterval] = []
-        known: dict[tuple[str, str], list[AdjacencyInterval]] = {}  # a pair's stored and new intervals
-        try:
-            for a, b, start, end in intervals:
-                self._check_time(start)
-                if a == b:
-                    raise SelfAdjacency(f"object '{a}' cannot be adjacent to itself")
-                self._object(a, start)
-                self._object(b, start)
-                if b < a:
-                    a, b = b, a
-                pair = (a, b)
-                pair_intervals = known.get(pair)
-                if pair_intervals is None:
-                    pair_intervals = known[pair] = list(index.intervals.get(pair, ()))
-                for iv in pair_intervals:
-                    # a new interval is open-ended, so it overlaps anything not closed by start
-                    if iv.end is None or iv.end > start:
-                        raise OverlappingInterval(
-                            f"adjacency {a}-{b} from t{start} would overlap the interval "
-                            f"starting at t{iv.start}"
-                        )
-                iv = AdjacencyInterval(a, b, start)
-                if end is not None:
-                    # every earlier interval of the pair is closed by start, so only this one can close
-                    self._check_time(end)
-                    self._close(pair, (iv,), end)
-                pair_intervals.append(iv)
-                new.append(iv)
-        finally:
-            self.adjacency += new
-            index.add(self, (), (), new)
+        for a, b, start, end in intervals:
+            self._check_time(start)
+            if a == b:
+                raise SelfAdjacency(f"object '{a}' cannot be adjacent to itself")
+            self._object(a, start)
+            self._object(b, start)
+            if b < a:
+                a, b = b, a
+            for iv in index.intervals.get((a, b), ()):
+                # a new interval is open-ended, so it overlaps anything not closed by start
+                if iv.end is None or iv.end > start:
+                    raise OverlappingInterval(
+                        f"adjacency {a}-{b} from t{start} would overlap the interval "
+                        f"starting at t{iv.start}"
+                    )
+            iv = AdjacencyInterval(a, b, start)
+            if end is not None:
+                # every earlier interval of the pair is closed by start, so only this one can close
+                self._check_time(end)
+                self._close((a, b), (iv,), end)
+            self.adjacency.append(iv)
+            index.add(self, (), (), (iv,))
 
     def retract_adjacency(self, a: str, b: str, end: int) -> None:
         """Close the open adjacency interval for the pair at ``end``."""

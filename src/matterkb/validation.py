@@ -310,16 +310,16 @@ def _sweep(kb: KnowledgeBase, worlds: list[int]) -> Iterator[tuple[int, _World]]
             born.setdefault(start, []).append(q)
             if end is not None:
                 dying.setdefault(end, []).append(q)
-    for pair, intervals in kb.store_index.catch_up(kb).intervals.items():
-        for iv in intervals:
-            start = iv.start if iv.start > first else first
-            end = iv.end
-            if start <= last and (end is None or end > start):
-                counts = opened.setdefault(start, {})
-                counts[pair] = counts.get(pair, 0) + 1
-                if end is not None:
-                    counts = opened.setdefault(end, {})
-                    counts[pair] = counts.get(pair, 0) - 1
+    for iv in kb.adjacency:
+        start = iv.start if iv.start > first else first
+        end = iv.end
+        if start <= last and (end is None or end > start):
+            pair = (iv.a, iv.b)
+            counts = opened.setdefault(start, {})
+            counts[pair] = counts.get(pair, 0) + 1
+            if end is not None:
+                counts = opened.setdefault(end, {})
+                counts[pair] = counts.get(pair, 0) - 1
     world = _World(kb)
     for t in worlds:
         world.advance(born.get(t, ()), dying.get(t, ()), opened.get(t, {}))
@@ -400,11 +400,11 @@ _QUANTITY_FIELDS = (
 def check_history(kb: KnowledgeBase) -> list[Violation]:
     """The event log, re-applied through the engine, rebuilds the stored quantities.
 
-    ``replay`` runs the engine's checks on every record, the objects and the
-    intervals in one kernel batch each and the events one at a time, so they
-    are the only encoding of the log's rules. Replay stops at the first
-    rejected record and that record alone is reported; otherwise every stored
-    quantity must equal its rebuilt twin.
+    ``replay`` runs the engine's checks on every record, the objects, the
+    events and the intervals in one kernel batch each, so they are the only
+    encoding of the log's rules. Replay stops at the first rejected record and
+    that record alone is reported; otherwise every stored quantity must equal
+    its rebuilt twin.
     """
     try:
         rebuilt = replay(kb).quantities

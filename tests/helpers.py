@@ -216,18 +216,14 @@ class _Gen:
                     self.kb.assert_adjacency(*sorted((a, b)), t)
 
     def cut_same_kind_crossings(self, t: int) -> None:
-        live = self.kb.live_quantities_at(t)
-        active = self.kb.adjacency_at(t)
-        for i, q1 in enumerate(live):
-            for q2 in live[i + 1:]:
-                if q1.kind != q2.kind:
-                    continue
-                for a, b in active:
-                    crosses = (a in q1.granules and b in q2.granules) or (
-                        a in q2.granules and b in q1.granules
-                    )
-                    if crosses and self.kb.adjacent_at(a, b, t):
-                        self.kb.retract_adjacency(a, b, t)
+        holders: dict[str, list[QuantityInst]] = {}
+        for q in self.kb.live_quantities_at(t):
+            for g in q.granules:
+                holders.setdefault(g, []).append(q)
+        for a, b in self.kb.adjacency_at(t):
+            if any(q1 is not q2 and q1.kind == q2.kind
+                   for q1 in holders.get(a, ()) for q2 in holders.get(b, ())):
+                self.kb.retract_adjacency(a, b, t)
 
 
 def build_random_kb(seed: int, max_events: int = 8, max_objects: int = 20) -> KnowledgeBase:

@@ -442,6 +442,20 @@ def test_incremental_index_matches_whole_log_reference(case_kb):
     assert merges > 100  # multi-donor transfers, where donor order shows
 
 
+def test_index_matches_whole_log_reference_on_large_stores():
+    """The same reads on 100 moved chains and on random stores of 120-150
+    events, before and after a few seeded writes."""
+    stores = [moved_chains_kb(100)] + [build_random_kb(seed, max_events=200, max_objects=150)
+                                       for seed in (5, 6, 10, 19)]
+    for n, kb in enumerate(stores):
+        assert len(kb.events) >= 120
+        rng = random.Random(n)
+        _assert_matches_reference(kb, rng)
+        for step in range(4):
+            random_write(kb, rng, f"w{step}")
+        _assert_matches_reference(kb, rng)
+
+
 def test_each_event_derived_once(monkeypatch):
     """1000 moved chains, then 200 cycles of one transfer and one provenance
     read: every event is derived into the index exactly once. Rebuilding the

@@ -1,6 +1,7 @@
 """Axiom checks: per-rule behaviour, seeded faults, and oracle agreement."""
 
 import copy
+import json
 import random
 import time
 from collections import Counter
@@ -10,10 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 from matterkb import KindDecl, KnowledgeBase, export_document, import_document, validate_all
 from matterkb import validation
-from matterkb.canonical import doc_to_kb
+from matterkb.canonical import doc_to_kb, kb_to_doc
+from matterkb.events import CREATION, GRANULE_TRANSFER
 from matterkb.errors import DocumentError
 from matterkb.model import (
-    OBJECT_KIND, QUANTITY_KIND, AdjacencyInterval, ObjectInst, QuantityInst, SubQuantityAssertion, WorldColumns,
+    OBJECT_KIND, QUANTITY_KIND, AdjacencyInterval, ObjectInst, QuantityInst, StoreIndex, SubQuantityAssertion,
+    WorldColumns,
 )
 from matterkb.validation import (
     RULES,
@@ -382,9 +385,27 @@ DELTA_CASES = {
 }
 
 
+def _rewired(text, seed):
+    """The document ``text`` read back with a seeded sixth of its intervals
+    dropped and as many added between random objects, each open for one to
+    three ticks once both exist, so the world rules fire at many points."""
+    rng = random.Random(seed)
+    doc = json.loads(text)
+    adjacency, objects = doc["adjacency"], doc["objects"]
+    n = len(adjacency) // 6
+    for i in sorted(rng.sample(range(len(adjacency)), n), reverse=True):
+        del adjacency[i]
+    for _ in range(n):
+        x, y = sorted(rng.sample(objects, 2), key=lambda o: o["id"])
+        start = max(x["created_at"], y["created_at"]) + rng.randint(0, 3)
+        adjacency.append({"a": x["id"], "b": y["id"], "from": start, "to": start + rng.randint(1, 3)})
+    return doc_to_kb(doc)
+
+
 def _sweep_corpus(case_kb):
     """(label, store) for the differential tests: messy, engine-built and
-    hand-written stores, the fault fixtures and the case study."""
+    hand-written stores, the fault fixtures, the case study, and stores of
+    100-200 events, imported and rewired."""
     for seed in range(200):
         yield f"messy {seed}", messy_world_kb(seed)
     for seed in range(20):
@@ -397,6 +418,12 @@ def _sweep_corpus(case_kb):
     yield "case study", case_kb
     yield "toggling chain 200", toggling_chain_kb(200)
     yield from DELTA_CASES.items()
+    for label, kb in (("moved chains 100", moved_chains_kb(100)),
+                      ("random 10", build_random_kb(10, max_events=150, max_objects=120))):
+        text = export_document(kb)
+        yield f"{label} imported", import_document(text)
+        for seed in range(2):
+            yield f"{label} rewired {seed}", _rewired(text, seed)
 
 
 def _world_violations(report):
@@ -441,6 +468,55 @@ def test_delta_cases_report_what_the_references_do():
     assert "(b-d)" in backward[0].message
 
 
+_TIME_FIELDS = {"created_at", "terminated_at", "from", "to", "at"}
+
+
+def _moved(value, prefix, shift, key=None):
+    """A document part with each time mapped by ``shift`` and each id and kind name prefixed."""
+    if isinstance(value, dict):
+        return {k: _moved(v, prefix, shift, k) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_moved(v, prefix, shift, key) for v in value]
+    if key in _TIME_FIELDS:
+        return shift(value)
+    if key == "meta" or key == "kind" and value in (CREATION, GRANULE_TRANSFER):
+        return value
+    return prefix + value
+
+
+def _planted(host, fixture):
+    """``host`` read back with ``fixture`` planted in it, its ids prefixed with
+    ``f_``: the host's times doubled, and the fixture's doubled and moved to odd
+    ticks from the host's middle event on, so that no two events share a tick."""
+    host, fixture = kb_to_doc(host), kb_to_doc(fixture)
+    middle = host["events"][len(host["events"]) // 2]["at"]
+    doc = _moved(host, "", lambda t: 2 * t)
+    for section, records in _moved(fixture, "f_", lambda t: 2 * (t + middle) + 1).items():
+        doc[section] += records
+    doc["events"].sort(key=lambda e: e["at"])
+    return doc_to_kb(doc)
+
+
+@pytest.mark.parametrize("rule", sorted(FAULT_FIXTURES))
+def test_fault_planted_in_a_large_document_reports_only_itself(rule):
+    """Each fixture planted into 100 moved chains and into a random store of 121
+    events reports its own (rule, subjects), ids prefixed, and nothing else; each
+    world-rule violation is one the per-world references report at its point."""
+    own = {(v.rule, tuple(f"f_{s}" for s in v.subjects)) for v in validate_all(FAULT_FIXTURES[rule]()).violations}
+    assert rule in {r for r, _ in own}
+    for host in (moved_chains_kb(100), build_random_kb(10, max_events=150, max_objects=120)):
+        assert validate_all(host).ok
+        kb = _planted(host, FAULT_FIXTURES[rule]())
+        assert len({ev.at for ev in kb.events}) == len(kb.events) >= 120
+        report = validate_all(kb)
+        assert {(v.rule, v.subjects) for v in report.violations} == own
+        references = {}
+        for v in _world_violations(report):
+            if v.at not in references:
+                references[v.at] = {repr(w) for w in reference_connectivity(kb, v.at) + reference_maximality(kb, v.at)}
+            assert repr(v) in references[v.at]
+
+
 def test_full_sweep_agrees_with_one_point_validate(case_kb):
     """At each change point, a full validate reports what ``validate --at``
     reports there; between two points and past the last, ``--at`` repeats the
@@ -472,14 +548,18 @@ def test_full_sweep_agrees_with_one_point_validate(case_kb):
 
 
 def test_validate_reads_no_world_columns():
-    """Every world is reached by deltas from the empty world, so validating an
-    imported document, in full or at one point, sorts and keeps no world columns."""
+    """Every world is reached by deltas from the empty world, and the sweep reads
+    the store's own lists, so validating an imported document, in full or at one
+    point, builds no derived index of it: no world columns, no store index and
+    no provenance index."""
     text = export_document(build_random_kb(1, max_events=60, max_objects=150))
     points = import_document(text).change_points()
     for at in (None, points[0], points[len(points) // 2], points[-1], points[-1] + 1):
         kb = import_document(text)
         validate_all(kb, at)
         assert kb.world_columns == WorldColumns(), at
+        assert kb.store_index == StoreIndex(), at
+        assert kb.provenance_index is None, at
 
 
 def test_full_validate_of_3200_worlds_is_clean_and_fast():
