@@ -34,6 +34,7 @@ from .model import (
     QUANTITY_KIND,
     QuantityInst,
     SubQuantityAssertion,
+    collector_paused,
 )
 
 _ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*")
@@ -113,20 +114,22 @@ def import_document(text: str) -> KnowledgeBase:
 
     Raises DocumentError with a path to the offending field on any structural
     problem, a repeated key first. The result may violate semantic rules; run
-    the validators.
+    the validators. Reads with the cyclic collector paused, as a command does.
     """
-    doc = _loads(text)
-    try:
-        kb = doc_to_kb(doc)
-    except DocumentError:
-        _reject_repeated_keys(text)
-        raise
-    # A key is followed by one ':' outside strings, and a loaded document holds no ':' in
-    # a string, so there are more colons than keys exactly when json.loads dropped a repeat.
-    created = chain.from_iterable(map(itemgetter("created"), doc["events"]))
-    if text.count(":") != sum(map(len, chain([doc], *map(doc.get, _SECTIONS), created))):
-        _reject_repeated_keys(text)
-    return kb
+    with collector_paused():
+        doc = _loads(text)
+        try:
+            kb = doc_to_kb(doc)
+        except DocumentError:
+            _reject_repeated_keys(text)
+            raise
+        # A key is followed by one ':' outside strings, and a loaded document holds no ':' in
+        # a string, so there are more colons than keys exactly when json.loads dropped a repeat.
+        created = chain.from_iterable(map(itemgetter("created"), doc["events"]))
+        if text.count(":") != sum(map(len, chain([doc], *map(doc.get, _SECTIONS), created))):
+            _reject_repeated_keys(text)
+        del doc, created  # freed while paused: the collection that may follow walks only the store
+        return kb
 
 
 def _loads(text: str, **options: Any) -> Any:
@@ -295,6 +298,11 @@ def _id_sets(lists: list) -> list[frozenset[str]] | None:
     return sets if sum(map(len, sets)) == sum(map(len, lists)) else None
 
 
+def _tuples(cls: type, *columns: list) -> Iterator:
+    """``map(cls, *columns)`` for a NamedTuple ``cls``, without its Python ``__new__`` call per record."""
+    return map(tuple.__new__, repeat(cls), zip(*columns))
+
+
 def _fresh(ids: list[str], taken: Any) -> bool:
     """No id repeats within the column or one of ``taken``."""
     return len(set(ids)) == len(ids) and taken.isdisjoint(ids)
@@ -381,7 +389,7 @@ _ID_SET = _Type(_id_sets, _id_set, _write_id_sets)
 _BY_ID = attrgetter("id")
 _CREATED = _Section(
     {"id": _ID, "kind": _ID, "granules": _ID_SET}, None, ("id", "kind", "granules"),
-    lambda kb, c: list(map(CreatedEntry, c["id"], c["kind"], c["granules"])), _BY_ID,
+    lambda kb, c: list(_tuples(CreatedEntry, c["id"], c["kind"], c["granules"])), _BY_ID,
 )
 _TABLE = {
     "kinds": _Section(
@@ -402,7 +410,7 @@ _TABLE = {
             "id", _Rule("id", "duplicate object '{id}'", lambda kb, c: _fresh(c["id"], kb.objects.keys())),
             "kind", "created_at",
         ),
-        lambda kb, c: kb.objects.update(zip(c["id"], map(ObjectInst, c["id"], c["kind"], c["created_at"]))),
+        lambda kb, c: kb.objects.update(zip(c["id"], _tuples(ObjectInst, c["id"], c["kind"], c["created_at"]))),
         _BY_ID,
     ),
     "quantities": _Section(
@@ -448,7 +456,7 @@ _TABLE = {
                 [d and e for k, d, e in zip(c["kind"], c["donors"], c["created"]) if k == GRANULE_TRANSFER])),
             "at", "discarded",
         ),
-        lambda kb, c: kb.events.extend(map(
+        lambda kb, c: kb.events.extend(_tuples(
             EventRec, c["id"], c["at"], c["kind"], c["donors"], c["created"], c["discarded"])),
         None,
     ),

@@ -8,17 +8,14 @@ is byte-deterministic for a given input and command.
 from __future__ import annotations
 
 import argparse
-import gc
 import os
 import sys
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator
 
 from . import canonical, dsl, provenance
 from .errors import DocumentError, EngineError, ScenarioLoadError
 from .events import replay
-from .model import KnowledgeBase
+from .model import KnowledgeBase, collector_paused
 from .validation import Report, validate_all
 
 OK = 0
@@ -296,21 +293,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@contextmanager
-def _collector_paused() -> Iterator[None]:
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
 def main(argv: list[str] | None = None) -> int:
     """Run one command and return its exit code. The command runs with the cyclic collector
     paused: what it builds holds no cycles, yet each container it allocates counts toward a
-    collection. Library calls, such as ``load_kb``, keep the collector as their caller set it."""
+    collection. Of the library calls, ``canonical.import_document`` (so ``load_kb`` of a
+    ``.mpkb``) pauses it too; ``run_query`` and ``validate_all`` keep it as their caller set it."""
     argv = sys.argv[1:] if argv is None else argv
     try:
         # Build only the subcommand that runs; the whole tree parses anything else.
@@ -322,7 +309,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return USAGE if exc.code not in (0, None) else 0
     try:
-        with _collector_paused():
+        with collector_paused():
             return args.func(args)
     except _CliError as exc:
         print(str(exc), file=sys.stderr)

@@ -8,10 +8,12 @@ in the store with historical status and keep answering queries about the past.
 
 from __future__ import annotations
 
+import gc
 from bisect import bisect_left, bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain, compress, islice
-from typing import TYPE_CHECKING, Iterable, KeysView, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, KeysView, NamedTuple, Sequence
 
 from .errors import (
     DuplicateId,
@@ -43,6 +45,18 @@ STATUS_NOT_YET_CREATED = "not-yet-created"
 MIN_GRANULES = 2
 
 
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Pause the cyclic collector; on exit, leave it enabled or disabled as it was found."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 @dataclass(frozen=True)
 class KindDecl:
     """A declared type: either a kind of quantity or a kind of object.
@@ -62,7 +76,7 @@ class ObjectInst(NamedTuple):
     created_at: int
 
 
-@dataclass
+@dataclass(slots=True)
 class QuantityInst:
     """An individual portion of matter.
 
@@ -101,7 +115,7 @@ class QuantityInst:
         return self.granules - whole.granules if self.overlaps(whole) else frozenset()
 
 
-@dataclass
+@dataclass(slots=True)
 class AdjacencyInterval:
     """A symmetric external-connection edge, active over [start, end).
 

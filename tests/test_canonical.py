@@ -385,3 +385,74 @@ def test_export_peak_memory_is_at_most_three_document_lengths():
         if not tracing:
             tracemalloc.stop()
     assert peak <= 3 * len(text), peak / len(text)
+
+
+# -- the import runs with the cyclic collector paused -----------------------------------
+
+
+FAILED_IMPORTS = {
+    "malformed JSON": ("not a document {", "$", "not a well-formed document"),
+    "nested too deeply": ("[" * 100_000, "$", "nested too deeply to read"),
+    "repeated key": (EMPTY_DOC.replace('"kinds": [],', '"kinds": [],\n  "kinds": [],'), "kinds", "repeated key 'kinds'"),
+    "bad field value": (
+        EMPTY_DOC.replace('"objects": []', '"objects": [{"id": "g1", "kind": "Grain", "created_at": -1}]'),
+        "objects[0].created_at", "expected a non-negative integer, got -1",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def chains800_text():
+    return export_document(moved_chains_kb(800))
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("failure", [None, *FAILED_IMPORTS], ids=["clean", *FAILED_IMPORTS])
+def test_import_leaves_the_collector_as_it_found_it(case_kb, failure, enabled):
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if failure is None:
+            assert import_document(export_document(case_kb)) == case_kb
+        else:
+            text, path, message = FAILED_IMPORTS[failure]
+            with pytest.raises(DocumentError) as exc_info:
+                import_document(text)
+            assert exc_info.value.path == path and message in str(exc_info.value), exc_info.value
+        assert gc.isenabled() == enabled
+    finally:
+        gc.enable()
+
+
+def test_no_collection_while_a_document_is_imported(chains800_text):
+    """Reading the document alone would set off young collections. What the import
+    allocated may set off one young collection, once the pause has ended."""
+    collections = []
+
+    def count(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    gc.collect()  # the next young collection is due after 700 more containers
+    gc.callbacks.append(count)
+    try:
+        kb = import_document(chains800_text)
+    finally:
+        gc.callbacks.remove(count)
+    assert len(kb.events) == 1600
+    assert collections in ([], [0])
+
+
+def test_cyclic_garbage_an_import_leaves_does_not_grow_with_the_input(case_kb, chains800_text):
+    """With the collector paused, cyclic garbage built per record would pile up until
+    the import ends. What an import leaves must not grow with the document."""
+    left = {}
+    for name, text in [("case", export_document(case_kb)), ("chains800", chains800_text)]:
+        gc.collect()
+        gc.disable()
+        try:
+            kb = import_document(text)
+            left[name] = gc.collect()
+        finally:
+            gc.enable()
+        assert export_document(kb) == text
+    assert left["chains800"] <= left["case"], left

@@ -2,8 +2,12 @@
 
 Each record compares by value, hashes, refuses field assignment and keeps its
 repr. The expected reprs were recorded when these records were frozen
-dataclasses.
+dataclasses. The quantity and interval records of a store stay mutable, since
+a quantity ends and an interval closes in place; they are slotted dataclasses,
+with the reprs they had with an instance ``__dict__``.
 """
+
+import copy
 
 import pytest
 
@@ -18,7 +22,10 @@ from matterkb.dsl import (
     SubquantityStmt,
 )
 from matterkb.events import CreatedEntry, EventRec
-from matterkb.model import ObjectInst
+from matterkb.canonical import export_document, import_document
+from matterkb.model import AdjacencyInterval, ObjectInst, QuantityInst
+
+from helpers import build_random_kb
 
 P = Pos(3, 5)
 ENTRY = CreatedEntry("r2", "Rock", frozenset({"g1"}))
@@ -99,3 +106,53 @@ def test_record_semantics(make, names, expected_repr):
 
 def test_created_entry_of_builds_a_granule_set():
     assert CreatedEntry.of("r2", "Rock", ["g1", "g1"]) == ENTRY
+
+
+STORE_RECORDS = [
+    (
+        lambda: QuantityInst("r1", "Rock", 1, frozenset({"g1"}), "e1"),
+        ("id", "kind", "created_at", "granules", "creation_event", "terminated_at"),
+        "QuantityInst(id='r1', kind='Rock', created_at=1, granules=frozenset({'g1'}), "
+        "creation_event='e1', terminated_at=None)",
+    ),
+    (
+        lambda: AdjacencyInterval("g1", "g2", 4),
+        ("a", "b", "start", "end"),
+        "AdjacencyInterval(a='g1', b='g2', start=4, end=None)",
+    ),
+]
+
+
+@pytest.mark.parametrize("make, names, expected_repr", STORE_RECORDS, ids=[r[2].partition("(")[0] for r in STORE_RECORDS])
+def test_store_record_semantics(make, names, expected_repr):
+    record, twin = make(), make()
+    assert repr(record) == expected_repr
+    assert record == twin and not record != twin
+    with pytest.raises(TypeError):  # compared by value, so not hashable
+        hash(record)
+    values = [getattr(record, name) for name in names]
+    for i, name in enumerate(names):
+        other = type(record)(*values[:i], "changed", *values[i + 1:])
+        assert record != other, name
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(AttributeError):  # no instance dict to take a field of another name
+        record.note = "x"
+    last = names[-1]  # terminated_at or end: it is set in place
+    setattr(record, last, 9)
+    assert getattr(record, last) == 9 and record != twin
+    assert repr(record) == expected_repr.replace(f"{last}=None", f"{last}=9")
+
+
+def test_deep_copy_of_an_imported_store_equals_it():
+    kb = import_document(export_document(build_random_kb(10, max_events=150, max_objects=120)))
+    assert any(q.terminated_at is not None for q in kb.quantities.values())
+    assert any(iv.end is not None for iv in kb.adjacency)
+    twin = copy.deepcopy(kb)
+    assert twin == kb and export_document(twin) == export_document(kb)
+    for records, kind in [(kb.objects.values(), ObjectInst), (kb.quantities.values(), QuantityInst),
+                          (kb.adjacency, AdjacencyInterval), (kb.events, EventRec),
+                          ([e for ev in kb.events for e in ev.created], CreatedEntry)]:
+        assert records and {type(r) for r in records} == {kind}
+    q = next(q for q in twin.quantities.values() if q.terminated_at is None)
+    q.terminated_at = q.created_at + 1  # the copy's records are its own
+    assert twin != kb and kb.quantities[q.id].terminated_at is None
