@@ -64,7 +64,8 @@ class ConstitutionView:
 
 
 class _Index:
-    """Edges of one knowledge base, by inheritor, and adjacency lists over them.
+    """The edges of one knowledge base, each filed once by inheritor and once
+    by donor, in log order.
 
     Invalidation rule: see ``model.StoreIndex``. Edges depend only on the event
     log and on the granule sets of the quantities it names, and once a knowledge
@@ -75,21 +76,14 @@ class _Index:
     def __init__(self, kb: KnowledgeBase):
         self.length = 0
         self.by_inheritor: dict[str, list[ProvenanceEdge]] = {}
-        self.parents: dict[str, set[str]] = {}
-        self.children: dict[str, set[str]] = {}
-        self.sub_parents: dict[str, set[str]] = {}
-        self.sub_children: dict[str, set[str]] = {}
+        self.by_donor: dict[str, list[ProvenanceEdge]] = {}
         self.catch_up(kb)
 
     def catch_up(self, kb: KnowledgeBase) -> "_Index":
         if self.length != len(kb.events):
             for e in _derive(kb, kb.events[self.length:]):
                 self.by_inheritor.setdefault(e.inheritor, []).append(e)
-                self.parents.setdefault(e.inheritor, set()).add(e.donor)
-                self.children.setdefault(e.donor, set()).add(e.inheritor)
-                if e.is_sub_portion:
-                    self.sub_parents.setdefault(e.inheritor, set()).add(e.donor)
-                    self.sub_children.setdefault(e.donor, set()).add(e.inheritor)
+                self.by_donor.setdefault(e.donor, []).append(e)
             self.length = len(kb.events)
         return self
 
@@ -100,10 +94,7 @@ def _derive(kb: KnowledgeBase, events: list[EventRec]) -> list[ProvenanceEdge]:
         for entry in ev.created:
             for did in sorted(ev.donors):  # none in a creation
                 donor = kb.quantities.get(did)
-                if donor is None:
-                    continue
-                shared = entry.granules & donor.granules
-                if not shared:
+                if donor is None or donor.granules.isdisjoint(entry.granules):
                     continue
                 subset = entry.granules <= donor.granules
                 edges.append(
@@ -126,18 +117,6 @@ def _index(kb: KnowledgeBase) -> _Index:
     return idx.catch_up(kb)
 
 
-def _reach(start: str, neighbors: dict[str, set[str]]) -> frozenset[str]:
-    seen: set[str] = set()
-    frontier = [start]
-    while frontier:
-        node = frontier.pop()
-        for nxt in neighbors.get(node, ()):
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return frozenset(seen)
-
-
 def derive_edges(kb: KnowledgeBase) -> tuple[ProvenanceEdge, ...]:
     """One edge per (donor, inheritor) pair sharing at least one moved granule."""
     every = (e for edges in _index(kb).by_inheritor.values() for e in edges)
@@ -151,39 +130,53 @@ def edges_among(kb: KnowledgeBase, quantity_ids: set[str]) -> list[ProvenanceEdg
     return sorted(edges, key=_EDGE_ORDER)
 
 
-def _related(kb: KnowledgeBase, quantity_id: str, transitive: bool, relation: str) -> frozenset[str]:
+def _walk(kb: KnowledgeBase, quantity_id: str, transitive: bool, backward: bool, sub_only: bool) -> frozenset[str]:
+    """Quantities one edge from ``quantity_id``, or any number if ``transitive``: toward
+    donors if ``backward``, else toward inheritors; over sub-portion edges only if ``sub_only``."""
     kb._quantity(quantity_id)
-    neighbors = getattr(_index(kb), relation)
-    if transitive:
-        return _reach(quantity_id, neighbors)
-    return frozenset(neighbors.get(quantity_id, ()))
+    idx = _index(kb)
+    edges = idx.by_inheritor if backward else idx.by_donor
+    seen: set[str] = set()
+    frontier = [quantity_id]
+    while frontier:
+        for e in edges.get(frontier.pop(), ()):
+            if sub_only and not e.is_sub_portion:
+                continue
+            nxt = e.donor if backward else e.inheritor
+            if nxt not in seen:
+                seen.add(nxt)
+                if transitive:
+                    frontier.append(nxt)
+    return frozenset(seen)
 
 
 def inherited_from(kb: KnowledgeBase, quantity_id: str, transitive: bool = False) -> frozenset[str]:
     """Donors the quantity inherited granules from, direct or as a full closure."""
-    return _related(kb, quantity_id, transitive, "parents")
+    return _walk(kb, quantity_id, transitive, backward=True, sub_only=False)
 
 
 def donated_to(kb: KnowledgeBase, quantity_id: str, transitive: bool = False) -> frozenset[str]:
     """Inverse of inherited_from: quantities this one donated granules to."""
-    return _related(kb, quantity_id, transitive, "children")
+    return _walk(kb, quantity_id, transitive, backward=False, sub_only=False)
 
 
 def sub_portions_of(kb: KnowledgeBase, quantity_id: str, transitive: bool = False) -> frozenset[str]:
     """Same-kind inheritors whose granules are subsets of this quantity's."""
-    return _related(kb, quantity_id, transitive, "sub_children")
+    return _walk(kb, quantity_id, transitive, backward=False, sub_only=True)
 
 
 def sub_portion_parents(kb: KnowledgeBase, quantity_id: str, transitive: bool = False) -> frozenset[str]:
     """Quantities this one is a sub-portion of."""
-    return _related(kb, quantity_id, transitive, "sub_parents")
+    return _walk(kb, quantity_id, transitive, backward=True, sub_only=True)
 
 
 def classify_origin(kb: KnowledgeBase, quantity_id: str) -> str:
     """Every quantity is exactly one of OriginalPortion or SubPortion."""
     kb._quantity(quantity_id)
-    idx = _index(kb)
-    return SUB_PORTION if idx.sub_parents.get(quantity_id) else ORIGINAL_PORTION
+    for e in _index(kb).by_inheritor.get(quantity_id, ()):
+        if e.is_sub_portion:
+            return SUB_PORTION
+    return ORIGINAL_PORTION
 
 
 def granule_history(kb: KnowledgeBase, object_id: str) -> GranuleHistory:
@@ -229,12 +222,8 @@ def common_ancestors(kb: KnowledgeBase, q1: str, q2: str) -> frozenset[str]:
     Each argument counts as its own ancestor, so if one is an ancestor of the
     other it shows up in the result.
     """
-    kb._quantity(q1)
-    kb._quantity(q2)
-    idx = _index(kb)
-    left = _reach(q1, idx.parents) | {q1}
-    right = _reach(q2, idx.parents) | {q2}
-    return frozenset(left & right)
+    left = inherited_from(kb, q1, transitive=True) | {q1}
+    return left & (inherited_from(kb, q2, transitive=True) | {q2})
 
 
 def constitution_view(kb: KnowledgeBase, quantity_id: str, t: int) -> ConstitutionView:

@@ -101,8 +101,9 @@ class TestClosures:
         )
 
     def test_unknown_quantity(self, case_kb):
-        with pytest.raises(UnknownQuantity):
-            inherited_from(case_kb, "ghost")
+        for relation in (inherited_from, donated_to, sub_portions_of, sub_portion_parents, classify_origin):
+            with pytest.raises(UnknownQuantity, match="'ghost'"):
+                relation(case_kb, "ghost")
 
     def test_closures_match_all_paths_oracle(self):
         for seed in range(80):
@@ -278,6 +279,11 @@ class TestCommonAncestors:
         apply_creation(kb, CreatedEntry.of("r2", "Rock", ["g3", "g4"]), 1)
         assert common_ancestors(kb, "r1", "r2") == frozenset()
 
+    @pytest.mark.parametrize("q1, q2, named", [("ghost1", "ghost2", "ghost1"), ("rock1", "ghost", "ghost")])
+    def test_first_unknown_argument_is_named(self, case_kb, q1, q2, named):
+        with pytest.raises(UnknownQuantity, match=f"'{named}'"):
+            common_ancestors(case_kb, q1, q2)
+
 
 class TestConstitution:
     def test_connected_during_lifetime(self, case_kb):
@@ -370,6 +376,23 @@ def test_imported_kb_answers_provenance(case_kb):
     assert kb == twin  # the index takes no part in equality
 
 
+def _reference_relations(edges):
+    """Each relation with its one-step neighbour map over the given edges."""
+    parents, children, sub_parents, sub_children = {}, {}, {}, {}
+    for e in edges:
+        parents.setdefault(e.inheritor, set()).add(e.donor)
+        children.setdefault(e.donor, set()).add(e.inheritor)
+        if e.is_sub_portion:
+            sub_parents.setdefault(e.inheritor, set()).add(e.donor)
+            sub_children.setdefault(e.donor, set()).add(e.inheritor)
+    return (
+        (inherited_from, parents),
+        (donated_to, children),
+        (sub_portion_parents, sub_parents),
+        (sub_portions_of, sub_children),
+    )
+
+
 def _assert_matches_reference(kb, rng):
     """Every provenance read agrees with the whole-log reference derivation."""
     reference = reference_derive_edges(kb)
@@ -380,19 +403,14 @@ def _assert_matches_reference(kb, rng):
     for e in reference:
         by_inheritor.setdefault(e.inheritor, []).append(e)
     assert index.by_inheritor == by_inheritor  # each edge once, donors in sorted order
-    parents, children, sub_parents, sub_children = {}, {}, {}, {}
-    for e in reference:
-        parents.setdefault(e.inheritor, set()).add(e.donor)
-        children.setdefault(e.donor, set()).add(e.inheritor)
-        if e.is_sub_portion:
-            sub_parents.setdefault(e.inheritor, set()).add(e.donor)
-            sub_children.setdefault(e.donor, set()).add(e.inheritor)
-    relations = (
-        (inherited_from, parents),
-        (donated_to, children),
-        (sub_portion_parents, sub_parents),
-        (sub_portions_of, sub_children),
-    )
+    created = [entry.id for ev in kb.events for entry in ev.created]
+    position = {qid: n for n, qid in enumerate(created)}
+    by_donor = {}
+    for e in sorted(reference, key=lambda e: (position[e.inheritor], e.donor)):  # log order
+        by_donor.setdefault(e.donor, []).append(e)
+    assert index.by_donor == by_donor  # and once more by donor
+    relations = _reference_relations(reference)
+    (_, parents), _, (_, sub_parents), _ = relations
     ids = sorted(kb.quantities)
     for qid in ids:
         for relation, neighbors in relations:
@@ -454,6 +472,29 @@ def test_index_matches_whole_log_reference_on_large_stores():
         for step in range(4):
             random_write(kb, rng, f"w{step}")
         _assert_matches_reference(kb, rng)
+
+
+def test_deep_lineage_matches_the_reference_walks(kb):
+    """300 one-donor transfers alternating a same-kind split to a proper subset
+    (a sub-portion edge) with a re-grow that takes the freed granule back (not
+    one): every relation, direct and transitive, from both ends and the middle."""
+    apply_creation(kb, CreatedEntry.of("q0", "Rock", ["g1", "g2", "g3"]), 0)
+    for i in range(1, 301):
+        granules = ["g1", "g2"] if i % 2 else ["g1", "g2", "g3"]
+        apply_transfer(kb, [f"q{i - 1}"], [CreatedEntry.of(f"q{i}", "Rock", granules)], i)
+    relations = _reference_relations(reference_derive_edges(kb))
+    assert len(relations[2][1]) == 150  # q1, q3, ..., q299 are sub-portions
+    for qid in ("q0", "q149", "q150", "q151", "q300"):
+        for relation, neighbors in relations:
+            assert relation(kb, qid) == neighbors.get(qid, set()), (relation.__name__, qid)
+            assert relation(kb, qid, transitive=True) == oracle_ancestors(neighbors, qid), (
+                relation.__name__, qid)
+    assert len(inherited_from(kb, "q300", transitive=True)) == 300
+    assert sub_portion_parents(kb, "q151", transitive=True) == {"q150"}
+    assert sub_portions_of(kb, "q0", transitive=True) == {"q1"}
+    for i in range(301):
+        assert classify_origin(kb, f"q{i}") == ("SubPortion" if i % 2 else "OriginalPortion")
+    assert common_ancestors(kb, "q0", "q300") == {"q0"}
 
 
 def test_each_event_derived_once(monkeypatch):
