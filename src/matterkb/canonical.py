@@ -21,6 +21,7 @@ import re
 from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii as _str
 from operator import attrgetter, eq, itemgetter
+from types import SimpleNamespace
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from .errors import DocumentError
@@ -115,20 +116,22 @@ def import_document(text: str) -> KnowledgeBase:
     Raises DocumentError with a path to the offending field on any structural
     problem, a repeated key first. The result may violate semantic rules; run
     the validators. Reads with the cyclic collector paused, as a command does.
+    A created entry that lists its quantity's granules holds the quantity's set,
+    as in a store the engine built.
     """
     with collector_paused():
         doc = _loads(text)
         try:
-            kb = doc_to_kb(doc)
+            kb, keys = _read(doc)
         except DocumentError:
             _reject_repeated_keys(text)
             raise
-        # A key is followed by one ':' outside strings, and a loaded document holds no ':' in
-        # a string, so there are more colons than keys exactly when json.loads dropped a repeat.
-        created = chain.from_iterable(map(itemgetter("created"), doc["events"]))
-        if text.count(":") != sum(map(len, chain([doc], *map(doc.get, _SECTIONS), created))):
+        # A key is followed by one ':' outside strings, and a loaded document holds no ':' in a string,
+        # so there are more colons than keys exactly when json.loads dropped a repeat. The bulk read
+        # counts the keys; a section read record by record is not counted, so the text is parsed again.
+        if text.count(":") != keys:
             _reject_repeated_keys(text)
-        del doc, created  # freed while paused: the collection that may follow walks only the store
+        del doc  # freed while paused: the collection that may follow walks only the store
         return kb
 
 
@@ -159,6 +162,13 @@ def _reject_repeated_keys(text: str) -> None:
 
 
 def doc_to_kb(doc: Any) -> KnowledgeBase:
+    """The knowledge base a loaded document describes, without engine checks; a structural fault
+    raises DocumentError, as in ``import_document``, which also rejects a key ``json.loads`` dropped."""
+    return _read(doc)[0]
+
+
+def _read(doc: Any) -> tuple[KnowledgeBase, int]:
+    """The knowledge base ``doc`` describes, and the keys of its objects that the bulk read counted."""
     if not isinstance(doc, dict):
         raise DocumentError("$", f"expected an object, got {type(doc).__name__}")
     extra = sorted(set(doc) - set(_SECTIONS))
@@ -168,24 +178,27 @@ def doc_to_kb(doc: Any) -> KnowledgeBase:
     if missing:
         raise DocumentError("$", f"missing section(s): {', '.join(missing)}")
 
-    kb = KnowledgeBase()
+    # the keys counted, and by id each quantity's granules list and checked set, which a created entry may share
+    kb, read = KnowledgeBase(), SimpleNamespace(keys=len(doc), granules={})
     for name, section in _TABLE.items():
         items = doc[name]
         if not isinstance(items, list):
             raise DocumentError(name, f"expected an array, got {type(items).__name__}")
-        columns = _bulk(section, kb, items)
+        columns = _bulk(section, kb, items, read)
         if columns is None:
             _locate(section, kb, items, name)
-        else:
-            section.add(kb, columns)
-    return kb
+            continue
+        section.add(kb, columns)
+        if name == "quantities":
+            read.granules = dict(zip(columns["id"], zip(map(itemgetter("granules"), items), columns["granules"])))
+    return kb, read.keys
 
 
 # -- one schema per section -----------------------------------------------------------
 
 
 class _Type(NamedTuple):
-    column: Callable[[list], list | None]  # a column's checked values, or None
+    column: Callable[[list, SimpleNamespace], list | None]  # a column's checked values, or None
     value: Callable[[Any, str], Any]  # one value checked, or a DocumentError at the path given
     write: Callable[[list, str], Iterable[str]]  # a column's texts at a field line break, made as they are joined
 
@@ -205,12 +218,13 @@ class _Section(NamedTuple):
     source: dict[str, Callable[[Any], Any]] = {}  # a field's value, where not the record's attribute of its name
 
 
-_ABSENT = object()  # the optional field's value where a record lacks it, until that field is checked
+_ABSENT = object()  # no value: a lacking optional field's until it is checked, or one that _bulk must still check
 
 
-def _bulk(section: _Section, kb: KnowledgeBase | None, items: list) -> dict[str, list] | None:
-    """The section's checked columns, or None when a check fails. A column check may be stricter
-    than a value check (a dict subclass fails it), as the record-by-record read then decides."""
+def _bulk(section: _Section, kb: KnowledgeBase | None, items: list, read: SimpleNamespace) -> dict[str, list] | None:
+    """The section's checked columns, or None when a check fails; their keys are counted in ``read``.
+    A column check may be stricter than a value check (a dict subclass fails it), as the
+    record-by-record read then decides."""
     optional = section.optional
     if not _types(items, dict):
         return None
@@ -220,22 +234,29 @@ def _bulk(section: _Section, kb: KnowledgeBase | None, items: list) -> dict[str,
     except KeyError:
         return None
     absent = columns[optional].count(_ABSENT) if optional else 0
-    if sum(map(len, items)) != len(items) * len(section.fields) - absent:
+    keys = sum(map(len, items))
+    if keys != len(items) * len(section.fields) - absent:
         return None  # each record holds every required field, so one holds a field of another name
     for check in section.checks:
         if isinstance(check, _Rule):
             if not check.holds(kb, columns):
                 return None
             continue
-        column = columns[check]
-        present = [v for v in column if v is not _ABSENT] if check == optional else column
-        checked = section.fields[check].column(present)
+        column, done = columns[check], None  # done: each record's value known unchecked, else _ABSENT
+        if check == optional:  # None where a record lacks the field
+            done = [None if v is _ABSENT else _ABSENT for v in column]
+        elif check == "granules" and read.granules:  # a created entry's quantity's set, where their lists are equal
+            done = [q[1] if (q := read.granules.get(i)) and q[0] == v else _ABSENT
+                    for i, v in zip(columns["id"], column)]
+        checked = section.fields[check].column(column if done is None else [
+            v for v, d in zip(column, done) if d is _ABSENT], read)
         if checked is None:
             return None
-        if present is not column:  # from here on, a record that lacks the optional field reads None
+        if done is not None:
             values = iter(checked)
-            checked = [None if v is _ABSENT else next(values) for v in column]
+            checked = [next(values) if d is _ABSENT else d for d in done]
         columns[check] = checked
+    read.keys += keys
     return columns
 
 
@@ -356,19 +377,22 @@ def _choice(a: str, b: str) -> _Type:
             raise DocumentError(path, f"expected '{a}' or '{b}', got '{v}'")
         return v
 
-    return _Type(lambda column: column if _types(column, str) and {a, b}.issuperset(column) else None, value, _ID.write)
+    return _Type(lambda column, _: column if _types(column, str) and {a, b}.issuperset(column) else None,
+                 value, _ID.write)
 
 
 def _records(section: _Section) -> _Type:
-    """Nested records, built by ``section``'s add step and kept in its order. A column of lists is
-    written in one call, each list sorted alone, and the texts are split back by the lists' lengths."""
+    """Created entries, built by ``section``'s add step and kept in its order; an entry that lists its
+    quantity's granules takes the quantity's checked set. A column of lists is written in one call,
+    each list sorted alone, and the texts are split back by the lists' lengths."""
 
-    def column(lists: list) -> list | None:
-        checked = _bulk(section, None, list(chain.from_iterable(lists))) if _types(lists, list) else None
+    def column(lists: list, read: SimpleNamespace) -> list | None:
+        checked = _bulk(section, None, list(chain.from_iterable(lists)), read) if _types(lists, list) else None
         if checked is None:
             return None
-        built = iter(section.add(None, checked))
-        return [tuple(sorted(islice(built, len(c)), key=section.order)) for c in lists]
+        built = iter(section.add(None, checked))  # an entry alone needs no sorting
+        return [tuple(sorted(islice(built, n), key=section.order) if (n := len(c)) > 1 else islice(built, n))
+                for c in lists]
 
     def value(v: Any, path: str) -> tuple:
         if not isinstance(v, list):
@@ -382,10 +406,10 @@ def _records(section: _Section) -> _Type:
     return _Type(column, value, write)
 
 
-_ID = _Type(lambda column: column if _ids(column) else None, _identifier, lambda column, newline: map(_str, column))
-_TIME = _Type(lambda column: column if _times(column) else None, _time, lambda column, newline: (
+_ID = _Type(lambda column, _: column if _ids(column) else None, _identifier, lambda column, newline: map(_str, column))
+_TIME = _Type(lambda column, _: column if _times(column) else None, _time, lambda column, newline: (
     map(int.__repr__, column) if _types(column, int) else map(_encode, column, repeat(newline))))  # True: true
-_ID_SET = _Type(_id_sets, _id_set, _write_id_sets)
+_ID_SET = _Type(lambda column, _: _id_sets(column), _id_set, _write_id_sets)
 _BY_ID = attrgetter("id")
 _CREATED = _Section(
     {"id": _ID, "kind": _ID, "granules": _ID_SET}, None, ("id", "kind", "granules"),

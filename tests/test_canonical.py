@@ -12,9 +12,12 @@ from hypothesis import given, settings, strategies as st
 
 from matterkb import (
     KnowledgeBase,
+    case_study_path,
     export_document,
     import_document,
     kb_to_doc,
+    load,
+    parse,
     validate_all,
 )
 from matterkb.canonical import doc_to_kb, dumps
@@ -30,7 +33,7 @@ from matterkb.model import (
     SubQuantityAssertion,
 )
 
-from helpers import build_random_kb, messy_world_kb, moved_chains_kb, reference_kb_to_doc
+from helpers import build_random_kb, messy_world_kb, moved_chains_kb, reference_doc_to_kb, reference_kb_to_doc
 from test_world import append_by_hand
 
 EMPTY_DOC = """{
@@ -456,3 +459,28 @@ def test_cyclic_garbage_an_import_leaves_does_not_grow_with_the_input(case_kb, c
             gc.enable()
         assert export_document(kb) == text
     assert left["chains800"] <= left["case"], left
+
+
+SHARING_SOURCES = {
+    "case study": lambda: load(parse(case_study_path().read_text(encoding="utf-8")).scenario),
+    "moved chains": lambda: moved_chains_kb(200),
+    "random 121 events": lambda: build_random_kb(10, max_events=150, max_objects=120),
+}
+
+
+@pytest.mark.parametrize("source", SHARING_SOURCES)
+def test_a_created_entry_holds_its_quantity_granule_set(source):
+    """A read store holds one granule set per quantity, as an engine-built one does: each created
+    entry that lists its quantity's granules holds the set the quantity was read with."""
+    built = SHARING_SOURCES[source]()
+    text = export_document(built)
+    built.adjacency.sort(key=lambda i: (i.a, i.b, i.start, i.end is None, i.end))  # in document order
+    for kb in (import_document(text), doc_to_kb(json.loads(text))):
+        entries = [entry for event in kb.events for entry in event.created]
+        assert len(entries) == len(kb.quantities)
+        assert all(entry.granules is kb.quantities[entry.id].granules for entry in entries)
+        sets = {id(q.granules) for q in kb.quantities.values()} | {id(entry.granules) for entry in entries}
+        assert len(sets) == len(kb.quantities)
+        assert kb == reference_doc_to_kb(json.loads(text)) == built
+    if source.startswith("random"):
+        assert len(built.events) == 121

@@ -4,7 +4,9 @@ record-by-record reference reader did, on small and large documents: the same
 export bytes, or the same DocumentError path and message. The order in which a
 record's checks run, which is not document order, is pinned on records with two
 faults. A document text that repeats a key is rejected at that key, and one
-nested too deeply to parse is rejected at its root."""
+nested too deeply to parse is rejected at its root. A created entry shares its
+quantity's granule set only where the two lists are equal, which documents
+tampered at that pair pin."""
 
 import copy
 import json
@@ -13,8 +15,9 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matterkb import case_study_path, export_document, kb_to_doc, load, parse
+from matterkb import case_study_path, export_document, kb_to_doc, load, parse, validate_all
 from matterkb.canonical import doc_to_kb, import_document
+from matterkb.cli import main
 from matterkb.errors import DocumentError
 
 from helpers import build_random_kb, messy_world_kb, moved_chains_kb, reference_doc_to_kb
@@ -332,3 +335,60 @@ def test_a_document_that_is_not_an_object_is_rejected_at_its_root(text, got):
     with pytest.raises(DocumentError) as info:
         import_document(text)
     assert (info.value.path, info.value.message) == ("$", f"expected an object, got {got}")
+
+
+# A created entry shares its quantity's checked set only where its granules list equals the
+# quantity's; each tampered document below must still read as the record reader reads it.
+# rock1 is the one quantity of the case study's first event, which creates it from six grains.
+
+
+def _tampered(quantity=None, entry=None):
+    """The case study's document, its rock1 quantity or creation entry listing ``granules``."""
+    doc = copy.deepcopy(BASES[0])
+    for where, granules in [(("quantities", 0), quantity), (("events", 0, "created", 0), entry)]:
+        if granules is not None:
+            _put(doc, (*where, "granules"), granules)
+    assert doc["quantities"][0]["id"] == doc["events"][0]["created"][0]["id"] == "rock1"
+    return doc
+
+
+def test_a_quantity_that_lists_fewer_granules_than_its_creation_entry_is_a_history_fault(tmp_path, capsys):
+    doc = _tampered(quantity=["grain1", "grain2", "grain3", "grain4", "grain5"])
+    assert outcome(doc_to_kb, doc) == outcome(reference_doc_to_kb, doc)
+    kb = import_document(json.dumps(doc))
+    entries = [entry for event in kb.events for entry in event.created]
+    assert entries[0].granules == frozenset(BASES[0]["quantities"][0]["granules"]) != kb.quantities["rock1"].granules
+    assert len({id(q.granules) for q in kb.quantities.values()} | {id(e.granules) for e in entries}) == 6
+    [violation] = validate_all(kb).violations
+    assert violation.rule == "H1_HISTORY" and violation.subjects == ("rock1",)
+    assert "differs from its rebuild from the event log in: granule set" in violation.message
+    path = tmp_path / "tampered.mpkb"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().out == f"H1_HISTORY (1)\n  [rock1]: {violation.message}\n1 violation\n"
+    assert main(["replay-check", str(path)]) == 1
+    assert capsys.readouterr().out.startswith("replay-check: FAILED")
+
+
+def test_an_entry_that_lists_its_quantity_granules_in_another_order_reads_as_the_record_reader():
+    doc = _tampered(entry=["grain6", "grain5", "grain4", "grain3", "grain2", "grain1"])
+    assert outcome(doc_to_kb, doc) == outcome(reference_doc_to_kb, doc)
+    kb = import_document(json.dumps(doc))
+    assert kb.events[0].created[0].granules == kb.quantities["rock1"].granules
+    assert not validate_all(kb).violations
+
+
+@pytest.mark.parametrize("kept", ["the quantity's", "another"])
+def test_a_repeated_granules_key_in_a_created_entry_is_rejected(kept):
+    """``json.loads`` keeps a repeated key's last value; the repeat is rejected whether or not
+    that value is the quantity's list, which the entry would then share."""
+    granules = BASES[0]["quantities"][0]["granules"]
+    other = granules[:-1]
+    first, last = (other, granules) if kept == "the quantity's" else (granules, other)
+    text = json.dumps(_tampered(entry="@")).replace(
+        '"granules": "@"', f'"granules": {json.dumps(first)}, "granules": {json.dumps(last)}', 1)
+    assert json.loads(text)["events"][0]["created"][0]["granules"] == last
+    with pytest.raises(DocumentError) as exc_info:
+        import_document(text)
+    assert (exc_info.value.path, exc_info.value.message) == (
+        "events[0].created[0].granules", "repeated key 'granules'")
